@@ -17,7 +17,7 @@ import sys
 import time
 
 from .dynamic_index import DynTrieIndex
-from .errors import AlphabetOverflowError, DuplicateKeyError, TriekitError
+from .errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
 from .instrument import GLOBAL
 from .sa import build_suffix_array, build_suffix_tree
 from .serialize import VersionMismatchError, dump_index, load_index
@@ -116,7 +116,7 @@ def _query_rows(index, patterns: list[list[int]], mode: str):
         extra = None
         if mode == "predecessor":
             if not isinstance(index, StaticTrieIndex):
-                raise TriekitError("predecessor queries need the static engine")
+                raise InvalidInputError("predecessor queries need the static engine")
             rank = index.predecessor_query(codes)
             d = GLOBAL.diff(before)
             rows.append({
@@ -192,6 +192,9 @@ def cmd_query(args) -> int:
     except AlphabetOverflowError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ALPHABET
+    except InvalidInputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_MALFORMED
     if args.report == "tsv":
         _emit_tsv(rows, args.mode, index.sigma, sys.stdout)
     else:

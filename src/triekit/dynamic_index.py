@@ -27,6 +27,11 @@ from .text import SENTINEL, CompactedTrie, MatchResult, Outcome, Text
 from .wexp import WexpTree, audit_wexp, capacity
 
 
+# Below 2*f(2) keys a dynamic predecessor is one linear scan (a wexp base
+# container), so `_ascend` scans a heavy node's children itself.
+_DYNP_MIN_KIDS = 2 * capacity(2)
+
+
 def _ceil_sqrt(w: int) -> int:
     r = isqrt(w)
     return r if r * r == w else r + 1
@@ -576,9 +581,14 @@ class DynTrieIndex:
         """Rightmost leaf preceding the subtrees at or above (v, below_char)."""
         trie = self.trie
         while True:
-            cands = [c for c in trie.nodes[v].children if c < below_char]
-            if cands:
-                return self._rightmost(trie.nodes[v].children[max(cands)])
+            kids = trie.nodes[v].children
+            if self.heavy[v] and len(kids) >= _DYNP_MIN_KIDS:
+                c = self.dynp[v].query(below_char - 1) if below_char else None
+            else:
+                cands = [k for k in kids if k < below_char]
+                c = max(cands) if cands else None
+            if c is not None:
+                return self._rightmost(kids[c])
             if v == trie.ROOT:
                 return None
             below_char = self._edge_char(v)
@@ -619,8 +629,8 @@ class DynTrieIndex:
                 p = nd.parent
                 assert p == -1 or self.heavy[p], "heavy set must be connected"
                 heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
-                assert set(nd.children).issubset(set(self.dynp[v].keys())), \
-                    "child char missing from dyn pred"
+                assert set(nd.children) == set(self.dynp[v].keys()), \
+                    "dyn pred keys differ from child chars"
                 if len(heavy_kids) >= 2:
                     assert self.arr[v] is not None, "branching heavy node lacks its array"
                     for c, ch in heavy_kids:

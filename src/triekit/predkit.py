@@ -98,21 +98,16 @@ class DetDictionary:
         return self.lookup(key) is not None
 
 
-def dict_build(pairs) -> DetDictionary:
-    return DetDictionary(pairs)
-
-
-def dict_lookup(d: DetDictionary, key: int):
-    return d.lookup(key)
-
-
 class StaticPredecessor:
     """Static predecessor over sorted keys: sampled x-fast plus block search.
 
     Every `sample_every`-th key (default: one per ceil(lg u) keys) goes into
     an x-fast table of bit prefixes held in deterministic dictionaries; a
     query binary-searches the prefix lengths, then binary-searches the block
-    of keys between two adjacent samples.
+    of keys between two adjacent samples.  With a single sample (at most
+    `sample_every` keys) every query that passes the end checks lies in
+    block 0, so no x-fast levels are built and the query is the block search
+    alone: at most ceil(lg q) + 1 probes, within the O(lg lg u) bound.
     """
 
     __slots__ = ("keys", "u", "w", "q", "samples", "levels", "elem_probes")
@@ -131,13 +126,14 @@ class StaticPredecessor:
         self.elem_probes = 0
         # levels[l] maps the l-bit prefix to the (lo, hi) sample index range
         self.levels = []
-        for level in range(self.w + 1):
-            table: dict[int, tuple[int, int]] = {}
-            for i, key in enumerate(self.samples):
-                p = key >> (self.w - level)
-                lo, hi = table.get(p, (i, i))
-                table[p] = (min(lo, i), max(hi, i))
-            self.levels.append(DetDictionary(table.items(), probe_field="static_pred_probes"))
+        if len(self.samples) > 1:
+            for level in range(self.w + 1):
+                table: dict[int, tuple[int, int]] = {}
+                for i, key in enumerate(self.samples):
+                    p = key >> (self.w - level)
+                    lo, hi = table.get(p, (i, i))
+                    table[p] = (min(lo, i), max(hi, i))
+                self.levels.append(DetDictionary(table.items(), probe_field="static_pred_probes"))
 
     def query(self, x: int):
         """max{y <= x | y stored}, or None below the minimum."""
@@ -153,6 +149,8 @@ class StaticPredecessor:
             return None
         if x >= self.keys[-1]:
             return self.keys[-1]
+        if not self.levels:
+            return self._block_pred(0, x)
         # longest stored prefix of x, by binary search over prefix lengths
         lo_lv, hi_lv = 0, self.w  # level 0 always present
         best = self.levels[0].lookup(0)
@@ -172,7 +170,10 @@ class StaticPredecessor:
             i = hi  # samples under this prefix all start with bit 0 here
         else:
             i = lo - 1  # they all start with bit 1, hence exceed x
-        # block of keys between samples i and i+1
+        return self._block_pred(i, x)
+
+    def _block_pred(self, i: int, x: int):
+        """Largest key <= x among the keys between samples i and i+1."""
         lo_k = i * self.q
         hi_k = min(lo_k + self.q, len(self.keys)) - 1
         while lo_k < hi_k:
@@ -183,14 +184,6 @@ class StaticPredecessor:
             else:
                 hi_k = mid - 1
         return self.keys[lo_k]
-
-
-def static_pred_build(keys, u, sample_every=None) -> StaticPredecessor:
-    return StaticPredecessor(keys, u, sample_every)
-
-
-def static_pred_query(p: StaticPredecessor, x: int):
-    return p.query(x)
 
 
 class LayeredStaticPredecessor:
@@ -224,14 +217,6 @@ class LayeredStaticPredecessor:
         grp = self.groups[i]
         ans = grp.query(x) if grp is not None else None
         return t if ans is None else ans
-
-
-def layered_pred_build(keys, u) -> LayeredStaticPredecessor:
-    return LayeredStaticPredecessor(keys, u)
-
-
-def layered_pred_query(p: LayeredStaticPredecessor, x: int):
-    return p.query(x)
 
 
 class DynamicPredecessor:

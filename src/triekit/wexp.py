@@ -311,7 +311,9 @@ def audit_wexp(tree: WexpTree) -> None:
     with explicit constant 4, levels decreasing by one per child step,
     recorded weights versus recomputed subtree weights, the weight threshold
     forcing heavy elements up (2*f of the home level), the depth consequence
-    of the weight/level relation, and handle links.
+    of the weight/level relation, and handle links.  The depth check
+    `w < splitter_weight_limit(lv)` is implied by condition 1, since
+    2*f(lv+1) <= 2^(2^(lv+2)) at every level; it stays as a cross-check.
     """
     base_cap = 2 * capacity(2)
     base_depth_limit = splitter_weight_limit(1)

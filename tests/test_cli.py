@@ -149,6 +149,11 @@ def test_tray_round_trip(tmp_path, capsys):
     rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
     assert rows[0][1].startswith("MATCHED") and rows[1][1].startswith("MATCHED")
     assert rows[2][1] == "NOT_FOUND"
+    # the tray has no predecessor query: a clean exit 5, not a traceback
+    code, out, err = run_cli(["query", "--index", str(idx), "--patterns", str(pats),
+                              "--mode", "predecessor"], capsys)
+    assert code == 5 and out == ""
+    assert err == "error: predecessor queries need the static engine\n"
 
 
 def test_dynamic_command(tmp_path, capsys):

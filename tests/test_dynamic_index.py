@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from triekit.dynamic_index import DynTrieIndex, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
+from triekit.text import SENTINEL
 from triekit.wexp import capacity
 
 from oracles import longest_matchable_prefix, string_predecessor
@@ -101,6 +103,32 @@ def test_predecessor_cases():
     assert pred(b"ant") == b"ant"
     assert pred(b"anta") == b"ant"
     assert pred(b"") is None  # everything stored sorts above the empty pattern
+
+
+def test_predecessor_wide_alphabet():
+    # sigma = 2^16 and a few thousand strings: the heavy root has many
+    # children, so predecessor ascents are answered by its dynamic predecessor
+    sigma = 1 << 16
+    rng = random.Random(16)
+    firsts = rng.sample(range(1, sigma + 1), 1500)
+    idx = DynTrieIndex(sigma=sigma)
+    stored = set()
+    while len(stored) < 3000:
+        w = (rng.choice(firsts),) + tuple(rng.randint(1, sigma) for _ in range(rng.randrange(3)))
+        if w not in stored:
+            stored.add(w)
+            idx.insert(list(w))
+    assert len(idx.trie.nodes[idx.trie.ROOT].children) > 1000
+    oracle = sorted(w + (SENTINEL,) for w in stored)
+    pats = [list(w) for w in rng.sample(sorted(stored), 1000)]
+    pats += [p[:-1] + [max(1, p[-1] - 1)] for p in pats if p]
+    pats += [[rng.randint(1, sigma) for _ in range(rng.randrange(4))] for _ in range(1000)]
+    for pat in pats:
+        i = bisect.bisect_right(oracle, tuple(pat) + (SENTINEL,))
+        want = list(oracle[i - 1][:-1]) if i else None
+        got = idx.predecessor(pat)
+        assert (None if got is None else idx.string_codes(got)) == want, pat
+    idx.audit()
 
 
 @given(st.integers(0, 2**32 - 1))

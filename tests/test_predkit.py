@@ -107,6 +107,23 @@ def test_static_pred_random_universe(keys, probes):
         assert p.query(x) == scan_pred(keys, x)
 
 
+@pytest.mark.parametrize("k", [0, 1, 12, 13])
+def test_static_pred_single_sample_is_block_search(k):
+    # u = 4096 gives q = 12: at most q keys make one sample and no x-fast levels
+    u = 4096
+    keys = sorted(random.Random(k).sample(range(u), k))
+    p = StaticPredecessor(keys, u)
+    assert p.q == 12
+    assert (p.levels == []) == (k <= p.q)
+    worst = 0
+    for x in range(u):
+        before = p.elem_probes
+        assert p.query(x) == scan_pred(keys, x), (keys, x)
+        worst = max(worst, p.elem_probes - before)
+    if k <= p.q:
+        assert worst <= (p.q - 1).bit_length() + 1  # ceil(lg q) + 1
+
+
 def test_layered_examples():
     p = LayeredStaticPredecessor(list(range(100)), u=128)
     assert p.query(57) == 57

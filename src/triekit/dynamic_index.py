@@ -9,7 +9,9 @@ machinery: a level in the capacity hierarchy, fragments (maximal same-level
 connected subtrees) with leaf counters at their roots, a deterministic
 dictionary over same-level child edges and a wexponential search tree over
 lower-level child edges whose stored weights track the true weights within
-[ceil(sqrt(w)), w].
+[ceil(sqrt(w)), w].  The dictionary exists only while a node has a
+same-level child, and the tree only from its first lower-level child on, so
+leaves hold neither.
 
 All rebuild work (small-tree rebalancing at s leaves, fragment promoting at
 2*f(level+1)) is eager and atomic: the amortized variant.
@@ -83,6 +85,7 @@ class DynTrieIndex:
         self.hptr: list[tuple | None] = [None]
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
         self.n_strings = 0
+        self.audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
 
     # ------------------------------------------------------------- plumbing
 
@@ -107,16 +110,19 @@ class DynTrieIndex:
         trie = self.trie
         pairs = [(c, ch) for c, ch in trie.nodes[v].children.items()
                  if not self.heavy[ch] and self.level[ch] == self.level[v]]
-        self.same_dict[v] = DetDictionary(pairs)
+        self.same_dict[v] = DetDictionary(pairs) if pairs else None
 
     def _register_child(self, v, child, weight):
         """Register lower-level child's fragment root in v's wexp tree with
         stored weight ceil(sqrt(weight)); reuses a stale handle when the
         edge character was registered before (no deletions exist)."""
         c = self._edge_char(child)
+        tree = self.wexp[v]
+        if tree is None:
+            tree = self.wexp[v] = WexpTree(self.sigma + 1)
+            self.wexp_handles[v] = {}
         handles = self.wexp_handles[v]
         h = handles.get(c)
-        tree = self.wexp[v]
         if h is None:
             h = tree.insert(c)
             handles[c] = h
@@ -131,9 +137,9 @@ class DynTrieIndex:
         self.level[v] = level
         self.small[v] = small
         self.frag[v] = fragment
-        self.same_dict[v] = DetDictionary([])
-        self.wexp[v] = WexpTree(self.sigma + 1)
-        self.wexp_handles[v] = {}
+        self.same_dict[v] = None
+        self.wexp[v] = None
+        self.wexp_handles[v] = None
         self.dynp[v] = None
         self.arr[v] = None
         self.hptr[v] = None
@@ -187,17 +193,16 @@ class DynTrieIndex:
         for c in codes:
             if not 1 <= c <= self.sigma:
                 raise AlphabetOverflowError(f"char {c} outside [1, {self.sigma}]")
-        if self._stored(codes):
-            raise DuplicateKeyError("string already stored")
-        text = Text(codes)
-        sid = self.trie.add_source(text)
-        leaf, mid, attach = self.trie.insert_path(sid)
+        sid = self.trie.add_source(Text(codes))
+        try:
+            leaf, mid, attach = self.trie.insert_path(sid)
+        except DuplicateKeyError:
+            self.trie.sources.pop()  # insert_path raises before touching a node
+            raise
         self._grow(max(leaf, mid if mid is not None else 0))
         self.n_strings += 1
 
         if mid is not None:
-            w = next(ch for ch in self.trie.nodes[mid].children.values() if ch != leaf)
-            self.occ[mid] = self.occ[w]
             self._wire_mid(attach, mid, leaf)
         else:
             self._wire_leaf(attach, leaf)
@@ -206,29 +211,8 @@ class DynTrieIndex:
             self.occ[v] += 1
             v = self.trie.nodes[v].parent
         self._bump_counters_and_trigger(leaf)
-        if os.environ.get("TRIEKIT_AUDIT") == "1":
+        if self.audit_each:
             self.audit()
-
-    def _stored(self, codes) -> bool:
-        trie = self.trie
-        v = trie.ROOT
-        depth = 0
-        total = len(codes) + 1
-
-        def at(i):
-            return codes[i] if i < len(codes) else SENTINEL
-
-        while depth < total:
-            child = trie.nodes[v].children.get(at(depth))
-            if child is None:
-                return False
-            nd = trie.nodes[child]
-            for k in range(nd.label_len):
-                if depth + k >= total or trie.label_char(child, k) != at(depth + k):
-                    return False
-            depth += nd.label_len
-            v = child
-        return True
 
     def _wire_leaf(self, u, leaf):
         """New leaf directly under existing node u."""
@@ -254,14 +238,11 @@ class DynTrieIndex:
         """Edge (u, w) was split at new node mid; leaf hangs under mid."""
         trie = self.trie
         w = next(ch for ch in trie.nodes[mid].children.values() if ch != leaf)
+        self.occ[mid] = self.occ[w]
         c_mid = self._edge_char(mid)
         if self.heavy[w]:
             # mid has all of w's leaves plus one: keep the heavy top connected
-            self.heavy[mid] = True
-            dynp = DynamicPredecessor(self.sigma + 1)
-            for c in trie.nodes[mid].children:
-                dynp.insert(c)
-            self.dynp[mid] = dynp
+            self._make_heavy(mid)
             self.hptr[mid] = (self._edge_char(w), w)
             if self.arr[u] is not None:
                 self.arr[u][c_mid] = mid
@@ -275,14 +256,17 @@ class DynTrieIndex:
         was_root = fragment.root == w
         self._make_light(mid, self.level[w], small, fragment)
         fragment.members.add(mid)
-        self._rebuild_same_dict(mid)  # w is mid's same-level child
+        if self.level[w]:
+            # w is mid's same-level child; at level 0 the leaf is one too,
+            # and _wire_leaf builds mid's dictionary over both
+            self._rebuild_same_dict(mid)
         if was_root:
             fragment.root = mid
             if small.root == w:
                 small.root = mid
         else:
-            # u is light and same level as w: its dict must re-point c to mid
-            self._rebuild_same_dict(u)
+            # u is light and same level as w: its entry for c_mid now leads to mid
+            self.same_dict[u].repoint(c_mid, mid)
         self._wire_leaf(mid, leaf)
 
     def _bump_counters_and_trigger(self, leaf):
@@ -406,14 +390,14 @@ class DynTrieIndex:
             for x in tail:
                 self.frag[x] = nf
 
-        # per tail node: same-level dict is just the next tail node; the
-        # remaining former same-level children register in the wexp tree
-        for x in tail:
+        # per tail node: same-level dict is just the next tail node, so it
+        # changes only where former same-level children left; they register
+        # in the wexp tree
+        for x in dict.fromkeys(x for x, _ in new_roots):
             self._rebuild_same_dict(x)
-            for ch in trie.nodes[x].children.values():
-                if ch in fragment.members and ch not in tail_set:
-                    f_ch = self.frag[ch]
-                    f_ch.reg = self._register_child(x, ch, f_ch.counter)
+        for x, ch in new_roots:
+            f_ch = self.frag[ch]
+            f_ch.reg = self._register_child(x, ch, f_ch.counter)
 
     # ----------------------------------------------------------- rebalancing
 
@@ -494,9 +478,12 @@ class DynTrieIndex:
                 if child is None and self.dynp[v].query(c) == c:
                     child = trie.nodes[v].children[c]
             else:
-                child = self.same_dict[v].lookup(c)
-                if child is None:
-                    hit = self.wexp[v].pred(c)
+                same = self.same_dict[v]
+                if same is not None:
+                    child = same.lookup(c)
+                tree = self.wexp[v]
+                if child is None and tree is not None:
+                    hit = tree.pred(c)
                     if hit is not None and hit[0] == c:
                         child = trie.nodes[v].children[c]
             if child is None:
@@ -615,7 +602,6 @@ class DynTrieIndex:
             nd = trie.nodes[v]
             counts[v] = 1 if nd.is_leaf else sum(counts[ch] for ch in nd.children.values())
         assert self.heavy[trie.ROOT]
-        audited_wexps = set()
         for v in order:
             nd = trie.nodes[v]
             assert self.occ[v] == counts[v], "stale leaf-count payload"
@@ -667,18 +653,21 @@ class DynTrieIndex:
                 assert self.small[p] is self.small[v]
             else:
                 assert self.small[v].root == v
-            # same-level dict covers exactly the same-level children
+            # a same-level dict iff same-level children, covering exactly them;
+            # each lower-level child sits in the wexp tree made on first use
             same = {c for c, ch in nd.children.items()
                     if not self.heavy[ch] and self.level[ch] == lv}
+            sd, tree = self.same_dict[v], self.wexp[v]
+            assert (sd is None) == (not same), "same-level dict must exist exactly for same-level kids"
+            assert (tree is None) == (self.wexp_handles[v] is None)
+            assert not nd.is_leaf or tree is None, "leaf holds a wexp tree"
             for c, ch in nd.children.items():
-                hit = self.same_dict[v].lookup(c)
                 if c in same:
-                    assert hit == ch
+                    assert sd.lookup(c) == ch
                 else:
-                    assert hit is None
+                    assert sd is None or sd.lookup(c) is None
                     assert self.level[ch] < lv
-                    h = self.wexp_handles[v].get(c)
-                    assert h is not None, "lower-level child missing from wexp"
-            if id(self.wexp[v]) not in audited_wexps:
-                audited_wexps.add(id(self.wexp[v]))
-                audit_wexp(self.wexp[v])
+                    assert tree is not None and self.wexp_handles[v].get(c) is not None, \
+                        "lower-level child missing from wexp"
+            if tree is not None:
+                audit_wexp(tree)

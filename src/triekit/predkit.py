@@ -45,29 +45,29 @@ class DetDictionary:
         self.cell_probes = 0
         self.probe_field = probe_field
         bits = max(2, (2 * self.k - 1).bit_length()) if self.k else 1
-        while not self._try_build(items, bits):
+        mixed = [(_mix(key), key, val) for key, val in items]  # once, for every try
+        while not self._try_build(mixed, bits):
             bits += 1
 
-    def _try_build(self, items, bits) -> bool:
+    def _try_build(self, mixed, bits) -> bool:
         m = 1 << bits
         self.shift = 64 - bits
         self.mask = m - 1
         buckets: dict[int, list] = {}
-        for key, val in items:
-            buckets.setdefault(_mix(key) & self.mask, []).append((key, val))
+        for item in mixed:
+            buckets.setdefault(item[0] & self.mask, []).append(item)
         disp = [0] * m
         slot_keys = [_EMPTY] * m
         slot_vals = [None] * m
         cap = 4 * m + 64
         for b in sorted(buckets, key=lambda b: (-len(buckets[b]), b)):
             group = buckets[b]
-            mixed = [_mix(key) for key, _ in group]
             for d in range(cap):
                 mult = 2 * d + 1
-                slots = [((mx * mult) & _M64) >> self.shift for mx in mixed]
+                slots = [((mx * mult) & _M64) >> self.shift for mx, _, _ in group]
                 if len(set(slots)) == len(slots) and all(slot_keys[s] == _EMPTY for s in slots):
                     disp[b] = d
-                    for s, (key, val) in zip(slots, group):
+                    for s, (_, key, val) in zip(slots, group):
                         slot_keys[s] = key
                         slot_vals[s] = val
                     break
@@ -93,6 +93,14 @@ class DetDictionary:
             return None
         self.cell_probes += 1
         return self.slot_vals[s]
+
+    def repoint(self, key: int, val):
+        """Replace the value stored for `key` in place; KeyError if absent."""
+        mx = _mix(key)
+        s = ((mx * (2 * self.disp[mx & self.mask] + 1)) & _M64) >> self.shift
+        if self.slot_keys[s] != key:
+            raise KeyError(key)
+        self.slot_vals[s] = val
 
     def __contains__(self, key: int) -> bool:
         return self.lookup(key) is not None

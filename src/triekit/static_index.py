@@ -7,8 +7,8 @@ Two engines over the same trie + sorted-leaf-array data:
   nonbranching ones a single pointer, and every heavy node a static
   predecessor over its light-child edge characters.  Entering a light child
   switches to binary search of the leaf array inside the child's interval.
-  A second per-heavy-node predecessor over all edges plus rightmost-leaf
-  links answers lexicographic predecessor queries.
+  A second per-heavy-node predecessor over all edges (the light one where
+  every child is light) plus rightmost-leaf links answers predecessors.
 
 * SuffixTrayIndex: the same with threshold sigma, size-sigma child arrays at
   branching heavy nodes and plain child binary search at the rest.
@@ -195,8 +195,10 @@ class StaticTrieIndex(_IndexBase):
                 self.heavy_ptr[v] = heavy_kids[0]
             if light_kids:
                 self.light_pred[v] = StaticPredecessor(light_kids, u)
-            if nd.children:
+            if heavy_kids:
                 self.all_pred[v] = StaticPredecessor(sorted(nd.children), u)
+            elif light_kids:
+                self.all_pred[v] = self.light_pred[v]  # the same keys: share it
 
     def prefix_query(self, pattern: list[int]) -> MatchResult:
         self._check_pattern(pattern)

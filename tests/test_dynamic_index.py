@@ -48,6 +48,42 @@ def test_duplicate_rejected():
         idx.insert([1, 2])
 
 
+@pytest.mark.parametrize("dup", [[1, 2], [1], [1, 2, 3], []])
+def test_duplicate_leaves_state_unchanged(dup):
+    idx = DynTrieIndex(sigma=4)
+    for w in ([1, 2], [1], [1, 2, 3], [], [2, 2, 2]):
+        idx.insert(w)
+    state = (len(idx.trie.sources), idx.n_strings, len(idx.trie.nodes))
+    with pytest.raises(DuplicateKeyError):
+        idx.insert(dup)
+    assert (len(idx.trie.sources), idx.n_strings, len(idx.trie.nodes)) == state
+    idx.insert([3, 1])
+    sid = idx.predecessor([3, 1])  # a stored pattern is its own predecessor
+    assert sid == state[0] and idx.string_codes(sid) == [3, 1]
+    idx.audit()
+
+
+@pytest.mark.parametrize("env, audits", [("1", 3), (None, 0)])
+def test_audit_setting_read_at_construction(monkeypatch, env, audits):
+    if env is None:
+        monkeypatch.delenv("TRIEKIT_AUDIT", raising=False)
+    else:
+        monkeypatch.setenv("TRIEKIT_AUDIT", env)
+    idx = DynTrieIndex(sigma=4)
+    monkeypatch.setenv("TRIEKIT_AUDIT", "0" if env else "1")  # read once, before
+    calls = []
+    real_audit = idx.audit
+
+    def counted_audit():
+        calls.append(1)
+        real_audit()
+
+    monkeypatch.setattr(idx, "audit", counted_audit)
+    for w in ([1], [2, 3], [4, 4]):
+        idx.insert(w)
+    assert len(calls) == audits
+
+
 def test_alphabet_overflow():
     idx = DynTrieIndex(sigma=4)
     with pytest.raises(AlphabetOverflowError):

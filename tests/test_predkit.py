@@ -71,6 +71,54 @@ def test_dict_deterministic_build():
     assert a.disp == b.disp and a.slot_keys == b.slot_keys
 
 
+# Tables of two builds, recorded before keys were mixed once per build: the
+# nonzero displacements and, per slot, the index of the key it holds.
+_PIN_KEYS = [(k * 2654435761) % (1 << 32) for k in range(100)]
+_PIN_DISP = {35: 1, 54: 1, 86: 2, 117: 1, 155: 1, 163: 1, 177: 1, 184: 3, 195: 1,
+             220: 2, 231: 2, 254: 1}
+_PIN_SLOTS = [
+    0, -1, -1, 80, -1, 34, -1, -1, -1, 93, 84, 29, -1, -1, 21, -1, -1, -1, -1, -1,
+    36, 23, -1, 4, 33, 79, -1, -1, 38, -1, -1, -1, -1, 62, -1, -1, -1, 26, -1, 12,
+    1, 40, -1, -1, 47, -1, 28, 32, 22, 81, 92, -1, -1, 74, -1, -1, 76, -1, -1, 71,
+    69, 43, -1, -1, 25, 14, 98, -1, -1, -1, -1, 58, 6, 72, -1, -1, -1, 59, -1, -1,
+    -1, -1, -1, -1, -1, 77, -1, 18, 94, -1, -1, -1, -1, -1, 50, 24, -1, -1, -1, -1,
+    -1, -1, -1, -1, -1, -1, -1, -1, 39, 44, 49, -1, -1, -1, -1, -1, -1, 53, 35, 16,
+    -1, 52, -1, -1, 89, 91, 8, -1, -1, -1, -1, 95, -1, -1, -1, 48, 63, 99, 10, 87,
+    -1, 9, -1, -1, -1, 96, -1, 60, 67, 65, -1, 5, 82, -1, 51, -1, -1, -1, -1, -1,
+    -1, -1, -1, 7, -1, 68, -1, -1, 15, -1, -1, -1, -1, 66, 86, 45, -1, -1, -1, -1,
+    17, -1, -1, 19, 83, -1, 73, -1, 55, 70, -1, 64, 54, -1, 56, -1, -1, -1, -1, -1,
+    13, 46, 61, -1, 75, -1, 41, -1, 31, 88, -1, -1, -1, -1, -1, -1, 78, -1, -1, -1,
+    -1, -1, -1, -1, 11, 2, -1, -1, -1, -1, -1, -1, -1, 90, 3, 30, -1, -1, 27, 85,
+    -1, -1, -1, 57, -1, -1, -1, -1, -1, 42, 97, -1, 37, 20, -1, -1,
+]
+
+
+def test_dict_tables_pinned():
+    d = DetDictionary([(3, "a"), (1 << 40, "b")])
+    assert (d.shift, d.disp, d.slot_keys) == (62, [1, 0, 0, 0], [1 << 40, 3, -1, -1])
+    d = DetDictionary([(k, i) for i, k in enumerate(_PIN_KEYS)])
+    assert d.shift == 56
+    assert d.disp == [_PIN_DISP.get(b, 0) for b in range(256)]
+    assert d.slot_keys == [_PIN_KEYS[i] if i >= 0 else -1 for i in _PIN_SLOTS]
+
+
+def test_dict_repoint():
+    keys = list(range(0, 300, 7))
+    d = DetDictionary([(k, k + 1) for k in keys])
+    disp, slot_keys = list(d.disp), list(d.slot_keys)
+    d.repoint(42, "moved")
+    assert d.lookup(42) == "moved"
+    for k in keys:
+        if k != 42:
+            assert d.lookup(k) == k + 1
+    assert d.lookup(43) is None
+    with pytest.raises(KeyError):
+        d.repoint(43, "absent")
+    with pytest.raises(KeyError):
+        DetDictionary([]).repoint(0, "absent")
+    assert d.disp == disp and d.slot_keys == slot_keys
+
+
 # ---------------------------------------------------------- static predecessor
 
 def test_static_pred_examples():

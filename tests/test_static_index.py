@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from triekit.static_index import (
 )
 from triekit.text import Text, build_string_trie, encode_text
 
-from oracles import occurrences, longest_matchable_prefix, string_predecessor
+from oracles import brute_suffix_array, occurrences, longest_matchable_prefix, string_predecessor
 
 
 def suffix_index(raw: bytes, sigma=256, engine="static"):
@@ -225,3 +226,29 @@ def test_probe_accounting():
         d = GLOBAL.diff(before)
         assert d["static_pred_queries"] <= 2
         assert d["dict_probes"] <= len(pat) + 1
+
+
+def test_all_light_node_shares_its_predecessor():
+    # sigma = 2^16, 500 distinct characters: every child of the root holds
+    # fewer than s = 16 suffixes, so the root's predecessor over all edges
+    # is its light-edge predecessor itself
+    sigma = 1 << 16
+    rng = random.Random(16)
+    pool = rng.sample(range(1, sigma + 1), 500)
+    codes = [rng.choice(pool) for _ in range(2000)]
+    idx, text = suffix_index(codes, sigma, "static")
+    root = idx.trie.ROOT
+    assert not any(idx.heavy[ch] for ch in idx.trie.nodes[root].children.values())
+    assert idx.all_pred[root] is idx.light_pred[root]
+    full = codes + [0]
+    sa = brute_suffix_array(codes)
+    assert idx.leaf_order == sa
+    keys = [full[i:] for i in sa]
+    for _ in range(1500):
+        i = rng.randrange(len(codes))
+        pat = codes[i:i + rng.randrange(0, 6)]
+        if rng.random() < 0.5:
+            pat = pat + [rng.randint(1, sigma)]
+        want = bisect.bisect_right(keys, pat + [0]) - 1
+        got = idx.predecessor_query(pat)
+        assert got == (want if want >= 0 else None), pat

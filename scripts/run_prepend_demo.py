@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Stream a random text through the prepend verifier and print the oracle
-work counters reported every checkpoint."""
+work counters reported every checkpoint.  Runs the CLI from this checkout's
+`src`, so it works without installing triekit."""
 
 import random
 import subprocess
 import sys
 import tempfile
+
+from run_bench import checkout_env
 
 N = 2000
 SIGMA = 26
@@ -22,7 +25,7 @@ def main():
             [sys.executable, "-m", "triekit.cli", "prepend-stream",
              "--text", fh.name, "--sigma", str(SIGMA),
              "--check-every", str(CHECK_EVERY)],
-            check=True,
+            check=True, env=checkout_env(),
         )
 
 

@@ -215,7 +215,8 @@ def cmd_dynamic(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     idx = DynTrieIndex(sigma=args.sigma)
-    audit_every = 1 if os.environ.get("TRIEKIT_AUDIT") == "1" else args.audit_every
+    # TRIEKIT_AUDIT=1 makes the index audit every insert itself
+    audit_every = args.audit_every
     ops = 0
     for lineno, line in enumerate(data.split(b"\n"), start=1):
         if not line.strip():

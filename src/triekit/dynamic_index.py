@@ -489,15 +489,14 @@ class DynTrieIndex:
             if child is None:
                 return MatchResult(Outcome.NOT_FOUND, v, 0, None, i)
             nd = trie.nodes[child]
-            j = 1
-            while j < nd.label_len and i + j < m:
-                GLOBAL.chars_compared += 1
-                if trie.label_char(child, j) != pattern[i + j]:
-                    return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j)
-                j += 1
+            length = nd.end - nd.start
+            stop = length if length < m - i else m - i
+            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
+            if j < stop:
+                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j)
             if i + j == m:
-                return self._match_at(child, 0 if j == nd.label_len else j, m)
-            i += nd.label_len
+                return self._match_at(child, 0 if j == length else j, m)
+            i += length
             v = child
 
     def _match_at(self, v, offset, m) -> MatchResult:

@@ -14,6 +14,12 @@ from .instrument import GLOBAL
 _M64 = (1 << 64) - 1
 _EMPTY = -1
 
+# _mix(key) for keys already looked up, filled until it holds _MIX_MEMO_CAP
+# entries.  The mixer is a fixed function, so the memo changes no table and
+# no answer, only the cost of a lookup.
+_MIX_MEMO: dict[int, int] = {}
+_MIX_MEMO_CAP = 1 << 16
+
 
 def _mix(x: int) -> int:
     """64-bit bijective mixer (splitmix64 finalizer, fixed constants)."""
@@ -80,18 +86,22 @@ class DetDictionary:
 
     def lookup(self, key: int):
         """Stored value for `key`, or None when absent."""
-        if self.probe_field:
-            setattr(GLOBAL, self.probe_field, getattr(GLOBAL, self.probe_field) + 1)
+        if self.probe_field == "dict_probes":
+            GLOBAL.dict_probes += 1
+        elif self.probe_field == "static_pred_probes":
+            GLOBAL.static_pred_probes += 1
         if self.k == 0:
             return None
-        mx = _mix(key)
-        d = self.disp[mx & self.mask]
-        self.cell_probes += 1
-        s = ((mx * (2 * d + 1)) & _M64) >> self.shift
-        self.cell_probes += 1
+        mx = _MIX_MEMO.get(key)
+        if mx is None:
+            mx = _mix(key)
+            if len(_MIX_MEMO) < _MIX_MEMO_CAP:
+                _MIX_MEMO[key] = mx
+        s = ((mx * (2 * self.disp[mx & self.mask] + 1)) & _M64) >> self.shift
         if self.slot_keys[s] != key:
+            self.cell_probes += 2  # the displacement cell and one slot cell
             return None
-        self.cell_probes += 1
+        self.cell_probes += 3
         return self.slot_vals[s]
 
     def repoint(self, key: int, val):

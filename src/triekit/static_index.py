@@ -21,7 +21,7 @@ import math
 from .errors import AlphabetOverflowError, CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import CompactedTrie, MatchResult, Outcome
+from .text import SENTINEL, CompactedTrie, MatchResult, Outcome
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -70,12 +70,6 @@ class _IndexBase:
             counts[v] = nd.high - nd.low + 1 if nd.high >= nd.low else 0
         self.leaf_counts = counts
 
-    # leaf rank r, character position d of the stored string (sentinel padded)
-    def leaf_char(self, r: int, d: int) -> int:
-        if self.mode == "suffix":
-            return self.trie.sources[0].at(self.leaf_order[r] + d)
-        return self.trie.sources[self.leaf_order[r]].at(d)
-
     def leaf_len(self, r: int) -> int:
         """Length of the stored string at rank r, sentinel excluded."""
         if self.mode == "suffix":
@@ -90,22 +84,34 @@ class _IndexBase:
         return [self.leaf_order[r] for r in range(lo, hi + 1)]
 
     def _check_pattern(self, pattern):
+        if not pattern or (min(pattern) >= 1 and max(pattern) <= self.sigma):
+            return
         for c in pattern:
             if not 1 <= c <= self.sigma:
                 raise AlphabetOverflowError(f"pattern char {c} outside [1, {self.sigma}]")
 
     def _cmp_leaf(self, r, pattern, start):
-        """(sign, lcp): sign<0 leaf<P, 0 P is a prefix of the leaf, >0 leaf>P."""
+        """(sign, lcp): sign<0 leaf<P, 0 P is a prefix of the leaf, >0 leaf>P.
+
+        Reads the stored string's code list directly, sentinel past its end."""
+        if self.mode == "suffix":
+            codes = self.trie.sources[0].codes
+            off = self.leaf_order[r]
+        else:
+            codes = self.trie.sources[self.leaf_order[r]].codes
+            off = 0
+        n = len(codes)
         m = len(pattern)
         d = start
-        while True:
-            if d == m:
-                return 0, m
-            lc = self.leaf_char(r, d)
-            GLOBAL.chars_compared += 1
+        while d < m:
+            k = off + d
+            lc = codes[k] if k < n else SENTINEL
             if lc != pattern[d]:
+                GLOBAL.chars_compared += d - start + 1
                 return (-1 if lc < pattern[d] else 1), d
             d += 1
+        GLOBAL.chars_compared += m - start
+        return 0, m
 
     def _first_geq(self, lo, hi, pattern, start, strict):
         """Smallest rank in [lo, hi] whose leaf is >= P (strict: > P and not
@@ -135,6 +141,13 @@ class _IndexBase:
         nd = self.trie.nodes[w]
         lo, hi = nd.low, nd.high
         m = len(pattern)
+        if lo == hi:
+            # one leaf: a single compare decides both the match and the rank
+            sign, lcp = self._cmp_leaf(lo, pattern, start)
+            if sign == 0:
+                return self._locus_result(w, lo, lo, m, start), lo
+            return (MatchResult(Outcome.NOT_FOUND, w, 0, None, lcp),
+                    lo if sign > 0 else lo + 1)
         left, best_l = self._first_geq(lo, hi, pattern, start, strict=False)
         right, best_r = self._first_geq(lo, hi, pattern, start, strict=True)
         if left < right:
@@ -214,6 +227,7 @@ class StaticTrieIndex(_IndexBase):
         point already pins the predecessor's rank (r may be -1 for none),
         and None for matches."""
         trie = self.trie
+        nodes = trie.nodes
         m = len(pattern)
         if not self.leaf_order:
             return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), ("rank", -1)
@@ -221,21 +235,21 @@ class StaticTrieIndex(_IndexBase):
         i = 0
         while True:
             if i == m:
-                nd = trie.nodes[v]
+                nd = nodes[v]
                 return MatchResult(Outcome.MATCHED_AT_NODE, v, 0, (nd.low, nd.high), m), None
             c = pattern[i]
             child = None
             dic = self.heavy_dict.get(v)
             if dic is not None:
                 child = dic.lookup(c)
-            elif v in self.heavy_ptr:
-                pc, pch = self.heavy_ptr[v]
-                if pc == c:
-                    child = pch
+            else:
+                hp = self.heavy_ptr.get(v)
+                if hp is not None and hp[0] == c:
+                    child = hp[1]
             if child is None:
                 lp = self.light_pred.get(v)
                 if lp is not None and lp.query(c) == c:
-                    w = trie.nodes[v].children[c]
+                    w = nodes[v].children[c]
                     res, pos = self._light_search(w, pattern, i + 1)
                     if res.matched:
                         return res, None
@@ -243,22 +257,20 @@ class StaticTrieIndex(_IndexBase):
                 # no edge with character c leaves v
                 return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), ("node", v, c)
             # heavy child: match the remainder of its edge label
-            nd = trie.nodes[child]
-            j = 1
-            while j < nd.label_len and i + j < m:
-                GLOBAL.chars_compared += 1
-                if trie.label_char(child, j) != pattern[i + j]:
-                    lc = trie.label_char(child, j)
-                    rank = nd.low - 1 if pattern[i + j] < lc else nd.high
-                    return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j), ("rank", rank)
-                j += 1
+            nd = nodes[child]
+            length = nd.end - nd.start
+            stop = length if length < m - i else m - i
+            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
+            if j < stop:
+                rank = nd.low - 1 if pattern[i + j] < trie.label_char(child, j) else nd.high
+                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j), ("rank", rank)
             if i + j == m:
-                if j == nd.label_len:
+                if j == length:
                     return MatchResult(Outcome.MATCHED_AT_NODE, child, 0,
                                        (nd.low, nd.high), m), None
                 return MatchResult(Outcome.MATCHED_ON_EDGE, child, j,
                                    (nd.low, nd.high), m), None
-            i += nd.label_len
+            i += length
             v = child
 
     def _pred_at_node(self, v, c):
@@ -325,6 +337,7 @@ class SuffixTrayIndex(_IndexBase):
     def tray_query(self, pattern: list[int]) -> MatchResult:
         self._check_pattern(pattern)
         trie = self.trie
+        nodes = trie.nodes
         m = len(pattern)
         if not self.leaf_order:
             return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0)
@@ -332,7 +345,7 @@ class SuffixTrayIndex(_IndexBase):
         i = 0
         while True:
             if i == m:
-                nd = trie.nodes[v]
+                nd = nodes[v]
                 return MatchResult(Outcome.MATCHED_AT_NODE, v, 0, (nd.low, nd.high), m)
             c = pattern[i]
             child = None
@@ -361,18 +374,17 @@ class SuffixTrayIndex(_IndexBase):
             if not self.heavy[child]:
                 res, _ = self._light_search(child, pattern, i + 1)
                 return res
-            nd = trie.nodes[child]
-            j = 1
-            while j < nd.label_len and i + j < m:
-                GLOBAL.chars_compared += 1
-                if trie.label_char(child, j) != pattern[i + j]:
-                    return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j)
-                j += 1
+            nd = nodes[child]
+            length = nd.end - nd.start
+            stop = length if length < m - i else m - i
+            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
+            if j < stop:
+                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j)
             if i + j == m:
-                if j == nd.label_len:
+                if j == length:
                     return MatchResult(Outcome.MATCHED_AT_NODE, child, 0, (nd.low, nd.high), m)
                 return MatchResult(Outcome.MATCHED_ON_EDGE, child, j, (nd.low, nd.high), m)
-            i += nd.label_len
+            i += length
             v = child
 
 

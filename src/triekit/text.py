@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import AlphabetOverflowError, DuplicateKeyError
+from .instrument import GLOBAL
 
 SENTINEL = 0
 
@@ -144,6 +145,23 @@ class CompactedTrie:
         nd = self.nodes[node_id]
         return self.sources[nd.sid].at(nd.start + offset)
 
+    def label_mismatch(self, nd: Node, pattern: list[int], i: int, stop: int) -> int:
+        """Smallest j in [1, stop) where label char j of `nd` differs from
+        pattern[i + j], or `stop` when there is none.  Reads the source's code
+        list directly; each character compared adds one to chars_compared."""
+        codes = self.sources[nd.sid].codes
+        n = len(codes)
+        p = nd.start
+        j = 1
+        while j < stop:
+            k = p + j
+            if (codes[k] if k < n else SENTINEL) != pattern[i + j]:
+                GLOBAL.chars_compared += j
+                return j
+            j += 1
+        GLOBAL.chars_compared += stop - 1
+        return stop
+
     def label_codes(self, node_id: int) -> list[int]:
         nd = self.nodes[node_id]
         src = self.sources[nd.sid]
@@ -166,25 +184,36 @@ class CompactedTrie:
         interval.  Returns (leaf id, middle node id or None, attach node id).
         Raises DuplicateKeyError if the string is already stored.
         """
-        text = self.sources[sid]
-        total = text.n + 1  # sentinel included
+        codes = self.sources[sid].codes
+        n = len(codes)
+        total = n + 1  # sentinel included
+        nodes = self.nodes
         v = self.ROOT
         depth = 0
         while True:
-            c = text.at(depth)
-            child = self.nodes[v].children.get(c)
+            c = codes[depth] if depth < n else SENTINEL
+            child = nodes[v].children.get(c)
             if child is None:
                 leaf = self.new_node(v, sid, depth, total, leaf_id=sid)
-                self.nodes[v].children[c] = leaf
+                nodes[v].children[c] = leaf
                 if leaf_rank >= 0:
                     self.set_leaf_interval(leaf, leaf_rank)
                 return leaf, None, v
-            nd = self.nodes[child]
-            src = self.sources[nd.sid]
-            k = 0
-            while k < nd.label_len and depth + k < total and src.at(nd.start + k) == text.at(depth + k):
+            nd = nodes[child]
+            src = self.sources[nd.sid].codes
+            sn = len(src)
+            start = nd.start
+            length = nd.end - start
+            # the first label character is c; the sentinel ends both strings
+            lim = min(length, total - depth)
+            k = 1
+            while k < lim:
+                a = start + k
+                b = depth + k
+                if (src[a] if a < sn else SENTINEL) != (codes[b] if b < n else SENTINEL):
+                    break
                 k += 1
-            if k == nd.label_len:
+            if k == length:
                 depth += k
                 if depth == total:
                     raise DuplicateKeyError("string already stored")
@@ -194,14 +223,14 @@ class CompactedTrie:
                 # can only happen on the sentinel, which is unique per string
                 raise DuplicateKeyError("string already stored")
             # split the edge at offset k, then hang the new leaf off the middle
-            mid = self.new_node(v, nd.sid, nd.start, nd.start + k)
-            mid_nd = self.nodes[mid]
-            self.nodes[v].children[src.at(nd.start)] = mid
+            mid = self.new_node(v, nd.sid, start, start + k)
+            mid_nd = nodes[mid]
+            nodes[v].children[c] = mid
             nd.parent = mid
             nd.start += k
-            mid_nd.children[src.at(nd.start)] = child
+            mid_nd.children[src[nd.start] if nd.start < sn else SENTINEL] = child
             leaf = self.new_node(mid, sid, depth + k, total, leaf_id=sid)
-            mid_nd.children[text.at(depth + k)] = leaf
+            mid_nd.children[codes[depth + k] if depth + k < n else SENTINEL] = leaf
             if leaf_rank >= 0:
                 self.set_leaf_interval(leaf, leaf_rank)
             return leaf, mid, v

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from triekit.cli import main
+from triekit.dynamic_index import DynTrieIndex
 from triekit.serialize import dump_index, load_index
 from triekit.static_index import build_static_index
 from triekit.sa import build_suffix_array, build_suffix_tree
@@ -188,6 +189,23 @@ def test_dynamic_with_forced_audit(tmp_path, capsys, monkeypatch):
     ops.write_bytes(b"I abc\nI abd\nI ax\nQ ab\n")
     code, _, _ = run_cli(["dynamic", "--ops", str(ops)], capsys)
     assert code == 0
+
+
+def test_forced_audit_once_per_insert(tmp_path, capsys, monkeypatch):
+    # TRIEKIT_AUDIT=1 audits each mutation once; a query mutates nothing
+    calls = []
+    real_audit = DynTrieIndex.audit
+
+    def counted_audit(self):
+        calls.append(1)
+        real_audit(self)
+
+    monkeypatch.setattr(DynTrieIndex, "audit", counted_audit)
+    monkeypatch.setenv("TRIEKIT_AUDIT", "1")
+    ops = tmp_path / "ops.txt"
+    ops.write_bytes(b"I abc\nI abd\nI ax\nQ ab\n")
+    code, _, _ = run_cli(["dynamic", "--ops", str(ops)], capsys)
+    assert code == 0 and len(calls) == 3
 
 
 def test_prepend_stream(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit.errors import DuplicateKeyError, InvalidInputError
+from triekit import predkit
 from triekit.instrument import GLOBAL
 from triekit.predkit import (
     DetDictionary,
@@ -117,6 +118,33 @@ def test_dict_repoint():
     with pytest.raises(KeyError):
         DetDictionary([]).repoint(0, "absent")
     assert d.disp == disp and d.slot_keys == slot_keys
+
+
+def test_dict_mix_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(predkit, "_MIX_MEMO", memo)
+    rng = random.Random(12)
+    keys = rng.sample(range(1 << 40), 500)
+    pairs = [(k, i) for i, k in enumerate(keys)]
+    truth = dict(pairs)
+    probes = keys + [k + 1 for k in keys if k + 1 not in truth]
+    d = DetDictionary(pairs)
+    for k in probes[::2]:
+        d.lookup(k)  # half the probes now in the memo
+    assert set(memo) == set(probes[::2])
+    fresh = DetDictionary(pairs)
+    assert (fresh.disp, fresh.slot_keys) == (d.disp, d.slot_keys)
+    for k in probes:
+        assert d.lookup(k) == fresh.lookup(k) == truth.get(k)
+    assert all(mx == predkit._mix(k) for k, mx in memo.items())
+    # the memo stops growing at its cap; later keys are mixed afresh
+    small = DetDictionary([(3, "a"), (1 << 40, "b")])
+    for k in range(predkit._MIX_MEMO_CAP + 1000):
+        small.lookup(k)
+    assert len(memo) == predkit._MIX_MEMO_CAP
+    late = predkit._MIX_MEMO_CAP + 999
+    assert late not in memo and small.lookup(late) is None
+    assert small.lookup(3) == "a" and small.lookup(1 << 40) == "b"
 
 
 # ---------------------------------------------------------- static predecessor

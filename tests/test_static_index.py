@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from triekit.errors import AlphabetOverflowError, CorruptTrieError, InvalidInputError
 from triekit.instrument import GLOBAL
 from triekit.sa import build_suffix_array, build_suffix_tree
+from triekit.serialize import dump_index, load_index
 from triekit.static_index import (
     StaticTrieIndex,
     SuffixTrayIndex,
@@ -16,7 +17,8 @@ from triekit.static_index import (
 )
 from triekit.text import Text, build_string_trie, encode_text
 
-from oracles import brute_suffix_array, occurrences, longest_matchable_prefix, string_predecessor
+from oracles import (brute_suffix_array, occurrences, longest_matchable_prefix,
+                     string_predecessor)
 
 
 def suffix_index(raw: bytes, sigma=256, engine="static"):
@@ -252,3 +254,139 @@ def test_all_light_node_shares_its_predecessor():
         want = bisect.bisect_right(keys, pat + [0]) - 1
         got = idx.predecessor_query(pat)
         assert got == (want if want >= 0 else None), pat
+
+
+def _prefix_engines(trie, order, sigma, mode):
+    """Static, tray and both loaded from their files, as prefix-query callables."""
+    static = build_static_index(trie, order, sigma, mode=mode)
+    tray = build_suffix_tray(trie, order, sigma, mode=mode)
+    loaded_static = load_index(dump_index(static))
+    loaded_tray = load_index(dump_index(tray))
+    return static, loaded_static, [static.prefix_query, tray.tray_query,
+                                   loaded_static.prefix_query, loaded_tray.tray_query]
+
+
+def _check_prefix(engines, keys, pattern):
+    """Every engine against a scan of the sorted sentinel-terminated keys:
+    the rank interval of the keys P prefixes, else the longest matched prefix."""
+    ranks = [r for r, key in enumerate(keys) if key[:len(pattern)] == pattern]
+    for query in engines:
+        res = query(pattern)
+        if ranks:
+            assert res.matched and res.interval == (ranks[0], ranks[-1]), pattern
+            assert res.matched_len == len(pattern)
+        else:
+            assert not res.matched, pattern
+            assert res.matched_len == longest_matchable_prefix(keys, pattern), pattern
+
+
+def _heavy_edge_last_char_patterns(idx, sigma):
+    """For every non-root heavy node with a label of 2+ characters, the path
+    to it with the label's last character replaced by each other character."""
+    trie = idx.trie
+    out = []
+    for v, nd in enumerate(trie.nodes):
+        if v == trie.ROOT or not idx.heavy[v] or nd.label_len < 2:
+            continue
+        path = []
+        u = v
+        while u != trie.ROOT:
+            path[:0] = trie.label_codes(u)
+            u = trie.nodes[u].parent
+        out.extend(path[:-1] + [c] for c in range(1, sigma + 1) if c != path[-1])
+    return out
+
+
+def test_boundary_patterns_suffix_mode():
+    rng = random.Random(21)
+    sigma = 4
+    unit = [rng.randint(1, sigma) for _ in range(7)]
+    codes = unit * 12 + [rng.randint(1, sigma) for _ in range(40)] + unit * 3
+    text = Text(codes)
+    tree = build_suffix_tree(build_suffix_array(text), text)
+    order = brute_suffix_array(codes)
+    static, loaded, engines = _prefix_engines(tree, order, sigma, "suffix")
+    full = codes + [0]
+    keys = [full[i:] for i in order]
+    # past the end of the text: every suffix, extended by each character, so
+    # the leaf compare reads the sentinel
+    past_end = [codes[i:] + [c] for i in range(len(codes)) for c in range(1, sigma + 1)]
+    edge_last = _heavy_edge_last_char_patterns(static, sigma)
+    assert edge_last, "no heavy edge with two or more characters"
+    for pattern in past_end + edge_last:
+        _check_prefix(engines, keys, pattern)
+        res = static.prefix_query(pattern)
+        occ = static.enumerate(res.interval) if res.matched else []
+        assert sorted(occ) == occurrences(codes, pattern), pattern
+        want = bisect.bisect_right(keys, pattern + [0]) - 1
+        for idx in (static, loaded):
+            assert idx.predecessor_query(pattern) == (want if want >= 0 else None), pattern
+
+
+def test_boundary_patterns_strings_mode():
+    rng = random.Random(22)
+    sigma = 4
+    words = sorted({tuple(rng.randint(1, sigma) for _ in range(rng.randrange(1, 9)))
+                    for _ in range(120)})
+    words = [list(w) for w in words]
+    texts = [Text(w) for w in words]
+    trie, order = build_string_trie(texts)
+    static, loaded, engines = _prefix_engines(trie, order, sigma, "strings")
+    keys = [texts[sid].codes + [0] for sid in order]
+    # patterns that extend a stored word by one character
+    extend = [w + [c] for w in words for c in range(1, sigma + 1)]
+    edge_last = _heavy_edge_last_char_patterns(static, sigma)
+    assert edge_last, "no heavy edge with two or more characters"
+    for pattern in extend + edge_last:
+        _check_prefix(engines, keys, pattern)
+        want = string_predecessor(words, pattern)
+        for idx in (static, loaded):
+            got = idx.predecessor_query(pattern)
+            assert (None if got is None else texts[idx.leaf_order[got]].codes) == want, pattern
+
+
+def _compares(stored, pattern, start):
+    """Characters a left-to-right compare of `stored` (sentinel padded) with
+    `pattern` reads from position `start`, up to and including the first
+    mismatch."""
+    stored = list(stored) + [0] * len(pattern)
+    count = 0
+    for d in range(start, len(pattern)):
+        count += 1
+        if stored[d] != pattern[d]:
+            break
+    return count
+
+
+def test_chars_compared_counts_each_character_once():
+    # s = 2: the root and the node "abcd" (three leaves) are heavy, so the
+    # root's edge "abcd" is a heavy edge of four characters; every leaf is a
+    # light child holding one leaf
+    words = [enc(w) for w in (b"abcdx", b"abcdy", b"abcdz", b"b")]
+    trie, order = build_string_trie([Text(w) for w in words])
+    idx = build_static_index(trie, order, 256, mode="strings", s=2)
+    abcd = trie.nodes[trie.ROOT].children[enc(b"a")[0]]
+    assert idx.heavy[abcd] and trie.nodes[abcd].label_len == 4
+    leaf_x = trie.nodes[abcd].children[enc(b"x")[0]]
+    assert not idx.heavy[leaf_x] and trie.nodes[leaf_x].low == trie.nodes[leaf_x].high
+
+    def counted(pattern):
+        before = GLOBAL.chars_compared
+        res = idx.prefix_query(pattern)
+        return res, GLOBAL.chars_compared - before
+
+    # mismatch on the last character of the heavy edge
+    p = enc(b"abce")
+    res, count = counted(p)
+    assert not res.matched and res.matched_len == 3
+    assert count == _compares(words[0][:4], p, 1) == 3
+    # a single-leaf light child: one compare of the leaf, from after its
+    # entry character up to the sentinel
+    p = enc(b"abcdxq")
+    res, count = counted(p)
+    assert not res.matched and res.matched_len == 5
+    assert count == _compares(words[0][:4], p[:4], 1) + _compares(words[0], p, 5) == 4
+    p = enc(b"abcdy")
+    res, count = counted(p)
+    assert res.matched and res.interval == (1, 1)
+    assert count == _compares(words[1][:4], p[:4], 1) + _compares(words[1], p, 5) == 3

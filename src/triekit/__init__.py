@@ -1,12 +1,7 @@
 """Deterministic compacted-trie indexing toolkit."""
 
 from .dynamic_index import DynTrieIndex
-from .predkit import (
-    DetDictionary,
-    DynamicPredecessor,
-    LayeredStaticPredecessor,
-    StaticPredecessor,
-)
+from .predkit import DetDictionary, DynamicPredecessor, StaticPredecessor
 from .sa import SuffixArrayIndex, build_suffix_array, build_suffix_tree
 from .static_index import (
     StaticTrieIndex,
@@ -15,15 +10,15 @@ from .static_index import (
     build_suffix_tray,
 )
 from .suffix_oracle import FmaTree, OnlineSuffixTree
-from .text import Alphabet, CompactedTrie, MatchResult, Outcome, Text, build_string_trie, encode_text
+from .text import (CompactedTrie, MatchResult, Outcome, Text, build_string_trie, check_codes,
+                   encode_text)
 from .wexp import CAPACITY, ElementHandle, WexpTree
 
 __all__ = [
-    "Alphabet", "CompactedTrie", "MatchResult", "Outcome", "Text",
-    "build_string_trie", "encode_text",
+    "CompactedTrie", "MatchResult", "Outcome", "Text",
+    "build_string_trie", "check_codes", "encode_text",
     "SuffixArrayIndex", "build_suffix_array", "build_suffix_tree",
-    "DetDictionary", "StaticPredecessor", "LayeredStaticPredecessor",
-    "DynamicPredecessor",
+    "DetDictionary", "StaticPredecessor", "DynamicPredecessor",
     "CAPACITY", "ElementHandle", "WexpTree",
     "StaticTrieIndex", "SuffixTrayIndex", "build_static_index", "build_suffix_tray",
     "DynTrieIndex",

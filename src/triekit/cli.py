@@ -23,7 +23,7 @@ from .sa import build_suffix_array, build_suffix_tree
 from .serialize import VersionMismatchError, dump_index, load_index
 from .static_index import StaticTrieIndex, build_static_index, build_suffix_tray
 from .suffix_oracle import OnlineSuffixTree
-from .text import Text, build_string_trie, encode_text
+from .text import Text, build_string_trie, check_codes, encode_text
 
 EXIT_IO = 2
 EXIT_ALPHABET = 3
@@ -36,7 +36,16 @@ def _decode_symbols(raw: bytes, sigma: int) -> list[int]:
     """Byte values + 1 when sigma fits a byte alphabet, else decimal codes."""
     if sigma <= 256:
         return [b + 1 for b in raw]
-    return [int(tok) for tok in raw.split()]
+    try:
+        return [int(tok) for tok in raw.split()]
+    except ValueError as e:
+        raise InvalidInputError(f"symbols above sigma 256 are decimal codes: {e}") from None
+
+
+def _fail(msg, code: int) -> int:
+    """Print `msg` as the command's one error line; returns the exit code."""
+    print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 def _pattern_text(codes: list[int], sigma: int) -> str:
@@ -72,9 +81,7 @@ def _build_index(data: bytes, sigma: int, mode: str, engine: str):
                 seen.add(codes)
                 texts.append(Text(list(codes)))
         for t in texts:
-            for c in t.codes:
-                if not 1 <= c <= sigma:
-                    raise AlphabetOverflowError(f"symbol {c} outside [1, {sigma}]")
+            check_codes(t.codes, sigma)
         tree, order = build_string_trie(texts)
     if engine == "static":
         return build_static_index(tree, order, sigma, mode=mode)
@@ -85,22 +92,21 @@ def cmd_build(args) -> int:
     try:
         data = _read_file(args.input)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(e, EXIT_IO)
     t0 = time.perf_counter()
     try:
         index = _build_index(data, args.sigma, args.mode, args.engine)
     except AlphabetOverflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ALPHABET
+        return _fail(e, EXIT_ALPHABET)
+    except InvalidInputError as e:
+        return _fail(e, EXIT_MALFORMED)
     elapsed = time.perf_counter() - t0
     blob = dump_index(index)
     try:
         with open(args.output, "wb") as fh:
             fh.write(blob)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(e, EXIT_IO)
     heavy_count = sum(index.heavy)
     print(f"engine={args.engine} mode={args.mode} sigma={args.sigma} "
           f"leaves={len(index.leaf_order)} nodes={len(index.trie.nodes)} "
@@ -178,23 +184,19 @@ def cmd_query(args) -> int:
         blob = _read_file(args.index)
         pattern_data = _read_file(args.patterns)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(e, EXIT_IO)
     try:
         index = load_index(blob)
     except VersionMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VERSION
-    patterns = [_decode_symbols(line, index.sigma)
-                for line in pattern_data.split(b"\n") if line]
+        return _fail(e, EXIT_VERSION)
     try:
+        patterns = [_decode_symbols(line, index.sigma)
+                    for line in pattern_data.split(b"\n") if line]
         rows = _query_rows(index, patterns, args.mode)
     except AlphabetOverflowError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ALPHABET
+        return _fail(e, EXIT_ALPHABET)
     except InvalidInputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return _fail(e, EXIT_MALFORMED)
     if args.report == "tsv":
         _emit_tsv(rows, args.mode, index.sigma, sys.stdout)
     else:
@@ -212,8 +214,7 @@ def cmd_dynamic(args) -> int:
     try:
         data = _read_file(args.ops)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(e, EXIT_IO)
     idx = DynTrieIndex(sigma=args.sigma)
     # TRIEKIT_AUDIT=1 makes the index audit every insert itself
     audit_every = args.audit_every
@@ -222,8 +223,8 @@ def cmd_dynamic(args) -> int:
         if not line.strip():
             continue
         kind, _, rest = line.partition(b" ")
-        codes = _decode_symbols(rest, args.sigma)
         try:
+            codes = _decode_symbols(rest, args.sigma)
             if kind == b"I":
                 idx.insert(codes)
             elif kind == b"Q":
@@ -235,11 +236,9 @@ def cmd_dynamic(args) -> int:
                 word = "-" if sid is None else _pattern_text(idx.string_codes(sid), args.sigma)
                 print(f"P\t{_pattern_text(codes, args.sigma)}\t{word}")
             else:
-                print(f"error: line {lineno}: unknown op {kind!r}", file=sys.stderr)
-                return EXIT_MALFORMED
-        except (AlphabetOverflowError, DuplicateKeyError) as e:
-            print(f"error: line {lineno}: {e}", file=sys.stderr)
-            return EXIT_MALFORMED
+                return _fail(f"line {lineno}: unknown op {kind!r}", EXIT_MALFORMED)
+        except (AlphabetOverflowError, DuplicateKeyError, InvalidInputError) as e:
+            return _fail(f"line {lineno}: {e}", EXIT_MALFORMED)
         ops += 1
         if audit_every and ops % audit_every == 0:
             idx.audit()
@@ -250,13 +249,14 @@ def cmd_prepend_stream(args) -> int:
     try:
         data = _read_file(args.text)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    codes = _decode_symbols(data, args.sigma)
-    for c in codes:
-        if not 1 <= c <= args.sigma:
-            print(f"error: symbol {c} outside [1, {args.sigma}]", file=sys.stderr)
-            return EXIT_ALPHABET
+        return _fail(e, EXIT_IO)
+    try:
+        codes = _decode_symbols(data, args.sigma)
+        check_codes(codes, args.sigma)
+    except AlphabetOverflowError as e:
+        return _fail(e, EXIT_ALPHABET)
+    except InvalidInputError as e:
+        return _fail(e, EXIT_MALFORMED)
     tree = OnlineSuffixTree(args.sigma)
     audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
     for step, a in enumerate(reversed(codes), start=1):
@@ -269,8 +269,7 @@ def cmd_prepend_stream(args) -> int:
             text = Text(tree.text_codes())
             fresh = build_suffix_tree(build_suffix_array(text), text)
             if tree.canonical() != fresh.canonical():
-                print(f"error: verification failed at step {step}", file=sys.stderr)
-                return EXIT_VERIFY
+                return _fail(f"verification failed at step {step}", EXIT_VERIFY)
             tree.audit_links()
             print(f"step={step} nodes={len(tree.nodes())} "
                   f"oracle_steps={GLOBAL.oracle_steps}")
@@ -331,11 +330,9 @@ def cmd_bench(args) -> int:
     engines = args.engines.split(",")
     for e in engines:
         if e not in ("static", "tray", "dynamic", "sa"):
-            print(f"error: unknown engine {e!r}", file=sys.stderr)
-            return EXIT_MALFORMED
-    if args.n <= 0 or args.sigma <= 0 or args.queries < 0:
-        print("error: parameters must be positive", file=sys.stderr)
-        return EXIT_MALFORMED
+            return _fail(f"unknown engine {e!r}", EXIT_MALFORMED)
+    if args.n <= 0 or args.queries < 0:
+        return _fail("parameters must be positive", EXIT_MALFORMED)
     rng = random.Random(args.seed)
     text_codes = [rng.randint(1, args.sigma) for _ in range(args.n)]
     patterns = _bench_patterns(random.Random(args.seed + 1), text_codes,
@@ -444,6 +441,11 @@ def main(argv=None) -> int:
     e.set_defaults(fn=cmd_bench)
 
     args = ap.parse_args(argv)
+    for flag in ("sigma", "check_every"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            return _fail(f"--{flag.replace('_', '-')} must be at least 1, got {value}",
+                         EXIT_MALFORMED)
     return args.fn(args)
 
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 import os
 from math import isqrt
 
-from .errors import AlphabetOverflowError, DuplicateKeyError
+from .errors import DuplicateKeyError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, DynamicPredecessor
-from .text import SENTINEL, CompactedTrie, MatchResult, Outcome, Text
+from .text import SENTINEL, CompactedTrie, MatchResult, Outcome, Text, check_codes
 from .wexp import WexpTree, audit_wexp, capacity
 
 
@@ -190,9 +190,7 @@ class DynTrieIndex:
 
     def insert(self, codes: list[int]):
         """Insert one string (sentinel-terminated implicitly)."""
-        for c in codes:
-            if not 1 <= c <= self.sigma:
-                raise AlphabetOverflowError(f"char {c} outside [1, {self.sigma}]")
+        check_codes(codes, self.sigma)
         sid = self.trie.add_source(Text(codes))
         try:
             leaf, mid, attach = self.trie.insert_path(sid)
@@ -456,9 +454,7 @@ class DynTrieIndex:
     def search(self, pattern: list[int]) -> MatchResult:
         """Prefix search; the interval is (0, occ-1): the dynamic structure
         maintains no global leaf ranks, only the matched set."""
-        for c in pattern:
-            if not 1 <= c <= self.sigma:
-                raise AlphabetOverflowError(f"pattern char {c} outside [1, {self.sigma}]")
+        check_codes(pattern, self.sigma)
         trie = self.trie
         m = len(pattern)
         if self.n_strings == 0:
@@ -480,6 +476,7 @@ class DynTrieIndex:
             else:
                 same = self.same_dict[v]
                 if same is not None:
+                    GLOBAL.dict_probes += 1
                     child = same.lookup(c)
                 tree = self.wexp[v]
                 if child is None and tree is not None:
@@ -524,43 +521,47 @@ class DynTrieIndex:
 
     def predecessor(self, pattern: list[int]):
         """String id of the largest stored string <= pattern, or None."""
-        for c in pattern:
-            if not 1 <= c <= self.sigma:
-                raise AlphabetOverflowError(f"pattern char {c} outside [1, {self.sigma}]")
+        check_codes(pattern, self.sigma)
         trie = self.trie
         if self.n_strings == 0:
             return None
+        nodes = trie.nodes
         m = len(pattern)
         v = trie.ROOT
         i = 0
         while True:
             if i == m:
-                leaf = trie.nodes[v].children.get(SENTINEL)
+                leaf = nodes[v].children.get(SENTINEL)
                 if leaf is not None:
-                    return trie.nodes[leaf].leaf_id  # the pattern is stored
+                    return nodes[leaf].leaf_id  # the pattern is stored
                 return self._ascend(v, SENTINEL)
             c = pattern[i]
-            child = trie.nodes[v].children.get(c)
+            child = nodes[v].children.get(c)
             if child is None:
                 return self._ascend(v, c)
-            nd = trie.nodes[child]
+            # compare the rest of the label on the source's code list, with
+            # the sentinel past its end
+            nd = nodes[child]
+            codes = trie.sources[nd.sid].codes
+            n = len(codes)
+            length = nd.end - nd.start
+            stop = length if length < m - i else m - i
             j = 1
-            while j < nd.label_len and i + j < m:
-                lc = trie.label_char(child, j)
+            k = nd.start + 1
+            while j < stop:
+                lc = codes[k] if k < n else SENTINEL
                 if lc != pattern[i + j]:
                     if pattern[i + j] > lc:
                         return self._rightmost(child)
                     return self._ascend(v, c)
                 j += 1
-            if i + j == m:
-                if j < nd.label_len:
-                    if trie.label_char(child, j) == SENTINEL:
-                        return trie.nodes[child].leaf_id  # stored == pattern
-                    return self._ascend(v, c)
-                i = m
-                v = child
-                continue
-            i += nd.label_len
+                k += 1
+            if j < length:
+                # the pattern ends inside the label
+                if k >= n:
+                    return nd.leaf_id  # at the sentinel: stored == pattern
+                return self._ascend(v, c)
+            i += length
             v = child
 
     def _ascend(self, v, below_char):

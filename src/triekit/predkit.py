@@ -1,9 +1,10 @@
 """Deterministic dictionary and predecessor structures.
 
 Building blocks used everywhere else: a constant-probe deterministic
-dictionary, a sampled x-fast static predecessor, a two-level indirection
-wrapper over it, and a dynamic predecessor.  No randomized seeds anywhere;
-identical inputs always produce identical tables.
+dictionary, a sampled x-fast static predecessor and a dynamic predecessor.
+No randomized seeds anywhere; identical inputs always produce identical
+tables.  Callers count each dictionary lookup (`dict_probes`) where they make
+it; a lookup counts the table cells it reads (`dict_cell_probes`).
 """
 
 from __future__ import annotations
@@ -39,17 +40,14 @@ class DetDictionary:
     Construction may retry with a doubled table in adversarial cases.
     """
 
-    __slots__ = ("k", "shift", "mask", "disp", "slot_keys", "slot_vals",
-                 "cell_probes", "probe_field")
+    __slots__ = ("k", "shift", "mask", "disp", "slot_keys", "slot_vals")
 
-    def __init__(self, pairs, probe_field: str = "dict_probes"):
+    def __init__(self, pairs):
         items = list(pairs)
         keys = [k for k, _ in items]
         if len(set(keys)) != len(keys):
             raise DuplicateKeyError("duplicate key in dictionary build")
         self.k = len(items)
-        self.cell_probes = 0
-        self.probe_field = probe_field
         bits = max(2, (2 * self.k - 1).bit_length()) if self.k else 1
         mixed = [(_mix(key), key, val) for key, val in items]  # once, for every try
         while not self._try_build(mixed, bits):
@@ -86,10 +84,6 @@ class DetDictionary:
 
     def lookup(self, key: int):
         """Stored value for `key`, or None when absent."""
-        if self.probe_field == "dict_probes":
-            GLOBAL.dict_probes += 1
-        elif self.probe_field == "static_pred_probes":
-            GLOBAL.static_pred_probes += 1
         if self.k == 0:
             return None
         mx = _MIX_MEMO.get(key)
@@ -99,9 +93,9 @@ class DetDictionary:
                 _MIX_MEMO[key] = mx
         s = ((mx * (2 * self.disp[mx & self.mask] + 1)) & _M64) >> self.shift
         if self.slot_keys[s] != key:
-            self.cell_probes += 2  # the displacement cell and one slot cell
+            GLOBAL.dict_cell_probes += 2  # the displacement cell and one slot key
             return None
-        self.cell_probes += 3
+        GLOBAL.dict_cell_probes += 3  # ... plus the slot value
         return self.slot_vals[s]
 
     def repoint(self, key: int, val):
@@ -112,25 +106,23 @@ class DetDictionary:
             raise KeyError(key)
         self.slot_vals[s] = val
 
-    def __contains__(self, key: int) -> bool:
-        return self.lookup(key) is not None
-
 
 class StaticPredecessor:
     """Static predecessor over sorted keys: sampled x-fast plus block search.
 
-    Every `sample_every`-th key (default: one per ceil(lg u) keys) goes into
-    an x-fast table of bit prefixes held in deterministic dictionaries; a
-    query binary-searches the prefix lengths, then binary-searches the block
-    of keys between two adjacent samples.  With a single sample (at most
-    `sample_every` keys) every query that passes the end checks lies in
-    block 0, so no x-fast levels are built and the query is the block search
-    alone: at most ceil(lg q) + 1 probes, within the O(lg lg u) bound.
+    Every q-th key, q = ceil(lg u), goes into an x-fast table of bit prefixes
+    held in deterministic dictionaries; a query binary-searches the prefix
+    lengths, then binary-searches the block of keys between two adjacent
+    samples.  With a single sample (at most q keys) every query that passes
+    the end checks lies in block 0, so no x-fast levels are built and the
+    query is the block search alone: at most ceil(lg q) + 1 probes, within
+    the O(lg lg u) bound.  Each x-fast lookup and block comparison adds one
+    to `static_pred_probes`.
     """
 
-    __slots__ = ("keys", "u", "w", "q", "samples", "levels", "elem_probes")
+    __slots__ = ("keys", "u", "w", "q", "samples", "levels")
 
-    def __init__(self, keys, u: int, sample_every: int | None = None):
+    def __init__(self, keys, u: int):
         self.keys = list(keys)
         for a, b in zip(self.keys, self.keys[1:]):
             if a >= b:
@@ -139,9 +131,8 @@ class StaticPredecessor:
             raise InvalidInputError("keys must lie in [0, u)")
         self.u = u
         self.w = max(1, (u - 1).bit_length())
-        self.q = sample_every if sample_every else max(1, self.w)
+        self.q = self.w
         self.samples = self.keys[:: self.q]
-        self.elem_probes = 0
         # levels[l] maps the l-bit prefix to the (lo, hi) sample index range
         self.levels = []
         if len(self.samples) > 1:
@@ -151,18 +142,11 @@ class StaticPredecessor:
                     p = key >> (self.w - level)
                     lo, hi = table.get(p, (i, i))
                     table[p] = (min(lo, i), max(hi, i))
-                self.levels.append(DetDictionary(table.items(), probe_field="static_pred_probes"))
+                self.levels.append(DetDictionary(table.items()))
 
     def query(self, x: int):
         """max{y <= x | y stored}, or None below the minimum."""
         GLOBAL.static_pred_queries += 1
-        before = GLOBAL.static_pred_probes
-        try:
-            return self._query(x)
-        finally:
-            self.elem_probes += GLOBAL.static_pred_probes - before
-
-    def _query(self, x: int):
         if not self.keys or x < self.keys[0]:
             return None
         if x >= self.keys[-1]:
@@ -171,9 +155,11 @@ class StaticPredecessor:
             return self._block_pred(0, x)
         # longest stored prefix of x, by binary search over prefix lengths
         lo_lv, hi_lv = 0, self.w  # level 0 always present
+        GLOBAL.static_pred_probes += 1
         best = self.levels[0].lookup(0)
         while lo_lv < hi_lv:
             mid = (lo_lv + hi_lv + 1) // 2
+            GLOBAL.static_pred_probes += 1
             hit = self.levels[mid].lookup(x >> (self.w - mid))
             if hit is not None:
                 best = hit
@@ -202,39 +188,6 @@ class StaticPredecessor:
             else:
                 hi_k = mid - 1
         return self.keys[lo_k]
-
-
-class LayeredStaticPredecessor:
-    """Indirection wrapper: a top structure over ~sqrt(k) evenly spaced keys
-    selects a group, the group structure answers, and the leading sample
-    corrects the boundary when the group holds no key <= x.
-    """
-
-    __slots__ = ("keys", "top", "groups", "group_of")
-
-    def __init__(self, keys, u: int):
-        self.keys = list(keys)
-        for a, b in zip(self.keys, self.keys[1:]):
-            if a >= b:
-                raise InvalidInputError("keys must be strictly increasing")
-        k = len(self.keys)
-        g = max(1, int(round(k ** 0.5)))
-        tops = self.keys[::g]
-        self.top = StaticPredecessor(tops, u)
-        self.group_of = {key: i for i, key in enumerate(tops)}
-        self.groups = []
-        for i in range(len(tops)):
-            block = self.keys[i * g + 1 : (i + 1) * g]
-            self.groups.append(StaticPredecessor(block, u) if block else None)
-
-    def query(self, x: int):
-        t = self.top.query(x)
-        if t is None:
-            return None
-        i = self.group_of[t]
-        grp = self.groups[i]
-        ans = grp.query(x) if grp is not None else None
-        return t if ans is None else ans
 
 
 class DynamicPredecessor:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import AlphabetOverflowError, CorruptTrieError, InvalidInputError
+from .errors import CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import SENTINEL, CompactedTrie, MatchResult, Outcome
+from .text import SENTINEL, CompactedTrie, MatchResult, Outcome, check_codes
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -82,13 +82,6 @@ class _IndexBase:
         if not (0 <= lo <= hi < len(self.leaf_order)):
             raise InvalidInputError(f"interval {interval} out of range")
         return [self.leaf_order[r] for r in range(lo, hi + 1)]
-
-    def _check_pattern(self, pattern):
-        if not pattern or (min(pattern) >= 1 and max(pattern) <= self.sigma):
-            return
-        for c in pattern:
-            if not 1 <= c <= self.sigma:
-                raise AlphabetOverflowError(f"pattern char {c} outside [1, {self.sigma}]")
 
     def _cmp_leaf(self, r, pattern, start):
         """(sign, lcp): sign<0 leaf<P, 0 P is a prefix of the leaf, >0 leaf>P.
@@ -214,7 +207,7 @@ class StaticTrieIndex(_IndexBase):
                 self.all_pred[v] = self.light_pred[v]  # the same keys: share it
 
     def prefix_query(self, pattern: list[int]) -> MatchResult:
-        self._check_pattern(pattern)
+        check_codes(pattern, self.sigma)
         res, _ = self._descend(pattern)
         return res
 
@@ -241,6 +234,7 @@ class StaticTrieIndex(_IndexBase):
             child = None
             dic = self.heavy_dict.get(v)
             if dic is not None:
+                GLOBAL.dict_probes += 1
                 child = dic.lookup(c)
             else:
                 hp = self.heavy_ptr.get(v)
@@ -288,7 +282,7 @@ class StaticTrieIndex(_IndexBase):
         Stored strings are sentinel-terminated, so a stored proper prefix of
         the pattern sorts below it; a stored string equal to the pattern is
         returned itself."""
-        self._check_pattern(pattern)
+        check_codes(pattern, self.sigma)
         res, fail = self._descend(pattern)
         if res.matched:
             lo = res.interval[0]
@@ -335,7 +329,7 @@ class SuffixTrayIndex(_IndexBase):
         return len(self.child_array)
 
     def tray_query(self, pattern: list[int]) -> MatchResult:
-        self._check_pattern(pattern)
+        check_codes(pattern, self.sigma)
         trie = self.trie
         nodes = trie.nodes
         m = len(pattern)

@@ -207,53 +207,6 @@ class OnlineSuffixTree:
                     assert self.suffix_char(dst, k + 1) == self.suffix_char(src, k)
 
 
-class NaiveSuffixTree:
-    """Independent oracle: plain compacted trie grown by inserting each new
-    suffix with a character-by-character walk from the root."""
-
-    def __init__(self):
-        self.buf: list[int] = []
-        self.n = 0
-        root = _ONode(None, 0, 1, 0)
-        root.children[SENTINEL] = _ONode(root, -1, -1, 1, leaf_id=0)
-        self.root = root
-
-    def char(self, pos):
-        return self.buf[pos] if pos >= 0 else SENTINEL
-
-    def prepend(self, a: int):
-        n = self.n
-        self.buf.append(a)
-        # walk the new suffix (positions n, n-1, ..., -1) from the root
-        v = self.root
-        pos = n
-        while True:
-            child = v.children.get(self.char(pos))
-            if child is None:
-                v.children[self.char(pos)] = _ONode(v, pos, -1, n + 2, leaf_id=n + 1)
-                break
-            k = 0
-            while k < child.label_len and self.char(child.hi - k) == self.char(pos - k):
-                k += 1
-            if k == child.label_len:
-                v = child
-                pos -= k
-                continue
-            # split and attach
-            mid = _ONode(v, child.hi, child.hi - k + 1, v.sdepth + k)
-            v.children[self.char(child.hi)] = mid
-            child.hi -= k
-            child.parent = mid
-            mid.children[self.char(child.hi)] = child
-            mid.children[self.char(pos - k)] = _ONode(mid, pos - k, -1, n + 2, leaf_id=n + 1)
-            break
-        self.n = n + 1
-
-    canonical = OnlineSuffixTree.canonical
-    label_codes = OnlineSuffixTree.label_codes
-    nodes = OnlineSuffixTree.nodes
-
-
 class FmaTree:
     """Fringe marked-ancestor structure: the marked set only grows downward
     from the root, queries return the lowest marked ancestor.

@@ -1,4 +1,4 @@
-"""Coded texts, alphabets and the compacted-trie node arena.
+"""Coded texts, the alphabet check and the compacted-trie node arena.
 
 Character codes are unsigned integers in [1, sigma]; code 0 is the sentinel,
 which sorts below every real code and terminates every stored string.  Edge
@@ -17,19 +17,11 @@ from .instrument import GLOBAL
 SENTINEL = 0
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Alphabet of `sigma` real characters (codes 1..sigma)."""
-
-    sigma: int
-
-    def __post_init__(self):
-        if self.sigma < 1:
-            raise ValueError("sigma must be positive")
-
-    def check(self, code: int):
-        if not 1 <= code <= self.sigma:
-            raise AlphabetOverflowError(f"code {code} outside [1, {self.sigma}]")
+def check_codes(codes, sigma: int):
+    """Raise AlphabetOverflowError unless every code lies in [1, sigma]."""
+    for c in codes:
+        if not 1 <= c <= sigma:
+            raise AlphabetOverflowError(f"code {c} outside [1, {sigma}]")
 
 
 class Text:
@@ -62,13 +54,11 @@ def encode_text(raw, sigma: int) -> Text:
     for the sentinel.  Raises AlphabetOverflowError if any symbol falls
     outside [1, sigma].
     """
-    alphabet = Alphabet(sigma)
     if isinstance(raw, (bytes, bytearray)):
         codes = [b + 1 for b in raw]
     else:
         codes = [int(c) for c in raw]
-    for c in codes:
-        alphabet.check(c)
+    check_codes(codes, sigma)
     return Text(codes)
 
 
@@ -263,9 +253,6 @@ class CompactedTrie:
             order.append(v)
             stack.extend(self.nodes[v].children.values())
         return order
-
-    def leaf_count(self) -> int:
-        return sum(1 for nd in self.nodes if nd.is_leaf)
 
     def string_depths(self) -> list[int]:
         depth = [0] * len(self.nodes)

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .errors import DuplicateKeyError, InvalidHandleError
 from .instrument import GLOBAL
-from .predkit import LayeredStaticPredecessor, StaticPredecessor
+from .predkit import StaticPredecessor
 
 
 def _capacity_table() -> list[int]:
@@ -75,7 +75,7 @@ class _Node:
 
     __slots__ = ("level", "weight", "splitters", "children", "pred", "slot_of", "parent")
 
-    def __init__(self, level, splitters, children, u, splitter_kind, parent=None):
+    def __init__(self, level, splitters, children, u, parent=None):
         self.level = level
         self.splitters = splitters
         self.children = children
@@ -88,21 +88,19 @@ class _Node:
         for c in children:
             if c is not None:
                 c.parent = self
-        self._refresh(u, splitter_kind)
+        self._refresh(u)
 
-    def _refresh(self, u, splitter_kind):
+    def _refresh(self, u):
         keys = [e.key for e in self.splitters]
-        cls = LayeredStaticPredecessor if splitter_kind == "layered" else StaticPredecessor
-        self.pred = cls(keys, u)
+        self.pred = StaticPredecessor(keys, u)
         self.slot_of = {k: i for i, k in enumerate(keys)}
 
 
 class WexpTree:
     """Weighted predecessor structure over integer keys in [0, u)."""
 
-    def __init__(self, u: int, splitter_kind: str = "static"):
+    def __init__(self, u: int):
         self.u = u
-        self.splitter_kind = splitter_kind
         self.root = _Base([])
         self.size = 0
 
@@ -207,7 +205,7 @@ class WexpTree:
         if child_level >= 2:
             node = None
             for lv in range(child_level, 1, -1):
-                nxt = _Node(lv, [], [None], self.u, self.splitter_kind)
+                nxt = _Node(lv, [], [None], self.u)
                 if node is None:
                     top = nxt
                 else:
@@ -267,13 +265,13 @@ class WexpTree:
         else:
             ls, lc = node.splitters[: chosen - 1], node.children[:chosen]
             rs, rc = node.splitters[chosen:], node.children[chosen:]
-            left = (_Node(level, ls, lc, self.u, self.splitter_kind)
+            left = (_Node(level, ls, lc, self.u)
                     if ls or any(c is not None for c in lc) else None)
-            right = (_Node(level, rs, rc, self.u, self.splitter_kind)
+            right = (_Node(level, rs, rc, self.u)
                      if rs or any(c is not None for c in rc) else None)
 
         if parent is None:
-            new_root = _Node(level + 1, [e], [left, right], self.u, self.splitter_kind)
+            new_root = _Node(level + 1, [e], [left, right], self.u)
             self.root = new_root
         else:
             j = parent.children.index(node)
@@ -284,7 +282,7 @@ class WexpTree:
                 left.parent = parent
             if right is not None:
                 right.parent = parent
-            parent._refresh(self.u, self.splitter_kind)
+            parent._refresh(self.u)
 
 
 def _floor_lg(x: int) -> int:

@@ -19,11 +19,11 @@ from triekit.instrument import GLOBAL
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.serialize import dump_index, load_index
 from triekit.static_index import build_static_index, build_suffix_tray
-from triekit.suffix_oracle import FmaTree, NaiveSuffixTree, OnlineSuffixTree
+from triekit.suffix_oracle import FmaTree, OnlineSuffixTree
 from triekit.text import Text
 from triekit.wexp import WexpTree, audit_wexp
 
-from oracles import WeightedOracle
+from oracles import NaiveSuffixTree, WeightedOracle
 from test_suffix_oracle import NaiveFma
 
 

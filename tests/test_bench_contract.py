@@ -1,0 +1,37 @@
+"""What the benchmark in `perfbench/` reads from the library by name.
+
+The benchmark is versioned apart from the library, so a library refactor
+that moves or deletes one of these names must fail here, not crash a
+benchmark run.
+"""
+
+import dataclasses
+import re
+import sys
+from pathlib import Path
+
+from triekit.instrument import ProbeCounters
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import measure  # noqa: E402
+import spans  # noqa: E402
+
+
+def test_span_entry_points_are_defined_on_their_owner():
+    # the tracer reads each original with vars(owner)[attr]
+    for owner, attr in spans.ENTRY_POINTS:
+        assert attr in vars(owner), spans.span_name(owner, attr)
+
+
+def test_counters_read_by_name_exist():
+    fields = {f.name for f in dataclasses.fields(ProbeCounters)}
+    # counter_diff deletes this key from every diff
+    assert "dict_cell_probes" in fields
+    for names in measure.STEP_COUNTERS.values():
+        assert set(names) <= fields
+    # per-layer metrics index the counter diffs: st[...], stream[...], counts[...][...]
+    source = (PERFBENCH / "measure.py").read_text()
+    read = set(re.findall(r'(?:\bst|\bstream|counts\["\w+"\])\["(\w+)"\]', source))
+    assert read and read <= fields, read - fields

@@ -246,3 +246,59 @@ def test_bench_build_only(capsys):
     code, out, _ = run_cli(["bench", "--n", "500", "--sigma", "26",
                             "--engines", "static", "--queries", "0"], capsys)
     assert code == 0 and "engine=static" in out
+
+
+def _wide_index(tmp_path, capsys):
+    """A static index over decimal codes (sigma > 256)."""
+    text = tmp_path / "codes.txt"
+    text.write_bytes(b"5 700 5 700 9")
+    idx = tmp_path / "codes.tkix"
+    code, _, _ = run_cli(["build", "--input", str(text), "--sigma", "1000",
+                          "--output", str(idx)], capsys)
+    assert code == 0
+    return idx
+
+
+@pytest.mark.parametrize("command", ["build", "query", "dynamic", "prepend-stream"])
+def test_bad_symbol_token_exits_5(command, tmp_path, capsys):
+    # above sigma = 256 symbols are decimal codes; "abc" is none
+    bad = tmp_path / "bad.txt"
+    if command == "build":
+        bad.write_bytes(b"5 abc 7")
+        argv = ["build", "--input", str(bad), "--sigma", "1000",
+                "--output", str(tmp_path / "o.tkix")]
+    elif command == "query":
+        bad.write_bytes(b"5 700\nabc\n")
+        argv = ["query", "--index", str(_wide_index(tmp_path, capsys)),
+                "--patterns", str(bad)]
+    elif command == "dynamic":
+        bad.write_bytes(b"I 5 700\nI abc\n")
+        argv = ["dynamic", "--ops", str(bad), "--sigma", "1000"]
+    else:
+        bad.write_bytes(b"5 abc")
+        argv = ["prepend-stream", "--text", str(bad), "--sigma", "1000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 5 and out == ""
+    assert err.count("error:") == 1 and "'abc'" in err
+    if command == "dynamic":
+        assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["build", "--mode", "suffix", "--sigma", "0"], "--sigma"),
+    (["build", "--mode", "strings", "--sigma", "-3"], "--sigma"),
+    (["dynamic", "--sigma", "0"], "--sigma"),
+    (["prepend-stream", "--sigma", "0"], "--sigma"),
+    (["prepend-stream", "--check-every", "0"], "--check-every"),
+    (["prepend-stream", "--check-every", "-1"], "--check-every"),
+])
+def test_bad_flag_values_exit_5(argv, flag, tmp_path, capsys):
+    data = tmp_path / "in.txt"
+    data.write_bytes(b"I ab\n" if argv[0] == "dynamic" else b"ab")
+    io_flag = {"build": "--input", "dynamic": "--ops", "prepend-stream": "--text"}[argv[0]]
+    argv = argv + [io_flag, str(data)]
+    if argv[0] == "build":
+        argv += ["--output", str(tmp_path / "o.tkix")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 5 and out == ""
+    assert err.startswith(f"error: {flag} must be at least 1")

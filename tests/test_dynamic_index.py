@@ -90,6 +90,16 @@ def test_alphabet_overflow():
         idx.insert([5])
     with pytest.raises(AlphabetOverflowError):
         idx.search([9])
+    for w in ([1, 2], [1, 3], [4]):
+        idx.insert(w)
+    sources = list(idx.trie.sources)
+    # both ends of [1, sigma], as the first and as a later character
+    for bad in ([0], [5], [1, 2, 0], [1, 2, 5]):
+        for op in (idx.insert, idx.search, idx.predecessor):
+            with pytest.raises(AlphabetOverflowError):
+                op(bad)
+        assert idx.n_strings == 3 and idx.trie.sources == sources
+    idx.audit()
 
 
 def test_child_becomes_heavy():
@@ -139,6 +149,33 @@ def test_predecessor_cases():
     assert pred(b"ant") == b"ant"
     assert pred(b"anta") == b"ant"
     assert pred(b"") is None  # everything stored sorts above the empty pattern
+
+
+def test_predecessor_boundary_patterns():
+    # the label walk reads code lists directly; check it where a pattern
+    # ends or mismatches at a label boundary or at a leaf label's sentinel
+    sigma = 4
+    rng = random.Random(6)
+    idx = DynTrieIndex(sigma=sigma)
+    stored = set()
+    for _ in range(300):
+        w = tuple(rng.randint(1, sigma) for _ in range(rng.randrange(9)))
+        if w not in stored:
+            stored.add(w)
+            idx.insert(list(w))
+    oracle = sorted(w + (SENTINEL,) for w in stored)
+    pats = set()
+    for w in stored:
+        pats.update(w + (c,) for c in range(1, sigma + 1))  # extended by every char
+        pats.update(w[:k] for k in range(len(w)))  # proper prefixes
+        pats.add(w)  # ends on the sentinel of w's leaf label
+    assert any(nd.is_leaf and nd.label_len >= 2 for nd in idx.trie.nodes), \
+        "no stored string ends inside its leaf label"
+    for pat in sorted(pats):
+        i = bisect.bisect_right(oracle, pat + (SENTINEL,))
+        want = list(oracle[i - 1][:-1]) if i else None
+        got = idx.predecessor(list(pat))
+        assert (None if got is None else idx.string_codes(got)) == want, pat
 
 
 def test_predecessor_wide_alphabet():

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 from triekit.errors import DuplicateKeyError, InvalidInputError
 from triekit import predkit
 from triekit.instrument import GLOBAL
-from triekit.predkit import (
-    DetDictionary,
-    DynamicPredecessor,
-    LayeredStaticPredecessor,
-    StaticPredecessor,
-)
+from triekit.predkit import DetDictionary, DynamicPredecessor, StaticPredecessor
 
 from oracles import SortedSetOracle
 
@@ -60,9 +55,9 @@ def test_dict_probe_bound():
     keys = rng.sample(range(1 << 40), 500)
     d = DetDictionary([(k, k) for k in keys])
     for probe in keys + [rng.randrange(1 << 40) for _ in range(500)]:
-        before = d.cell_probes
+        before = GLOBAL.dict_cell_probes
         d.lookup(probe)
-        assert d.cell_probes - before <= 4
+        assert 2 <= GLOBAL.dict_cell_probes - before <= 4
 
 
 def test_dict_deterministic_build():
@@ -193,32 +188,11 @@ def test_static_pred_single_sample_is_block_search(k):
     assert (p.levels == []) == (k <= p.q)
     worst = 0
     for x in range(u):
-        before = p.elem_probes
+        before = GLOBAL.static_pred_probes
         assert p.query(x) == scan_pred(keys, x), (keys, x)
-        worst = max(worst, p.elem_probes - before)
+        worst = max(worst, GLOBAL.static_pred_probes - before)
     if k <= p.q:
         assert worst <= (p.q - 1).bit_length() + 1  # ceil(lg q) + 1
-
-
-def test_layered_examples():
-    p = LayeredStaticPredecessor(list(range(100)), u=128)
-    assert p.query(57) == 57
-    squares = [i * i for i in range(32)]
-    q = LayeredStaticPredecessor(squares, u=1024)
-    assert q.query(50) == 49
-    assert q.query(1023) == 961
-    assert q.query(0) == 0
-
-
-@given(st.sets(st.integers(0, 4095), min_size=0, max_size=400), st.data())
-@settings(max_examples=50, deadline=None)
-def test_layered_matches_flat(keys, data):
-    keys = sorted(keys)
-    flat = StaticPredecessor(keys, u=4096)
-    layered = LayeredStaticPredecessor(keys, u=4096)
-    for _ in range(30):
-        x = data.draw(st.integers(0, 4095))
-        assert layered.query(x) == flat.query(x)
 
 
 def test_static_pred_probe_budget():
@@ -231,9 +205,9 @@ def test_static_pred_probe_budget():
     budget = 8 * lglg + 8
     worst = 0
     for _ in range(2000):
-        before = p.elem_probes
+        before = GLOBAL.static_pred_probes
         p.query(rng.randrange(u))
-        worst = max(worst, p.elem_probes - before)
+        worst = max(worst, GLOBAL.static_pred_probes - before)
     assert worst <= budget, (worst, budget)
 
 

@@ -77,8 +77,14 @@ def test_star_trie_heavy_root():
 
 def test_alphabet_overflow():
     idx, _ = suffix_index(b"banana", sigma=256)
+    tray, _ = suffix_index(b"banana", sigma=256, engine="tray")
     with pytest.raises(AlphabetOverflowError):
         idx.prefix_query([400])
+    # both ends of [1, sigma], as the first and as a later character
+    for query in (idx.prefix_query, idx.predecessor_query, tray.tray_query):
+        for bad in ([0], [257], enc(b"an") + [0], enc(b"an") + [257]):
+            with pytest.raises(AlphabetOverflowError):
+                query(bad)
 
 
 def test_enumerate_bad_interval():

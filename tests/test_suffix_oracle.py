@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triekit.errors import MarkOrderViolationError
+from triekit.errors import AlphabetOverflowError, MarkOrderViolationError
 from triekit.sa import build_suffix_array, build_suffix_tree
-from triekit.suffix_oracle import FmaTree, NaiveSuffixTree, OnlineSuffixTree
+from triekit.suffix_oracle import FmaTree, OnlineSuffixTree
 from triekit.text import Text
+
+from oracles import NaiveSuffixTree
 
 
 def fresh_canonical(codes):
@@ -22,6 +24,16 @@ def test_prepend_single_letters():
     assert t.canonical() == fresh_canonical([2, 1])
     kids = t.root.children
     assert sorted(kids) == [0, 1, 2]  # "$", "a$", "ba$"
+
+
+def test_prepend_alphabet_bounds():
+    t = OnlineSuffixTree(sigma=4)
+    t.prepend(1)
+    for bad in (0, 5):
+        with pytest.raises(AlphabetOverflowError):
+            t.prepend(bad)
+    assert t.text_codes() == [1]
+    assert t.canonical() == fresh_canonical([1])
 
 
 def test_prepend_splits_edge():

@@ -22,6 +22,9 @@ def test_encode_empty():
 def test_encode_overflow():
     with pytest.raises(AlphabetOverflowError):
         encode_text([1, 3, 1], 2)
+    for bad in ([0], [3], [1, 0], [2, 3]):
+        with pytest.raises(AlphabetOverflowError):
+            encode_text(bad, 2)
 
 
 def test_insert_pair_splits_once():

@@ -152,7 +152,7 @@ def test_pred_examples():
 def test_random_workload_matches_oracle(seed):
     rng = random.Random(seed)
     u = rng.choice([2**8, 2**16, 2**32])
-    t = WexpTree(u, splitter_kind=rng.choice(["static", "layered"]))
+    t = WexpTree(u)
     oracle = WeightedOracle()
     handles = {}
     for step in range(600):

@@ -4,11 +4,12 @@ Two engines over the same trie + sorted-leaf-array data:
 
 * StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); branching
   heavy nodes hold a deterministic dictionary of their heavy-child edges,
-  nonbranching ones a single pointer, and every heavy node a static
-  predecessor over its light-child edge characters.  Entering a light child
-  switches to binary search of the leaf array inside the child's interval.
-  A second per-heavy-node predecessor over all edges (the light one where
-  every child is light) plus rightmost-leaf links answers predecessors.
+  nonbranching ones a single pointer, and every heavy node one static
+  predecessor over all its child edge characters.  A walk that finds no
+  heavy child makes one predecessor query: an exact hit enters that light
+  child and switches to binary search of the leaf array inside its
+  interval; otherwise the hit child's rightmost leaf (or the rank before the
+  node's interval) is the lexicographic predecessor.
 
 * SuffixTrayIndex: the same with threshold sigma, size-sigma child arrays at
   branching heavy nodes and plain child binary search at the rest.
@@ -187,24 +188,18 @@ class StaticTrieIndex(_IndexBase):
         u = sigma + 1  # edge characters live in [0, sigma]
         self.heavy_dict: dict[int, DetDictionary] = {}
         self.heavy_ptr: dict[int, tuple[int, int]] = {}
-        self.light_pred: dict[int, StaticPredecessor] = {}
-        self.all_pred: dict[int, StaticPredecessor] = {}
+        self.child_pred: dict[int, StaticPredecessor] = {}
         for v in range(n_nodes):
             if not self.heavy[v]:
                 continue
             nd = trie.nodes[v]
             heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
-            light_kids = sorted(c for c, ch in nd.children.items() if not self.heavy[ch])
             if len(heavy_kids) >= 2:
                 self.heavy_dict[v] = DetDictionary(heavy_kids)
             elif len(heavy_kids) == 1:
                 self.heavy_ptr[v] = heavy_kids[0]
-            if light_kids:
-                self.light_pred[v] = StaticPredecessor(light_kids, u)
-            if heavy_kids:
-                self.all_pred[v] = StaticPredecessor(sorted(nd.children), u)
-            elif light_kids:
-                self.all_pred[v] = self.light_pred[v]  # the same keys: share it
+            if nd.children:
+                self.child_pred[v] = StaticPredecessor(sorted(nd.children), u)
 
     def prefix_query(self, pattern: list[int]) -> MatchResult:
         check_codes(pattern, self.sigma)
@@ -212,18 +207,16 @@ class StaticTrieIndex(_IndexBase):
         return res
 
     def _descend(self, pattern):
-        """Shared walk; returns (MatchResult, fail).
+        """Shared walk; returns (MatchResult, rank).
 
-        `fail` describes where an unsuccessful walk stopped so that a
-        predecessor query can be resolved without redoing the descent:
-        ("node", v, c) for a missing edge, ("rank", r) when the failure
-        point already pins the predecessor's rank (r may be -1 for none),
-        and None for matches."""
+        `rank` is None for a match.  Otherwise it is the rank of the
+        pattern's predecessor (-1 for none), read off where the walk
+        stopped, so a predecessor query needs no second descent."""
         trie = self.trie
         nodes = trie.nodes
         m = len(pattern)
         if not self.leaf_order:
-            return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), ("rank", -1)
+            return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), -1
         v = trie.ROOT
         i = 0
         while True:
@@ -241,15 +234,15 @@ class StaticTrieIndex(_IndexBase):
                 if hp is not None and hp[0] == c:
                     child = hp[1]
             if child is None:
-                lp = self.light_pred.get(v)
-                if lp is not None and lp.query(c) == c:
-                    w = nodes[v].children[c]
-                    res, pos = self._light_search(w, pattern, i + 1)
-                    if res.matched:
-                        return res, None
-                    return res, ("rank", pos - 1)
-                # no edge with character c leaves v
-                return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), ("node", v, c)
+                kids = nodes[v].children
+                hit = self.child_pred[v].query(c)
+                if hit == c:  # a light child
+                    res, pos = self._light_search(kids[c], pattern, i + 1)
+                    return res, (None if res.matched else pos - 1)
+                # no edge with character c leaves v: the predecessor is the
+                # rightmost leaf below the child with the largest char < c
+                rank = nodes[v].low - 1 if hit is None else nodes[kids[hit]].high
+                return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), rank
             # heavy child: match the remainder of its edge label
             nd = nodes[child]
             length = nd.end - nd.start
@@ -257,7 +250,7 @@ class StaticTrieIndex(_IndexBase):
             j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
             if j < stop:
                 rank = nd.low - 1 if pattern[i + j] < trie.label_char(child, j) else nd.high
-                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j), ("rank", rank)
+                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j), rank
             if i + j == m:
                 if j == length:
                     return MatchResult(Outcome.MATCHED_AT_NODE, child, 0,
@@ -267,15 +260,6 @@ class StaticTrieIndex(_IndexBase):
             i += length
             v = child
 
-    def _pred_at_node(self, v, c):
-        """Rank of the predecessor when the walk dies at node v wanting c."""
-        ap = self.all_pred.get(v)
-        hit = ap.query(c) if ap is not None else None
-        if hit is None:
-            return self.trie.nodes[v].low - 1
-        # rightmost leaf below the child entered with the largest char <= c
-        return self.trie.nodes[self.trie.nodes[v].children[hit]].high
-
     def predecessor_query(self, pattern: list[int]):
         """Rank of the largest stored string <= pattern, or None.
 
@@ -283,13 +267,12 @@ class StaticTrieIndex(_IndexBase):
         the pattern sorts below it; a stored string equal to the pattern is
         returned itself."""
         check_codes(pattern, self.sigma)
-        res, fail = self._descend(pattern)
+        res, rank = self._descend(pattern)
         if res.matched:
             lo = res.interval[0]
             if self.leaf_len(lo) == len(pattern):
                 return lo  # the pattern itself is stored
             return lo - 1 if lo > 0 else None
-        rank = fail[1] if fail[0] == "rank" else self._pred_at_node(fail[1], fail[2])
         return rank if rank >= 0 else None
 
 

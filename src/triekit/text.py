@@ -161,11 +161,6 @@ class CompactedTrie:
         self.nodes.append(Node(parent=parent, sid=sid, start=start, end=end, leaf_id=leaf_id))
         return len(self.nodes) - 1
 
-    def string_codes(self, sid: int) -> list[int]:
-        """Stored string `sid`, sentinel included."""
-        src = self.sources[sid]
-        return src.codes + [SENTINEL]
-
     def insert_path(self, sid: int, leaf_rank: int = -1):
         """Insert the sentinel-terminated string `sources[sid]` as a leaf.
 

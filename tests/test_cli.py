@@ -284,6 +284,16 @@ def test_bad_symbol_token_exits_5(command, tmp_path, capsys):
         assert "line 2" in err
 
 
+@pytest.mark.parametrize("kind", [b"I", b"Q", b"P"])
+def test_dynamic_symbol_outside_sigma_exits_3(kind, tmp_path, capsys):
+    # sigma = 4: bytes 0..3 are codes 1..4, byte 7 is code 8
+    ops = tmp_path / "ops.txt"
+    ops.write_bytes(b"I \x00\x01\n" + kind + b" \x00\x07\n")
+    code, out, err = run_cli(["dynamic", "--ops", str(ops), "--sigma", "4"], capsys)
+    assert code == 3 and out == ""
+    assert err.count("error:") == 1 and err.startswith("error: line 2: ")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["build", "--mode", "suffix", "--sigma", "0"], "--sigma"),
     (["build", "--mode", "strings", "--sigma", "-3"], "--sigma"),

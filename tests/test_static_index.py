@@ -236,10 +236,29 @@ def test_probe_accounting():
         assert d["dict_probes"] <= len(pat) + 1
 
 
-def test_all_light_node_shares_its_predecessor():
+def _one_static_pred_query_each(idx, keys, patterns):
+    """Every prefix and predecessor query makes at most one static-predecessor
+    query, and the predecessor rank agrees with a bisection of the sorted
+    sentinel-terminated keys.  Returns how many predecessor queries made one."""
+    made_one = 0
+    for pat in patterns:
+        before = GLOBAL.snapshot()
+        idx.prefix_query(pat)
+        assert GLOBAL.diff(before)["static_pred_queries"] <= 1, pat
+        before = GLOBAL.snapshot()
+        got = idx.predecessor_query(pat)
+        queries = GLOBAL.diff(before)["static_pred_queries"]
+        assert queries <= 1, pat
+        made_one += queries
+        want = bisect.bisect_right(keys, pat + [0]) - 1
+        assert got == (want if want >= 0 else None), pat
+    return made_one
+
+
+def test_one_static_pred_query_all_light_root():
     # sigma = 2^16, 500 distinct characters: every child of the root holds
-    # fewer than s = 16 suffixes, so the root's predecessor over all edges
-    # is its light-edge predecessor itself
+    # fewer than s = 16 suffixes, so a walk that leaves the root does so
+    # through its one predecessor over all child characters
     sigma = 1 << 16
     rng = random.Random(16)
     pool = rng.sample(range(1, sigma + 1), 500)
@@ -247,19 +266,54 @@ def test_all_light_node_shares_its_predecessor():
     idx, text = suffix_index(codes, sigma, "static")
     root = idx.trie.ROOT
     assert not any(idx.heavy[ch] for ch in idx.trie.nodes[root].children.values())
-    assert idx.all_pred[root] is idx.light_pred[root]
     full = codes + [0]
     sa = brute_suffix_array(codes)
     assert idx.leaf_order == sa
     keys = [full[i:] for i in sa]
+    patterns = []
     for _ in range(1500):
         i = rng.randrange(len(codes))
         pat = codes[i:i + rng.randrange(0, 6)]
         if rng.random() < 0.5:
             pat = pat + [rng.randint(1, sigma)]
-        want = bisect.bisect_right(keys, pat + [0]) - 1
-        got = idx.predecessor_query(pat)
-        assert got == (want if want >= 0 else None), pat
+        patterns.append(pat)
+    assert _one_static_pred_query_each(idx, keys, patterns) > 0
+
+
+def test_one_static_pred_query_suffix_sigma_4():
+    # s = 2: nearly every internal node is heavy, with heavy and light
+    # children side by side
+    rng = random.Random(4)
+    sigma = 4
+    unit = [rng.randint(1, sigma) for _ in range(9)]
+    codes = unit * 8 + [rng.randint(1, sigma) for _ in range(300)]
+    idx, _ = suffix_index(codes, sigma, "static")
+    assert any(idx.heavy[v] and not all(idx.heavy[ch] for ch in nd.children.values())
+               for v, nd in enumerate(idx.trie.nodes))
+    full = codes + [0]
+    keys = [full[i:] for i in idx.leaf_order]
+    patterns = [codes[i:i + rng.randrange(0, 12)] + [rng.randint(1, sigma)]
+                for i in (rng.randrange(len(codes)) for _ in range(600))]
+    patterns += [[rng.randint(1, sigma) for _ in range(rng.randrange(0, 10))]
+                 for _ in range(200)]
+    assert _one_static_pred_query_each(idx, keys, patterns) > 0
+
+
+def test_one_static_pred_query_strings_mode():
+    rng = random.Random(26)
+    sigma = 26
+    words = sorted({tuple(rng.randint(1, sigma) for _ in range(rng.randrange(1, 7)))
+                    for _ in range(400)})
+    texts = [Text(list(w)) for w in words]
+    trie, order = build_string_trie(texts)
+    idx = build_static_index(trie, order, sigma, mode="strings")
+    assert sum(idx.heavy) > 1
+    keys = [texts[sid].codes + [0] for sid in order]
+    patterns = [list(w[:rng.randrange(0, len(w) + 1)]) + [rng.randint(1, sigma)]
+                for w in rng.sample(words, 300)]
+    patterns += [[rng.randint(1, sigma) for _ in range(rng.randrange(0, 6))]
+                 for _ in range(300)]
+    assert _one_static_pred_query_each(idx, keys, patterns) > 0
 
 
 def _prefix_engines(trie, order, sigma, mode):

@@ -189,6 +189,8 @@ def cmd_query(args) -> int:
         index = load_index(blob)
     except VersionMismatchError as e:
         return _fail(e, EXIT_VERSION)
+    except InvalidInputError as e:
+        return _fail(e, EXIT_MALFORMED)
     try:
         patterns = [_decode_symbols(line, index.sigma)
                     for line in pattern_data.split(b"\n") if line]

@@ -33,14 +33,21 @@ def _mix(x: int) -> int:
 class DetDictionary:
     """Static dictionary with a deterministic build and O(1)-probe lookups.
 
-    Two levels: keys are split into buckets by a fixed mixing function, then
-    each bucket deterministically searches a displacement d so that the
-    multiply-shift with multiplier 2d+1 places its keys on distinct free
-    slots.  A lookup touches the displacement cell and one slot cell.
-    Construction may retry with a doubled table in adversarial cases.
+    The table kind is chosen from the keys alone.  Dense keys, whose span
+    max - min + 1 is below 4k, get a direct table: slot = key - base, no
+    mixing and no displacement search, never larger than the hashed table
+    (2^bits in [2k, 4k) slot cells plus as many displacement cells).  A
+    lookup reads the slot key, and on a hit the slot value.
+
+    Other keys get a hashed table with two levels: keys are split into
+    buckets by a fixed mixing function, then each bucket deterministically
+    searches a displacement d so that the multiply-shift with multiplier
+    2d+1 places its keys on distinct free slots.  A lookup touches the
+    displacement cell and one slot cell.  Construction may retry with a
+    doubled table in adversarial cases.
     """
 
-    __slots__ = ("k", "shift", "mask", "disp", "slot_keys", "slot_vals")
+    __slots__ = ("k", "base", "shift", "mask", "disp", "slot_keys", "slot_vals")
 
     def __init__(self, pairs):
         items = list(pairs)
@@ -48,7 +55,18 @@ class DetDictionary:
         if len(set(keys)) != len(keys):
             raise DuplicateKeyError("duplicate key in dictionary build")
         self.k = len(items)
-        bits = max(2, (2 * self.k - 1).bit_length()) if self.k else 1
+        lo = min(keys, default=0)
+        span = max(keys, default=-1) - lo + 1
+        if span < 4 * self.k or not items:
+            self.base = lo
+            self.slot_keys = [_EMPTY] * span
+            self.slot_vals = [None] * span
+            for key, val in items:
+                self.slot_keys[key - lo] = key
+                self.slot_vals[key - lo] = val
+            return
+        self.base = None
+        bits = max(2, (2 * self.k - 1).bit_length())
         mixed = [(_mix(key), key, val) for key, val in items]  # once, for every try
         while not self._try_build(mixed, bits):
             bits += 1
@@ -84,7 +102,14 @@ class DetDictionary:
 
     def lookup(self, key: int):
         """Stored value for `key`, or None when absent."""
-        if self.k == 0:
+        base = self.base
+        if base is not None:
+            s = key - base
+            slot_keys = self.slot_keys
+            if 0 <= s < len(slot_keys) and slot_keys[s] == key:
+                GLOBAL.dict_cell_probes += 2  # the slot key and the slot value
+                return self.slot_vals[s]
+            GLOBAL.dict_cell_probes += 1
             return None
         mx = _MIX_MEMO.get(key)
         if mx is None:
@@ -100,8 +125,13 @@ class DetDictionary:
 
     def repoint(self, key: int, val):
         """Replace the value stored for `key` in place; KeyError if absent."""
-        mx = _mix(key)
-        s = ((mx * (2 * self.disp[mx & self.mask] + 1)) & _M64) >> self.shift
+        if self.base is not None:
+            s = key - self.base
+            if not 0 <= s < len(self.slot_keys):
+                raise KeyError(key)
+        else:
+            mx = _mix(key)
+            s = ((mx * (2 * self.disp[mx & self.mask] + 1)) & _M64) >> self.shift
         if self.slot_keys[s] != key:
             raise KeyError(key)
         self.slot_vals[s] = val

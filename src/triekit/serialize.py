@@ -66,7 +66,10 @@ class _Reader:
         self.off = 0
 
     def take(self, fmt: str):
-        vals = struct.unpack_from(fmt, self.blob, self.off)
+        try:
+            vals = struct.unpack_from(fmt, self.blob, self.off)
+        except struct.error:
+            raise InvalidInputError(f"index file truncated at byte {self.off}") from None
         self.off += struct.calcsize(fmt)
         return vals
 

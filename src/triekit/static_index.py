@@ -2,14 +2,14 @@
 
 Two engines over the same trie + sorted-leaf-array data:
 
-* StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); branching
-  heavy nodes hold a deterministic dictionary of their heavy-child edges,
-  nonbranching ones a single pointer, and every heavy node one static
-  predecessor over all its child edge characters.  A walk that finds no
-  heavy child makes one predecessor query: an exact hit enters that light
-  child and switches to binary search of the leaf array inside its
-  interval; otherwise the hit child's rightmost leaf (or the rank before the
-  node's interval) is the lexicographic predecessor.
+* StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); every
+  heavy node with children holds one deterministic dictionary over all its
+  child edge characters and one static predecessor over the same
+  characters.  A walk makes one dictionary lookup per heavy node: a heavy
+  child continues the walk, a light child switches to binary search of the
+  leaf array inside its interval.  Only a miss queries the predecessor: the
+  hit child's rightmost leaf (or the rank before the node's interval) is the
+  lexicographic predecessor, so a matching query makes no predecessor query.
 
 * SuffixTrayIndex: the same with threshold sigma, size-sigma child arrays at
   branching heavy nodes and plain child binary search at the rest.
@@ -186,20 +186,13 @@ class StaticTrieIndex(_IndexBase):
         for v in range(n_nodes):
             self.heavy[v] = self.leaf_counts[v] >= self.s or v == trie.ROOT
         u = sigma + 1  # edge characters live in [0, sigma]
-        self.heavy_dict: dict[int, DetDictionary] = {}
-        self.heavy_ptr: dict[int, tuple[int, int]] = {}
+        self.child_dict: dict[int, DetDictionary] = {}
         self.child_pred: dict[int, StaticPredecessor] = {}
         for v in range(n_nodes):
-            if not self.heavy[v]:
-                continue
-            nd = trie.nodes[v]
-            heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
-            if len(heavy_kids) >= 2:
-                self.heavy_dict[v] = DetDictionary(heavy_kids)
-            elif len(heavy_kids) == 1:
-                self.heavy_ptr[v] = heavy_kids[0]
-            if nd.children:
-                self.child_pred[v] = StaticPredecessor(sorted(nd.children), u)
+            kids = trie.nodes[v].children
+            if self.heavy[v] and kids:
+                self.child_dict[v] = DetDictionary(kids.items())
+                self.child_pred[v] = StaticPredecessor(sorted(kids), u)
 
     def prefix_query(self, pattern: list[int]) -> MatchResult:
         check_codes(pattern, self.sigma)
@@ -214,6 +207,8 @@ class StaticTrieIndex(_IndexBase):
         stopped, so a predecessor query needs no second descent."""
         trie = self.trie
         nodes = trie.nodes
+        child_dict = self.child_dict
+        heavy = self.heavy
         m = len(pattern)
         if not self.leaf_order:
             return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), -1
@@ -224,25 +219,18 @@ class StaticTrieIndex(_IndexBase):
                 nd = nodes[v]
                 return MatchResult(Outcome.MATCHED_AT_NODE, v, 0, (nd.low, nd.high), m), None
             c = pattern[i]
-            child = None
-            dic = self.heavy_dict.get(v)
-            if dic is not None:
-                GLOBAL.dict_probes += 1
-                child = dic.lookup(c)
-            else:
-                hp = self.heavy_ptr.get(v)
-                if hp is not None and hp[0] == c:
-                    child = hp[1]
+            GLOBAL.dict_probes += 1
+            child = child_dict[v].lookup(c)
             if child is None:
-                kids = nodes[v].children
-                hit = self.child_pred[v].query(c)
-                if hit == c:  # a light child
-                    res, pos = self._light_search(kids[c], pattern, i + 1)
-                    return res, (None if res.matched else pos - 1)
                 # no edge with character c leaves v: the predecessor is the
                 # rightmost leaf below the child with the largest char < c
-                rank = nodes[v].low - 1 if hit is None else nodes[kids[hit]].high
+                hit = self.child_pred[v].query(c)
+                nd = nodes[v]
+                rank = nd.low - 1 if hit is None else nodes[nd.children[hit]].high
                 return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), rank
+            if not heavy[child]:
+                res, pos = self._light_search(child, pattern, i + 1)
+                return res, (None if res.matched else pos - 1)
             # heavy child: match the remainder of its edge label
             nd = nodes[child]
             length = nd.end - nd.start

@@ -84,6 +84,20 @@ def test_version_mismatch_exit_code(banana_index, tmp_path, capsys):
     assert code == 4 and "version" in err
 
 
+def test_truncated_index_exits_5(banana_index, tmp_path, capsys):
+    # every proper prefix of a valid index, the empty file included
+    blob = banana_index.read_bytes()
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"a\n")
+    bad = tmp_path / "cut.tkix"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)],
+                                 capsys)
+        assert (code, out) == (5, ""), cut
+        assert err.startswith("error: ") and err.count("\n") == 1, (cut, err)
+
+
 def test_build_missing_input_is_io_error(tmp_path, capsys):
     code, _, _ = run_cli(["build", "--input", str(tmp_path / "nope"),
                           "--output", str(tmp_path / "o")], capsys)

@@ -115,6 +115,48 @@ def test_dict_repoint():
     assert d.disp == disp and d.slot_keys == slot_keys
 
 
+def test_dict_direct_table_pinned():
+    # span 12 - 7 + 1 = 6 < 4k = 12: slot = key - base, no displacement
+    d = DetDictionary([(12, "c"), (7, "a"), (9, "b")])
+    assert (d.base, d.slot_keys) == (7, [7, -1, 9, -1, -1, 12])
+    assert d.slot_vals == ["a", None, "b", None, None, "c"]
+    cells = {}
+    for key in (7, 12, 9, 8, 11, 6, 13, 1 << 40, -1, -7, -(1 << 40)):
+        before = GLOBAL.dict_cell_probes
+        got = d.lookup(key)
+        cells[key] = GLOBAL.dict_cell_probes - before
+        assert got == {7: "a", 9: "b", 12: "c"}.get(key), key
+    assert cells == {7: 2, 12: 2, 9: 2, 8: 1, 11: 1, 6: 1, 13: 1, 1 << 40: 1,
+                     -1: 1, -7: 1, -(1 << 40): 1}
+    neg = DetDictionary([(-3, "x"), (0, "z"), (-1, "y")])
+    assert (neg.base, neg.slot_keys) == (-3, [-3, -1, -1, 0])
+    assert [neg.lookup(k) for k in (-4, -3, -2, -1, 0, 1)] == [None, "x", None, "y", "z", None]
+    assert (DetDictionary([]).base, DetDictionary([]).slot_keys) == (0, [])
+
+
+def test_dict_direct_table_repoint():
+    d = DetDictionary([(7, "a"), (9, "b"), (12, "c")])
+    d.repoint(9, "moved")
+    d.repoint(12, "end")
+    assert [d.lookup(k) for k in (7, 9, 12)] == ["a", "moved", "end"]
+    for absent in (8, 6, 13, -1):
+        with pytest.raises(KeyError):
+            d.repoint(absent, "absent")
+    assert (d.base, d.slot_keys) == (7, [7, -1, 9, -1, -1, 12])
+
+
+def test_dict_kind_chosen_by_span():
+    # k = 3: a span of 4k - 1 = 11 builds direct, a span of 4k = 12 hashed
+    direct = DetDictionary([(0, 0), (5, 1), (10, 2)])
+    hashed = DetDictionary([(0, 0), (5, 1), (11, 2)])
+    assert direct.base == 0 and len(direct.slot_keys) == 11
+    assert hashed.base is None and len(hashed.slot_keys) == len(hashed.disp) == 8
+    for d, keys in ((direct, (0, 5, 10)), (hashed, (0, 5, 11))):
+        for i, k in enumerate(keys):
+            assert d.lookup(k) == i
+        assert d.lookup(1) is None and d.lookup(12) is None
+
+
 def test_dict_mix_memo(monkeypatch):
     memo = {}
     monkeypatch.setattr(predkit, "_MIX_MEMO", memo)

@@ -238,13 +238,14 @@ def test_probe_accounting():
 
 def _one_static_pred_query_each(idx, keys, patterns):
     """Every prefix and predecessor query makes at most one static-predecessor
-    query, and the predecessor rank agrees with a bisection of the sorted
-    sentinel-terminated keys.  Returns how many predecessor queries made one."""
+    query, a prefix query that matched makes none, and the predecessor rank
+    agrees with a bisection of the sorted sentinel-terminated keys.  Returns
+    how many predecessor queries made one."""
     made_one = 0
     for pat in patterns:
         before = GLOBAL.snapshot()
-        idx.prefix_query(pat)
-        assert GLOBAL.diff(before)["static_pred_queries"] <= 1, pat
+        res = idx.prefix_query(pat)
+        assert GLOBAL.diff(before)["static_pred_queries"] <= (0 if res.matched else 1), pat
         before = GLOBAL.snapshot()
         got = idx.predecessor_query(pat)
         queries = GLOBAL.diff(before)["static_pred_queries"]
@@ -388,21 +389,25 @@ def test_boundary_patterns_strings_mode():
     sigma = 4
     words = sorted({tuple(rng.randint(1, sigma) for _ in range(rng.randrange(1, 9)))
                     for _ in range(120)})
-    words = [list(w) for w in words]
-    texts = [Text(w) for w in words]
-    trie, order = build_string_trie(texts)
-    static, loaded, engines = _prefix_engines(trie, order, sigma, "strings")
-    keys = [texts[sid].codes + [0] for sid in order]
-    # patterns that extend a stored word by one character
-    extend = [w + [c] for w in words for c in range(1, sigma + 1)]
-    edge_last = _heavy_edge_last_char_patterns(static, sigma)
-    assert edge_last, "no heavy edge with two or more characters"
-    for pattern in extend + edge_last:
-        _check_prefix(engines, keys, pattern)
-        want = string_predecessor(words, pattern)
-        for idx in (static, loaded):
-            got = idx.predecessor_query(pattern)
-            assert (None if got is None else texts[idx.leaf_order[got]].codes) == want, pattern
+    # the second word set starts every word with 3: the root has one child
+    for words in ([list(w) for w in words], [[3] + list(w) for w in words]):
+        texts = [Text(w) for w in words]
+        trie, order = build_string_trie(texts)
+        static, loaded, engines = _prefix_engines(trie, order, sigma, "strings")
+        keys = [texts[sid].codes + [0] for sid in order]
+        # patterns that extend a stored word by one character, and every
+        # single character (at a one-child root: below, at and above it)
+        extend = [w + [c] for w in words for c in range(1, sigma + 1)]
+        extend += [[c] for c in range(1, sigma + 1)]
+        edge_last = _heavy_edge_last_char_patterns(static, sigma)
+        assert edge_last, "no heavy edge with two or more characters"
+        for pattern in extend + edge_last:
+            _check_prefix(engines, keys, pattern)
+            want = string_predecessor(words, pattern)
+            for idx in (static, loaded):
+                got = idx.predecessor_query(pattern)
+                assert (None if got is None else texts[idx.leaf_order[got]].codes) == want, pattern
+    assert len(trie.nodes[trie.ROOT].children) == 1
 
 
 def _compares(stored, pattern, start):

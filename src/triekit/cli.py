@@ -17,7 +17,8 @@ import sys
 import time
 
 from .dynamic_index import DynTrieIndex
-from .errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
+from .errors import (AlphabetOverflowError, CorruptTrieError, DuplicateKeyError,
+                     InvalidInputError)
 from .instrument import GLOBAL
 from .sa import build_suffix_array, build_suffix_tree
 from .serialize import VersionMismatchError, dump_index, load_index
@@ -189,7 +190,7 @@ def cmd_query(args) -> int:
         index = load_index(blob)
     except VersionMismatchError as e:
         return _fail(e, EXIT_VERSION)
-    except InvalidInputError as e:
+    except (InvalidInputError, CorruptTrieError) as e:
         return _fail(e, EXIT_MALFORMED)
     try:
         patterns = [_decode_symbols(line, index.sigma)
@@ -197,7 +198,7 @@ def cmd_query(args) -> int:
         rows = _query_rows(index, patterns, args.mode)
     except AlphabetOverflowError as e:
         return _fail(e, EXIT_ALPHABET)
-    except InvalidInputError as e:
+    except (InvalidInputError, CorruptTrieError) as e:
         return _fail(e, EXIT_MALFORMED)
     if args.report == "tsv":
         _emit_tsv(rows, args.mode, index.sigma, sys.stdout)

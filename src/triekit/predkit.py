@@ -1,7 +1,8 @@
 """Deterministic dictionary and predecessor structures.
 
 Building blocks used everywhere else: a constant-probe deterministic
-dictionary, a sampled x-fast static predecessor and a dynamic predecessor.
+dictionary, a static predecessor (a direct table for dense keys, sampled
+x-fast otherwise) and a dynamic predecessor.
 No randomized seeds anywhere; identical inputs always produce identical
 tables.  Callers count each dictionary lookup (`dict_probes`) where they make
 it; a lookup counts the table cells it reads (`dict_cell_probes`).
@@ -20,6 +21,11 @@ _EMPTY = -1
 # no answer, only the cost of a lookup.
 _MIX_MEMO: dict[int, int] = {}
 _MIX_MEMO_CAP = 1 << 16
+
+
+def _dense(span: int, k: int) -> bool:
+    """True when k keys spanning `span` values take a direct table."""
+    return span < 4 * k
 
 
 def _mix(x: int) -> int:
@@ -57,7 +63,7 @@ class DetDictionary:
         self.k = len(items)
         lo = min(keys, default=0)
         span = max(keys, default=-1) - lo + 1
-        if span < 4 * self.k or not items:
+        if not items or _dense(span, self.k):
             self.base = lo
             self.slot_keys = [_EMPTY] * span
             self.slot_vals = [None] * span
@@ -138,37 +144,50 @@ class DetDictionary:
 
 
 class StaticPredecessor:
-    """Static predecessor over sorted keys: sampled x-fast plus block search.
+    """Static predecessor over sorted keys: a direct table for dense keys,
+    sampled x-fast plus block search for the rest.
 
-    Every q-th key, q = ceil(lg u), goes into an x-fast table of bit prefixes
-    held in deterministic dictionaries; a query binary-searches the prefix
-    lengths, then binary-searches the block of keys between two adjacent
-    samples.  With a single sample (at most q keys) every query that passes
-    the end checks lies in block 0, so no x-fast levels are built and the
-    query is the block search alone: at most ceil(lg q) + 1 probes, within
-    the O(lg lg u) bound.  Each x-fast lookup and block comparison adds one
-    to `static_pred_probes`.
+    Dense keys, whose span keys[-1] - keys[0] + 1 is below 4k (the same rule
+    as `DetDictionary`), get one list `below`: below[x - keys[0]] is the
+    largest key <= x for x in [keys[0], keys[-1]).  No samples and no x-fast
+    levels are built, and a query that passes the end checks reads one cell.
+
+    For other keys, every q-th key, q = ceil(lg u), goes into an x-fast table
+    of bit prefixes held in deterministic dictionaries; a query binary-searches
+    the prefix lengths, then binary-searches the block of keys between two
+    adjacent samples.  With a single sample (at most q keys) every query that
+    passes the end checks lies in block 0, so no x-fast levels are built and
+    the query is the block search alone: at most ceil(lg q) + 1 probes, within
+    the O(lg lg u) bound.  Each direct-table read, x-fast lookup and block
+    comparison adds one to `static_pred_probes`.
     """
 
-    __slots__ = ("keys", "u", "w", "q", "samples", "levels")
+    __slots__ = ("keys", "u", "w", "q", "below", "levels")
 
     def __init__(self, keys, u: int):
-        self.keys = list(keys)
-        for a, b in zip(self.keys, self.keys[1:]):
+        keys = self.keys = list(keys)
+        for a, b in zip(keys, keys[1:]):
             if a >= b:
                 raise InvalidInputError("keys must be strictly increasing")
-        if self.keys and (self.keys[0] < 0 or self.keys[-1] >= u):
+        if keys and (keys[0] < 0 or keys[-1] >= u):
             raise InvalidInputError("keys must lie in [0, u)")
         self.u = u
-        self.w = max(1, (u - 1).bit_length())
-        self.q = self.w
-        self.samples = self.keys[:: self.q]
+        self.w = self.q = max(1, (u - 1).bit_length())
+        self.below = None
         # levels[l] maps the l-bit prefix to the (lo, hi) sample index range
         self.levels = []
-        if len(self.samples) > 1:
+        if keys and _dense(keys[-1] - keys[0] + 1, len(keys)):
+            below = self.below = []
+            a = keys[0]
+            for b in keys[1:]:
+                below += [a] * (b - a)
+                a = b
+            return
+        samples = keys[:: self.q]
+        if len(samples) > 1:
             for level in range(self.w + 1):
                 table: dict[int, tuple[int, int]] = {}
-                for i, key in enumerate(self.samples):
+                for i, key in enumerate(samples):
                     p = key >> (self.w - level)
                     lo, hi = table.get(p, (i, i))
                     table[p] = (min(lo, i), max(hi, i))
@@ -181,6 +200,9 @@ class StaticPredecessor:
             return None
         if x >= self.keys[-1]:
             return self.keys[-1]
+        if self.below is not None:
+            GLOBAL.static_pred_probes += 1
+            return self.below[x - self.keys[0]]
         if not self.levels:
             return self._block_pred(0, x)
         # longest stored prefix of x, by binary search over prefix lengths

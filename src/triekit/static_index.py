@@ -31,27 +31,41 @@ def heavy_threshold(sigma: int) -> int:
 
 
 def validate_intervals(trie: CompactedTrie, n_leaves: int):
-    """Check leaf-rank intervals: contiguous, child-ordered, consistent."""
+    """Check the topology and the leaf-rank intervals in one walk from the
+    root.  Every child id must name an unvisited node whose parent is the
+    walking node; intervals must be contiguous, child-ordered and consistent,
+    and the leaves' ranks a permutation of [0, n_leaves)."""
+    nodes = trie.nodes
+    n_nodes = len(nodes)
+    visited = [False] * n_nodes
     seen = [False] * n_leaves
-    for v in reversed(trie.topo_order()):
-        nd = trie.nodes[v]
-        if nd.is_leaf:
-            if nd.low != nd.high or not 0 <= nd.low < n_leaves or seen[nd.low]:
+    stack = [trie.ROOT]
+    while stack:
+        v = stack.pop()
+        nd = nodes[v]
+        kids = nd.children
+        if nd.leaf_id >= 0:
+            if kids or nd.low != nd.high or not 0 <= nd.low < n_leaves or seen[nd.low]:
                 raise CorruptTrieError(f"bad leaf interval at node {v}")
             seen[nd.low] = True
             continue
-        kids = sorted(nd.children.items())
         if not kids:
             if v == trie.ROOT and n_leaves == 0:
                 continue
             raise CorruptTrieError(f"childless internal node {v}")
+        chars = sorted(kids)  # timsort: n - 1 compares when already increasing
         prev_high = None
-        for _, ch in kids:
-            c = trie.nodes[ch]
+        for key in chars:
+            ch = kids[key]
+            if not 0 < ch < n_nodes or visited[ch] or nodes[ch].parent != v:
+                raise CorruptTrieError(f"bad child id {ch} under {v}")
+            visited[ch] = True
+            c = nodes[ch]
             if prev_high is not None and c.low != prev_high + 1:
                 raise CorruptTrieError(f"non-contiguous intervals under {v}")
             prev_high = c.high
-        if nd.low != trie.nodes[kids[0][1]].low or nd.high != prev_high:
+            stack.append(ch)
+        if nd.low != nodes[kids[chars[0]]].low or nd.high != prev_high:
             raise CorruptTrieError(f"interval of {v} not the union of its children")
     if not all(seen):
         raise CorruptTrieError("leaf ranks are not a permutation")

@@ -98,6 +98,25 @@ def test_truncated_index_exits_5(banana_index, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (cut, err)
 
 
+@pytest.mark.parametrize("corrupt", ["leaf_interval", "child_id"])
+def test_corrupted_index_exits_5(corrupt, banana_index, tmp_path, capsys):
+    idx = load_index(banana_index.read_bytes())
+    nodes = idx.trie.nodes
+    leaf = next(v for v, nd in enumerate(nodes) if nd.leaf_id >= 0)
+    if corrupt == "leaf_interval":
+        nodes[leaf].low = nodes[leaf].high = 99
+    else:
+        c = next(c for c, ch in nodes[nodes[leaf].parent].children.items() if ch == leaf)
+        nodes[nodes[leaf].parent].children[c] = len(nodes)
+    bad = tmp_path / "bad.tkix"
+    bad.write_bytes(dump_index(idx))
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"a\n")
+    code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)], capsys)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_build_missing_input_is_io_error(tmp_path, capsys):
     code, _, _ = run_cli(["build", "--input", str(tmp_path / "nope"),
                           "--output", str(tmp_path / "o")], capsys)

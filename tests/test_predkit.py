@@ -253,6 +253,81 @@ def test_static_pred_probe_budget():
     assert worst <= budget, (worst, budget)
 
 
+def _dense_sets():
+    """Key sets spanning fewer than 4k values in u = 64: single keys at both
+    ends of the universe, the full universe, runs with gaps, and random sets."""
+    sets = [[0], [37], [63], list(range(64)), [0, 1, 2, 7], [60, 61, 63],
+            [3, 4, 9, 10, 20], [10, 12, 14, 16, 18, 30]]
+    rng = random.Random(21)
+    for _ in range(40):
+        k = rng.randint(1, 20)
+        span = rng.randint(k, min(64, 4 * k - 1))
+        lo = rng.randrange(64 - span + 1)
+        inner = rng.sample(range(lo + 1, lo + span - 1), max(0, k - 2)) if span > 2 else []
+        sets.append(sorted({lo, lo + span - 1, *inner}))
+    return sets
+
+
+def test_static_pred_direct_exhaustive():
+    u = 64
+    for keys in _dense_sets():
+        p = StaticPredecessor(keys, u)
+        assert p.below is not None and p.levels == [], keys
+        assert len(p.below) == keys[-1] - keys[0] < 4 * len(keys)
+        assert (p.w, p.q) == (6, 6)
+        for x in range(u):
+            assert p.query(x) == scan_pred(keys, x), (keys, x)
+
+
+def test_static_pred_direct_one_probe():
+    u = 64
+    for keys in _dense_sets():
+        p = StaticPredecessor(keys, u)
+        for x in range(u):
+            before = GLOBAL.static_pred_probes
+            p.query(x)
+            inside = keys[0] <= x < keys[-1]
+            assert GLOBAL.static_pred_probes - before == (1 if inside else 0), (keys, x)
+
+
+def test_static_pred_kind_chosen_by_span():
+    # k = 16 > q = 12: a span of 4k - 1 = 63 builds direct, a span of 4k = 64
+    # takes the sampled x-fast path
+    u = 4096
+    inner = list(range(101, 129, 2))
+    direct = StaticPredecessor([100, *inner, 162], u)
+    sparse = StaticPredecessor([100, *inner, 163], u)
+    assert direct.below is not None and direct.levels == []
+    assert sparse.below is None and sparse.levels != []
+    assert direct.q == sparse.q == 12
+    for p in (direct, sparse):
+        for x in range(90, 180):
+            assert p.query(x) == scan_pred(p.keys, x), x
+
+
+def test_wexp_dense_splitters_against_sorted_oracle():
+    from triekit.wexp import WexpTree, _Node, audit_wexp
+
+    rng = random.Random(8)
+    u = 64
+    t = WexpTree(u)
+    oracle = SortedSetOracle()
+    for key in rng.sample(range(u), 56):
+        t.insert(key)
+        oracle.insert(key)
+        for x in range(u):
+            hit = t.pred(x)
+            assert (None if hit is None else hit[0]) == oracle.pred(x), (key, x)
+    audit_wexp(t)
+    stack, direct = [t.root], 0
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Node):
+            direct += node.pred.below is not None
+            stack.extend(c for c in node.children if c is not None)
+    assert direct > 0
+
+
 # ----------------------------------------------------------- dynamic predecessor
 
 def test_dyn_pred_examples():

@@ -1,10 +1,13 @@
 import bisect
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triekit.errors import AlphabetOverflowError, CorruptTrieError, InvalidInputError
+from triekit.errors import (AlphabetOverflowError, CorruptTrieError, InvalidInputError,
+                            TriekitError)
 from triekit.instrument import GLOBAL
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.serialize import dump_index, load_index
@@ -102,6 +105,68 @@ def test_corrupt_trie_rejected():
     tree.nodes[leaves[3]].low = tree.nodes[leaves[3]].high = 99
     with pytest.raises(CorruptTrieError):
         build_static_index(tree, order, 256, mode="suffix")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _blob_with_child(raw: bytes, target):
+    """Index blob of `raw` whose first non-root internal node has one child
+    pointer replaced by target(trie)."""
+    idx, _ = suffix_index(raw)
+    nodes = idx.trie.nodes
+    v = next(v for v, nd in enumerate(nodes) if v and nd.children)
+    c = next(iter(nodes[v].children))
+    nodes[v].children[c] = target(idx.trie)
+    return dump_index(idx)
+
+
+@pytest.mark.parametrize("target", [
+    lambda trie: trie.ROOT,                                   # a cycle
+    lambda trie: len(trie.nodes),                             # one past the end
+    lambda trie: len(trie.nodes) + 1000,
+    lambda trie: next(iter(trie.nodes[trie.ROOT].children.values())),  # shared
+], ids=["root", "n_nodes", "far", "shared"])
+def test_bad_child_id_rejected(target):
+    blob = _blob_with_child(b"banana", target)
+    with time_limit(2), pytest.raises(CorruptTrieError):
+        load_index(blob)
+
+
+def test_bad_parent_field_rejected():
+    idx, _ = suffix_index(b"banana")
+    nodes = idx.trie.nodes
+    leaf = next(v for v, nd in enumerate(nodes) if nd.leaf_id >= 0 and nd.parent != 0)
+    nodes[leaf].parent = 0
+    with pytest.raises(CorruptTrieError):
+        load_index(dump_index(idx))
+
+
+def test_single_byte_corruptions_load_or_raise_triekit_error():
+    idx, _ = suffix_index(b"abracadabra")
+    blob = dump_index(idx)
+    rng = random.Random(9)
+    for _ in range(1000):
+        bad = bytearray(blob)
+        pos = rng.randrange(len(bad))
+        bad[pos] = rng.randrange(256)
+        with time_limit(2):
+            try:
+                load_index(bytes(bad))
+            except TriekitError:
+                pass
 
 
 def test_predecessor_examples():

@@ -61,9 +61,8 @@ def _read_file(path: str) -> bytes:
 
 
 def suffix_leaf_order(tree) -> list[int]:
-    leaves = [v for v, nd in enumerate(tree.nodes) if nd.is_leaf]
-    leaves.sort(key=lambda v: tree.nodes[v].low)
-    return [tree.nodes[v].leaf_id for v in leaves]
+    """Suffix positions by rank; a suffix tree has one leaf per position."""
+    return tree.leaf_order(tree.sources[0].n + 1)
 
 
 def _build_index(data: bytes, sigma: int, mode: str, engine: str):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import AlphabetOverflowError, DuplicateKeyError
+from .errors import AlphabetOverflowError, CorruptTrieError, DuplicateKeyError
 from .instrument import GLOBAL
 
 SENTINEL = 0
@@ -234,6 +234,20 @@ class CompactedTrie:
                 highs.append(self.nodes[ch].high)
             nd.low = min(lows) if lows else 0
             nd.high = max(highs) if highs else -1
+
+    def leaf_order(self, n_leaves: int) -> list[int]:
+        """Leaf ids by rank: order[nd.low] = nd.leaf_id over the leaves.
+        Raises CorruptTrieError if a leaf's rank lies outside [0, n_leaves)
+        or two leaves share a rank, so no leaf, not even one unreachable
+        from the root, overwrites another's entry."""
+        order = [-1] * n_leaves
+        for nd in self.nodes:
+            if nd.leaf_id >= 0:
+                r = nd.low
+                if not 0 <= r < n_leaves or order[r] >= 0:
+                    raise CorruptTrieError(f"leaf rank {r} outside [0, {n_leaves}) or taken")
+                order[r] = nd.leaf_id
+        return order
 
     def set_leaf_interval(self, leaf: int, rank: int):
         nd = self.nodes[leaf]

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 import sys
 
 import pytest
@@ -115,6 +116,32 @@ def test_corrupted_index_exits_5(corrupt, banana_index, tmp_path, capsys):
     code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)], capsys)
     assert (code, out) == (5, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_negative_leaf_id_exits_5(banana_index, tmp_path, capsys):
+    idx = load_index(banana_index.read_bytes())
+    leaf = next(nd for nd in idx.trie.nodes if nd.leaf_id >= 0)
+    leaf.leaf_id = -5
+    bad = tmp_path / "bad.tkix"
+    bad.write_bytes(dump_index(idx))
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"a\nan\nnab\n")
+    code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)], capsys)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "leaf id" in err
+
+
+def test_format_1_index_exits_4(tmp_path, capsys):
+    # a format-1 header (magic, version, engine, mode, sigma, n, s) and one empty section
+    v1 = b"TKIX" + struct.pack("<IBBQQQ", 1, 0, 0, 256, 6, 2) + struct.pack("<BQ", 1, 0)
+    bad = tmp_path / "v1.tkix"
+    bad.write_bytes(v1)
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"a\n")
+    code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)], capsys)
+    assert (code, out) == (4, "")
+    assert "version 1" in err and "rebuild" in err
 
 
 def test_build_missing_input_is_io_error(tmp_path, capsys):

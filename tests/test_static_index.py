@@ -2,6 +2,8 @@ import bisect
 import contextlib
 import random
 import signal
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,7 @@ from triekit.errors import (AlphabetOverflowError, CorruptTrieError, InvalidInpu
                             TriekitError)
 from triekit.instrument import GLOBAL
 from triekit.sa import build_suffix_array, build_suffix_tree
-from triekit.serialize import dump_index, load_index
+from triekit.serialize import MAGIC, VersionMismatchError, dump_index, load_index
 from triekit.static_index import (
     StaticTrieIndex,
     SuffixTrayIndex,
@@ -18,7 +20,7 @@ from triekit.static_index import (
     build_suffix_tray,
     heavy_threshold,
 )
-from triekit.text import Text, build_string_trie, encode_text
+from triekit.text import Node, Text, build_string_trie, encode_text
 
 from oracles import (brute_suffix_array, occurrences, longest_matchable_prefix,
                      string_predecessor)
@@ -154,6 +156,14 @@ def test_bad_parent_field_rejected():
         load_index(dump_index(idx))
 
 
+def test_unreachable_leaf_rejected():
+    # a leaf no child pointer reaches, on the rank of a reachable leaf
+    idx, _ = suffix_index(b"abracadabra")
+    idx.trie.nodes.append(Node(parent=0, sid=0, start=11, end=12, low=0, high=0, leaf_id=5))
+    with pytest.raises(CorruptTrieError):
+        load_index(dump_index(idx))
+
+
 def test_single_byte_corruptions_load_or_raise_triekit_error():
     idx, _ = suffix_index(b"abracadabra")
     blob = dump_index(idx)
@@ -167,6 +177,180 @@ def test_single_byte_corruptions_load_or_raise_triekit_error():
                 load_index(bytes(bad))
             except TriekitError:
                 pass
+
+
+def test_single_byte_corruptions_never_load():
+    # the overwrites of the test above; the CRC32 catches every one of them
+    idx, _ = suffix_index(b"abracadabra")
+    blob = dump_index(idx)
+    rng = random.Random(9)
+    for _ in range(1000):
+        bad = bytearray(blob)
+        pos = rng.randrange(len(bad))
+        bad[pos] = rng.randrange(256)
+        if bad == blob:
+            continue  # the byte was overwritten with itself
+        with time_limit(2), pytest.raises((InvalidInputError, VersionMismatchError)):
+            load_index(bytes(bad))
+
+
+def _reseal(body: bytes) -> bytes:
+    """`body` followed by its own CRC32, as dump_index ends a file."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _inner(idx):
+    """The first non-root internal node."""
+    return next(nd for v, nd in enumerate(idx.trie.nodes) if v and nd.children)
+
+
+def _leaf(idx):
+    return next(nd for nd in idx.trie.nodes if nd.leaf_id >= 0)
+
+
+def _move_child(idx, c):
+    kids = _inner(idx).children
+    kids[c] = kids.pop(max(kids))
+
+
+# name -> (mode, in-memory mutation, the message of the check that rejects it)
+FIELD_CORRUPTIONS = {
+    "sigma_zero": ("suffix", lambda idx: setattr(idx, "sigma", 0), "sigma"),
+    "sigma_2_32": ("suffix", lambda idx: setattr(idx, "sigma", 2**32), "sigma"),
+    "s_zero": ("suffix", lambda idx: setattr(idx, "s", 0), "sigma"),
+    "n_long": ("suffix", lambda idx: setattr(idx.trie.sources[0], "n", 12), "n disagrees"),
+    "n_short": ("suffix", lambda idx: setattr(idx.trie.sources[0], "n", 3), "n disagrees"),
+    "code_zero": ("suffix", lambda idx: idx.trie.sources[0].codes.__setitem__(0, 0),
+                  "text code"),
+    "code_above_sigma": ("strings", lambda idx: idx.trie.sources[0].codes.__setitem__(
+        0, idx.sigma + 1), "text code"),
+    "char_negative": ("suffix", lambda idx: _move_child(idx, -1), "child character"),
+    "char_above_sigma": ("strings", lambda idx: _move_child(idx, idx.sigma + 1),
+                         "child character"),
+    "sid_negative": ("strings", lambda idx: setattr(_inner(idx), "sid", -1), "source id"),
+    "sid_past_texts": ("strings", lambda idx: setattr(_inner(idx), "sid",
+                                                      len(idx.trie.sources)), "source id"),
+    "start_after_end": ("suffix", lambda idx: setattr(_inner(idx), "start",
+                                                      _inner(idx).end + 1), "starts"),
+    "start_negative": ("suffix", lambda idx: setattr(_inner(idx), "start", -3), "starts"),
+    "end_past_text": ("suffix", lambda idx: setattr(_inner(idx), "end",
+                                                    idx.trie.sources[0].n + 2), "ends past"),
+    "leaf_id_minus_5": ("suffix", lambda idx: setattr(_leaf(idx), "leaf_id", -5), "leaf id"),
+    "leaf_id_past_n": ("suffix", lambda idx: setattr(_leaf(idx), "leaf_id",
+                                                     idx.trie.sources[0].n + 1), "leaf id"),
+    "leaf_id_past_texts": ("strings", lambda idx: setattr(_leaf(idx), "leaf_id",
+                                                          len(idx.trie.sources)), "leaf id"),
+}
+
+
+def _words_index():
+    texts = [Text(enc(w)) for w in (b"abra", b"cad", b"abracadabra", b"bra", b"a")]
+    trie, order = build_string_trie(texts)
+    return build_static_index(trie, order, 256, mode="strings")
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CORRUPTIONS))
+def test_field_out_of_range_rejected(case):
+    mode, mutate, message = FIELD_CORRUPTIONS[case]
+    idx = suffix_index(b"abracadabra")[0] if mode == "suffix" else _words_index()
+    idx = load_index(dump_index(idx))
+    mutate(idx)
+    blob = dump_index(idx)   # sealed with a valid CRC: the field check must reject it
+    with pytest.raises(InvalidInputError, match=message):
+        load_index(blob)
+
+
+@pytest.mark.parametrize("case", ["unknown_code", "past_the_end", "trailing"])
+def test_column_framing_rejected(case):
+    blob = dump_index(suffix_index(b"abracadabra")[0])
+    body = blob[:-4]
+    first = len(MAGIC) + 4 + 2 + 4 * 8   # the header; the parent column's code byte follows
+    if case == "unknown_code":
+        body = body[:first] + b"x" + body[first + 1:]
+        message = "column code"
+    elif case == "past_the_end":
+        body = body[:-1]
+        message = "past the end"
+    else:
+        body += b"\0"
+        message = "trailing"
+    assert body != blob[:-4]
+    with pytest.raises(InvalidInputError, match=message):
+        load_index(_reseal(body))
+
+
+ABRA_PATTERNS = [enc(p) for p in (b"", b"a", b"abra", b"bra", b"cad", b"ra", b"z",
+                                  b"abracadabra", b"aa")]
+
+
+def _answers(idx):
+    return [(idx.prefix_query(p), idx.predecessor_query(p)) for p in ABRA_PATTERNS]
+
+
+_ABRA_BLOB = dump_index(suffix_index(b"abracadabra")[0])
+_ABRA_ANSWERS = _answers(load_index(_ABRA_BLOB))
+
+
+@given(st.one_of(
+    st.tuples(st.just("splice"), st.integers(0, len(_ABRA_BLOB)), st.integers(0, 8),
+              st.binary(max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(0, len(_ABRA_BLOB) - 1)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16))))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_raw_byte_damage_raises_or_answers_identically(damage):
+    if damage[0] == "splice":
+        _, pos, cut, new = damage
+        bad = _ABRA_BLOB[:pos] + new + _ABRA_BLOB[pos + cut:]
+    elif damage[0] == "truncate":
+        bad = _ABRA_BLOB[:damage[1]]
+    else:
+        bad = _ABRA_BLOB + damage[1]
+    with time_limit(2):
+        try:
+            idx = load_index(bad)
+        except TriekitError:
+            return
+        assert _answers(idx) == _ABRA_ANSWERS
+
+
+NODE_FIELDS = ["parent", "sid", "start", "end", "low", "high", "leaf_id"]
+
+
+@given(st.sampled_from(["node", "child_char", "child_id", "code", "header"]),
+       st.integers(0, 10**6),
+       st.sampled_from(NODE_FIELDS + ["sigma", "s"]),
+       st.one_of(st.integers(-3, 30), st.sampled_from([2**15, 2**31 - 1, 2**40])))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, value):
+    idx = load_index(_ABRA_BLOB)
+    trie = idx.trie
+    nd = trie.nodes[pick % len(trie.nodes)]
+    if where == "node":
+        setattr(nd, field, value)
+    elif where == "child_char" and nd.children:
+        kids = nd.children
+        kids[value] = kids.pop(sorted(kids)[pick % len(kids)])
+    elif where == "child_id" and nd.children:
+        kids = nd.children
+        kids[sorted(kids)[pick % len(kids)]] = value
+    elif where == "code":
+        codes = trie.sources[0].codes
+        codes[pick % len(codes)] = value
+    elif where == "header" and field in ("sigma", "s"):
+        setattr(idx, field, abs(value))  # the header holds unsigned fields
+    blob = dump_index(idx)
+    try:
+        with time_limit(2):
+            loaded = load_index(blob)
+    except TriekitError:
+        return
+    for p in ABRA_PATTERNS:
+        for query in (loaded.prefix_query, loaded.predecessor_query):
+            with time_limit(2):
+                try:
+                    query(p)
+                except TriekitError:
+                    pass
 
 
 def test_predecessor_examples():

@@ -96,12 +96,12 @@ def cmd_build(args) -> int:
     t0 = time.perf_counter()
     try:
         index = _build_index(data, args.sigma, args.mode, args.engine)
+        elapsed = time.perf_counter() - t0
+        blob = dump_index(index)  # refuses a sigma an index file cannot hold
     except AlphabetOverflowError as e:
         return _fail(e, EXIT_ALPHABET)
     except InvalidInputError as e:
         return _fail(e, EXIT_MALFORMED)
-    elapsed = time.perf_counter() - t0
-    blob = dump_index(index)
     try:
         with open(args.output, "wb") as fh:
             fh.write(blob)
@@ -445,10 +445,10 @@ def main(argv=None) -> int:
     e.set_defaults(fn=cmd_bench)
 
     args = ap.parse_args(argv)
-    for flag in ("sigma", "check_every"):
-        value = getattr(args, flag, 1)
-        if value < 1:
-            return _fail(f"--{flag.replace('_', '-')} must be at least 1, got {value}",
+    for flag, low in (("sigma", 1), ("check_every", 1), ("audit_every", 0)):
+        value = getattr(args, flag, low)
+        if value < low:
+            return _fail(f"--{flag.replace('_', '-')} must be at least {low}, got {value}",
                          EXIT_MALFORMED)
     return args.fn(args)
 

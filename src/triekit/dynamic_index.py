@@ -13,6 +13,10 @@ lower-level child edges whose stored weights track the true weights within
 same-level child, and the tree only from its first lower-level child on, so
 leaves hold neither.
 
+No state is stored that the rest determines: a fragment's members are the
+nodes whose `frag` entry is its record, and a small tree's root is the root
+of the topmost fragment above a node, the one whose parent is heavy.
+
 All rebuild work (small-tree rebalancing at s leaves, fragment promoting at
 2*f(level+1)) is eager and atomic: the amortized variant.
 """
@@ -50,20 +54,12 @@ def canonical_level(weight: int) -> int:
 class _Fragment:
     """Maximal connected same-level subtree; the root holds the counter."""
 
-    __slots__ = ("root", "members", "counter", "reg")
+    __slots__ = ("root", "counter", "reg")
 
-    def __init__(self, root, members, counter, reg=None):
+    def __init__(self, root, counter, reg=None):
         self.root = root
-        self.members = members
         self.counter = counter
         self.reg = reg  # (owning WexpTree, ElementHandle) or None
-
-
-class _SmallTree:
-    __slots__ = ("root",)
-
-    def __init__(self, root):
-        self.root = root
 
 
 class DynTrieIndex:
@@ -76,7 +72,6 @@ class DynTrieIndex:
         self.heavy = [True]  # the root is permanently heavy
         self.level = [0]
         self.frag: list[_Fragment | None] = [None]
-        self.small: list[_SmallTree | None] = [None]
         self.same_dict: list[DetDictionary | None] = [None]
         self.wexp: list[WexpTree | None] = [None]
         self.wexp_handles: list[dict | None] = [None]
@@ -94,7 +89,6 @@ class DynTrieIndex:
             self.heavy.append(False)
             self.level.append(0)
             self.frag.append(None)
-            self.small.append(None)
             self.same_dict.append(None)
             self.wexp.append(None)
             self.wexp_handles.append(None)
@@ -132,10 +126,9 @@ class DynTrieIndex:
             GLOBAL.promote_steps += 1
         return (tree, h)
 
-    def _make_light(self, v, level, small, fragment):
+    def _make_light(self, v, level, fragment):
         self.heavy[v] = False
         self.level[v] = level
-        self.small[v] = small
         self.frag[v] = fragment
         self.same_dict[v] = None
         self.wexp[v] = None
@@ -147,7 +140,6 @@ class DynTrieIndex:
     def _make_heavy(self, v):
         self.heavy[v] = True
         self.frag[v] = None
-        self.small[v] = None
         self.same_dict[v] = None
         self.wexp[v] = None
         self.wexp_handles[v] = None
@@ -216,21 +208,15 @@ class DynTrieIndex:
         """New leaf directly under existing node u."""
         c = self._edge_char(leaf)
         if self.heavy[u]:
-            small = _SmallTree(leaf)
-            fragment = _Fragment(leaf, {leaf}, 0, reg=None)
-            self._make_light(leaf, 0, small, fragment)
+            self._make_light(leaf, 0, _Fragment(leaf, 0))
             self.dynp[u].insert(c)
+        elif self.level[u] == 0:
+            self._make_light(leaf, 0, self.frag[u])
+            self._rebuild_same_dict(u)
         else:
-            small = self.small[u]
-            if self.level[u] == 0:
-                fragment = self.frag[u]
-                fragment.members.add(leaf)
-                self._make_light(leaf, 0, small, fragment)
-                self._rebuild_same_dict(u)
-            else:
-                fragment = _Fragment(leaf, {leaf}, 0, reg=None)
-                self._make_light(leaf, 0, small, fragment)
-                fragment.reg = self._register_child(u, leaf, 1)
+            fragment = _Fragment(leaf, 0)
+            self._make_light(leaf, 0, fragment)
+            fragment.reg = self._register_child(u, leaf, 1)
 
     def _wire_mid(self, u, mid, leaf):
         """Edge (u, w) was split at new node mid; leaf hangs under mid."""
@@ -248,20 +234,16 @@ class DynTrieIndex:
                 self.hptr[u] = (c_mid, mid)
             self._wire_leaf(mid, leaf)
             return
-        # light w: mid adopts w's level, small tree and fragment
-        small = self.small[w]
+        # light w: mid adopts w's level and fragment
         fragment = self.frag[w]
         was_root = fragment.root == w
-        self._make_light(mid, self.level[w], small, fragment)
-        fragment.members.add(mid)
+        self._make_light(mid, self.level[w], fragment)
         if self.level[w]:
             # w is mid's same-level child; at level 0 the leaf is one too,
             # and _wire_leaf builds mid's dictionary over both
             self._rebuild_same_dict(mid)
         if was_root:
             fragment.root = mid
-            if small.root == w:
-                small.root = mid
         else:
             # u is light and same level as w: its entry for c_mid now leads to mid
             self.same_dict[u].repoint(c_mid, mid)
@@ -277,8 +259,9 @@ class DynTrieIndex:
                 if h.weight < _ceil_sqrt(f.counter):
                     tree.increase(h)
         if frags and frags[-1].counter >= self.s:
-            root = self.small[frags[-1].root].root
-            self._rebalance(root)
+            # the topmost fragment's root hangs off the heavy top: it is
+            # the root of the small tree
+            self._rebalance(frags[-1].root)
             return
         while True:
             for f in self._fragments_above(leaf):
@@ -289,6 +272,7 @@ class DynTrieIndex:
                 return
 
     def _fragments_above(self, node):
+        """Fragments from node's up to the one whose root has a heavy parent."""
         out = []
         v = node
         while v != -1 and not self.heavy[v]:
@@ -309,7 +293,7 @@ class DynTrieIndex:
             v = stack.pop()
             order.append(v)
             for ch in trie.nodes[v].children.values():
-                if ch in fragment.members:
+                if self.frag[ch] is fragment:
                     stack.append(ch)
         for v in reversed(order):
             nd = trie.nodes[v]
@@ -320,7 +304,7 @@ class DynTrieIndex:
             w = 0
             for ch in nd.children.values():
                 GLOBAL.promote_steps += 1
-                if ch in fragment.members:
+                if self.frag[ch] is fragment:
                     w += weights[ch]
                 elif self.heavy[ch]:
                     raise AssertionError("heavy child below a light node")
@@ -342,7 +326,7 @@ class DynTrieIndex:
         cur = r
         while True:
             nxt = [ch for ch in trie.nodes[cur].children.values()
-                   if ch in fragment.members and weights[ch] > threshold]
+                   if self.frag[ch] is fragment and weights[ch] > threshold]
             if not nxt:
                 break
             assert len(nxt) == 1, "two over-weight children cannot coexist"
@@ -354,21 +338,18 @@ class DynTrieIndex:
         new_roots = []
         for x in tail:
             for ch in trie.nodes[x].children.values():
-                if ch in fragment.members and ch not in tail_set:
+                if self.frag[ch] is fragment and ch not in tail_set:
                     new_roots.append((x, ch))
-        for parent_x, root_ch in new_roots:
-            members = set()
+        for _, root_ch in new_roots:
+            nf = _Fragment(root_ch, weights[root_ch])
             stack = [root_ch]
             while stack:
                 v = stack.pop()
-                members.add(v)
+                self.frag[v] = nf
                 GLOBAL.promote_steps += 1
                 for ch in trie.nodes[v].children.values():
-                    if ch in fragment.members and ch not in tail_set:
+                    if self.frag[ch] is fragment and ch not in tail_set:
                         stack.append(ch)
-            nf = _Fragment(root_ch, members, weights[root_ch])
-            for v in members:
-                self.frag[v] = nf
 
         # bump the tail's level
         for x in tail:
@@ -378,12 +359,11 @@ class DynTrieIndex:
         p = trie.nodes[r].parent
         if p != -1 and not self.heavy[p] and self.level[p] == lv + 1:
             pf = self.frag[p]
-            pf.members.update(tail_set)
             for x in tail:
                 self.frag[x] = pf
             self._rebuild_same_dict(p)  # r's edge moves into the parent's dict
         else:
-            nf = _Fragment(r, tail_set, weights[r],
+            nf = _Fragment(r, weights[r],
                            reg=fragment.reg if (p != -1 and not self.heavy[p]) else None)
             for x in tail:
                 self.frag[x] = nf
@@ -423,23 +403,18 @@ class DynTrieIndex:
             self._set_heavy_child_links(v)
         if u != -1:
             self._note_new_heavy_child(u, root)
-        # remaining light nodes: fresh small trees, levels, fragments
+        # remaining light nodes: fresh levels and fragments
         for v in order:
             if self.heavy[v]:
                 continue
             p = trie.nodes[v].parent
             GLOBAL.rebalance_steps += 1
             lv = canonical_level(counts[v])
-            if self.heavy[p]:
-                small = _SmallTree(v)
-            else:
-                small = self.small[p]
             if self.heavy[p] or self.level[p] != lv:
-                fragment = _Fragment(v, {v}, counts[v])
+                fragment = _Fragment(v, counts[v])
             else:
                 fragment = self.frag[p]
-                fragment.members.add(v)
-            self._make_light(v, lv, small, fragment)
+            self._make_light(v, lv, fragment)
         for v in order:
             if self.heavy[v]:
                 continue
@@ -633,7 +608,6 @@ class DynTrieIndex:
             assert counts[v] < self.s, "overweight light node"
             lv = self.level[v]
             f = self.frag[v]
-            assert v in f.members
             p = nd.parent
             if f.root == v:
                 assert self.heavy[p] or self.level[p] > lv, "fragment not maximal"
@@ -650,9 +624,6 @@ class DynTrieIndex:
             assert low <= counts[v] < 2 * capacity(lv + 1), "level window violated"
             if not self.heavy[p]:
                 assert self.level[p] >= lv, "levels must not increase downward"
-                assert self.small[p] is self.small[v]
-            else:
-                assert self.small[v].root == v
             # a same-level dict iff same-level children, covering exactly them;
             # each lower-level child sits in the wexp tree made on first use
             same = {c for c, ch in nd.children.items()

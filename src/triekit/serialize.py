@@ -39,6 +39,7 @@ from .text import CompactedTrie, Node, Text
 
 MAGIC = b"TKIX"
 VERSION = 2
+SIGMA_LIMIT = 1 << 32  # an index file holds a sigma in [1, SIGMA_LIMIT)
 
 # magic, version, engine, mode, sigma, n, s, node count
 _HEAD = struct.Struct("<4sIBBQQQQ")
@@ -69,6 +70,9 @@ def _column(values, lo: int, hi: int) -> list[bytes]:
 
 
 def dump_index(index) -> bytes:
+    if not 1 <= index.sigma < SIGMA_LIMIT:
+        raise InvalidInputError(
+            f"sigma {index.sigma} outside [1, {SIGMA_LIMIT}) cannot be written to an index file")
     engine = 0 if isinstance(index, StaticTrieIndex) else 1
     suffix = index.mode == "suffix"
     trie = index.trie
@@ -151,7 +155,7 @@ def load_index(blob: bytes):
         raise InvalidInputError("index file checksum mismatch")
     _, _, engine, mode_tag, sigma, n, s, n_nodes = _HEAD.unpack_from(blob)
     _check(engine <= 1 and mode_tag <= 1, "unknown engine or mode tag")
-    _check(1 <= sigma < 1 << 32 and s >= 1, f"sigma {sigma} or s {s} out of range")
+    _check(1 <= sigma < SIGMA_LIMIT and s >= 1, f"sigma {sigma} or s {s} out of range")
     _check(n_nodes >= 1, "no root node")
     suffix = mode_tag == 0
     n_texts = 1 if suffix else n

@@ -6,11 +6,14 @@ after k prepends, position j holds the character j+1 places from the right,
 and existing edge labels never shift.  Edge labels are (hi, lo) position
 ranges read downward, with position -1 standing for the sentinel.
 
-Every node stores its a-links in a per-node map: W_a(u) points to the locus
-of a*str(u) when that string occurs; the link is hard when the locus is a
-node, soft when it lies inside an edge (then it points to the edge's lower
-end).  Soft links are stored eagerly and copied to the middle node whenever
-an edge splits; reverse lists make the retargeting explicit.
+Every node stores its a-links in a per-node map from the letter a to a
+node: W_a(u) points to the locus of a*str(u) when that string occurs.  The
+link is hard when the locus is a node, soft when it lies inside an edge
+(then it points to the edge's lower end); which one follows from the
+target's string depth.  Soft links are stored eagerly and copied to the
+middle node whenever an edge splits.  Each node keeps the set of source
+nodes whose soft links aim at it, which makes the retargeting explicit;
+their letter is implied, since it is the first letter of the target's string.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ class _ONode:
         self.lo = lo
         self.sdepth = sdepth
         self.children = {}
-        self.links = {}      # letter -> (node, hard)
-        self.rev_soft = set()  # (source node, letter) soft links aimed here
+        self.links = {}        # letter -> node; hard iff its sdepth is sdepth + 1
+        self.rev_soft = set()  # source nodes whose soft link aims here
         self.leaf_id = leaf_id
 
     @property
@@ -75,9 +78,9 @@ class OnlineSuffixTree:
         u = v
 
         if a in u.links:
-            target, hard = u.links[a]
+            target = u.links[a]
             head_depth = u.sdepth + 1
-            if hard:
+            if target.sdepth == head_depth:
                 attach = target
             else:
                 on_active_path = any(target is y for y in chain)
@@ -100,10 +103,9 @@ class OnlineSuffixTree:
 
         # every walked ancestor now has a*str(y) on the new leaf edge
         for y in chain:
-            hard = y.sdepth + 1 == newleaf.sdepth
-            y.links[a] = (newleaf, hard)
-            if not hard:
-                newleaf.rev_soft.add((y, a))
+            y.links[a] = newleaf
+            if y.sdepth + 1 != newleaf.sdepth:
+                newleaf.rev_soft.add(y)
             GLOBAL.oracle_steps += 1
 
         self.active = newleaf
@@ -116,25 +118,24 @@ class OnlineSuffixTree:
         p = t.parent
         offset = depth - p.sdepth
         assert 0 < offset < t.label_len
+        b = self.char(t.hi + p.sdepth)  # the letter of every soft link into t
         mid = _ONode(p, t.hi, t.hi - offset + 1, depth)
         p.children[self.char(t.hi)] = mid
         t.hi -= offset
         t.parent = mid
         mid.children[self.char(t.hi)] = t
-        for b, (tb, _) in t.links.items():
-            mid.links[b] = (tb, False)
-            tb.rev_soft.add((mid, b))
+        for c, tc in t.links.items():
+            mid.links[c] = tc
+            tc.rev_soft.add(mid)
             GLOBAL.oracle_steps += 1
-        for q, b in list(t.rev_soft):
+        for q in list(t.rev_soft):
             locus = q.sdepth + 1
             if locus > mid.sdepth:
                 continue
-            t.rev_soft.discard((q, b))
-            if locus == mid.sdepth:
-                q.links[b] = (mid, True)
-            else:
-                q.links[b] = (mid, False)
-                mid.rev_soft.add((q, b))
+            t.rev_soft.discard(q)
+            q.links[b] = mid
+            if locus < mid.sdepth:
+                mid.rev_soft.add(q)
             GLOBAL.oracle_steps += 1
         return mid
 
@@ -193,13 +194,14 @@ class OnlineSuffixTree:
             if v.parent is not None and v.parent is not self.root:
                 for b in v.links:
                     assert b in v.parent.links, "link sets must be monotone upward"
-            for b, (t, hard) in v.links.items():
+            for q in v.rev_soft:
+                assert q.links.get(self.char(v.hi + v.parent.sdepth)) is v, \
+                    "reverse soft set holds a source whose link aims elsewhere"
+            for b, t in v.links.items():
                 depth = v.sdepth + 1
-                if hard:
-                    assert t.sdepth == depth, "hard link must aim at a node"
-                else:
+                if t.sdepth != depth:
                     assert t.parent.sdepth < depth < t.sdepth, "soft locus outside edge"
-                    assert (v, b) in t.rev_soft, "reverse soft list out of sync"
+                    assert v in t.rev_soft, "reverse soft set out of sync"
                 # contents: b*str(v) must equal the first depth chars of str(t)
                 src, dst = rep[id(v)], rep[id(t)]
                 assert self.suffix_char(dst, 0) == b

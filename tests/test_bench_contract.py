@@ -11,6 +11,9 @@ import sys
 from pathlib import Path
 
 from triekit.instrument import ProbeCounters
+from triekit.sa import build_suffix_array, build_suffix_tree
+from triekit.suffix_oracle import OnlineSuffixTree
+from triekit.text import Text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -35,3 +38,17 @@ def test_counters_read_by_name_exist():
     source = (PERFBENCH / "measure.py").read_text()
     read = set(re.findall(r'(?:\bst|\bstream|counts\["\w+"\])\["(\w+)"\]', source))
     assert read and read <= fields, read - fields
+
+
+def test_tree_signatures_read_node_attributes():
+    # trie_signature reads string_depths(), .leaf_id and .children of a
+    # static trie; online_signature reads .sdepth, .is_leaf, .leaf_id and
+    # .children of an online node, and the tree's n
+    codes = [2, 1, 3, 1, 3, 1, 2, 2, 1, 3, 1]
+    text = Text(codes)
+    static = measure.trie_signature(build_suffix_tree(build_suffix_array(text), text))
+    tree = OnlineSuffixTree(3)
+    for a in reversed(codes):
+        tree.prepend(a)
+    assert measure.online_signature(tree) == static
+    assert len(static) > len(codes) + 1  # internal nodes, not only leaves

@@ -372,3 +372,56 @@ def test_bad_flag_values_exit_5(argv, flag, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 5 and out == ""
     assert err.startswith(f"error: {flag} must be at least 1")
+
+
+@pytest.mark.parametrize("sigma", [2**32, 2**70])
+def test_build_sigma_beyond_index_range_exits_5(sigma, tmp_path, capsys):
+    # an index file holds a sigma in [1, 2^32), the range load_index accepts
+    text = tmp_path / "codes.txt"
+    text.write_bytes(b"5 700 5 700 9")
+    out_path = tmp_path / "o.tkix"
+    code, out, err = run_cli(["build", "--input", str(text), "--sigma", str(sigma),
+                              "--output", str(out_path)], capsys)
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(sigma) in err
+    assert not out_path.exists()
+
+
+def test_build_largest_sigma_round_trips(tmp_path, capsys):
+    text = tmp_path / "codes.txt"
+    text.write_bytes(b"5 700 5 700 9")
+    idx = tmp_path / "o.tkix"
+    code, out, _ = run_cli(["build", "--input", str(text), "--sigma", str(2**32 - 1),
+                            "--output", str(idx)], capsys)
+    assert code == 0 and f"sigma={2**32 - 1}" in out
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"5 700\n4294967295\n")
+    code, out, _ = run_cli(["query", "--index", str(idx), "--patterns", str(pats)], capsys)
+    assert code == 0
+    rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
+    assert [r[1:4] for r in rows] == [["MATCHED_AT_NODE", "1", "2"], ["NOT_FOUND", "-", "-"]]
+
+
+def test_negative_audit_every_exits_5(tmp_path, capsys):
+    ops = tmp_path / "ops.txt"
+    ops.write_bytes(b"I ab\n")
+    code, out, err = run_cli(["dynamic", "--ops", str(ops), "--audit-every", "-1"], capsys)
+    assert code == 5 and out == ""
+    assert err == "error: --audit-every must be at least 0, got -1\n"
+
+
+def test_audit_every_counts_ops(tmp_path, capsys, monkeypatch):
+    # every second op is audited, queries included
+    calls = []
+    real_audit = DynTrieIndex.audit
+
+    def counted_audit(self):
+        calls.append(1)
+        real_audit(self)
+
+    monkeypatch.setattr(DynTrieIndex, "audit", counted_audit)
+    monkeypatch.delenv("TRIEKIT_AUDIT", raising=False)
+    ops = tmp_path / "ops.txt"
+    ops.write_bytes(b"I abc\nI abd\nI ax\nQ ab\nP b\n")
+    code, _, _ = run_cli(["dynamic", "--ops", str(ops), "--audit-every", "2"], capsys)
+    assert code == 0 and len(calls) == 2

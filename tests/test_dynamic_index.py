@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triekit.dynamic_index import DynTrieIndex, canonical_level
+from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
 from triekit.text import SENTINEL
 from triekit.wexp import capacity
@@ -33,8 +33,8 @@ def test_small_insert_and_search():
     # all non-root nodes are light, one small tree below the root
     for v in range(1, len(idx.trie.nodes)):
         assert not idx.heavy[v]
-    roots = {idx.small[v].root for v in range(1, len(idx.trie.nodes))
-             if idx.small[v] is not None}
+    # a node's small-tree root is the root of its topmost fragment
+    roots = {idx._fragments_above(v)[-1].root for v in range(1, len(idx.trie.nodes))}
     assert len(roots) == 1
     r = idx.search(enc(b"ab"))
     assert r.matched and r.occ == 3
@@ -82,6 +82,35 @@ def test_audit_setting_read_at_construction(monkeypatch, env, audits):
     for w in ([1], [2, 3], [4, 4]):
         idx.insert(w)
     assert len(calls) == audits
+
+
+def _random_index(seed):
+    rng = random.Random(seed)
+    idx = DynTrieIndex(sigma=26)
+    words = set()
+    while len(words) < 80:
+        words.add(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 6))))
+    for w in sorted(words, key=lambda w: rng.random()):
+        idx.insert(list(w))
+    idx.audit()
+    return idx
+
+
+def test_audit_catches_split_fragment():
+    idx = _random_index(4)
+    v = next(v for v in range(1, len(idx.trie.nodes))
+             if not idx.heavy[v] and idx.frag[v].root != v)
+    idx.frag[v] = _Fragment(v, idx.occ[v])
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_stale_fragment_counter():
+    idx = _random_index(4)
+    v = next(v for v in range(1, len(idx.trie.nodes)) if not idx.heavy[v])
+    idx.frag[v].counter += 1
+    with pytest.raises(AssertionError):
+        idx.audit()
 
 
 def test_alphabet_overflow():

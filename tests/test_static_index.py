@@ -199,6 +199,20 @@ def _reseal(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _dump_sealed(idx) -> bytes:
+    """dump_index(idx) with a valid CRC and idx.sigma in the header even
+    outside [1, 2^32), which dump_index refuses to write, so that
+    load_index's own range check meets it."""
+    sigma = idx.sigma
+    idx.sigma = 1  # sigma is written only into the header
+    try:
+        blob = dump_index(idx)
+    finally:
+        idx.sigma = sigma
+    at = len(MAGIC) + 4 + 2  # magic, version, engine and mode precede sigma
+    return _reseal(blob[:at] + struct.pack("<Q", sigma) + blob[at + 8:-4])
+
+
 def _inner(idx):
     """The first non-root internal node."""
     return next(nd for v, nd in enumerate(idx.trie.nodes) if v and nd.children)
@@ -255,7 +269,7 @@ def test_field_out_of_range_rejected(case):
     idx = suffix_index(b"abracadabra")[0] if mode == "suffix" else _words_index()
     idx = load_index(dump_index(idx))
     mutate(idx)
-    blob = dump_index(idx)   # sealed with a valid CRC: the field check must reject it
+    blob = _dump_sealed(idx)   # sealed with a valid CRC: the field check must reject it
     with pytest.raises(InvalidInputError, match=message):
         load_index(blob)
 
@@ -338,7 +352,7 @@ def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, 
         codes[pick % len(codes)] = value
     elif where == "header" and field in ("sigma", "s"):
         setattr(idx, field, abs(value))  # the header holds unsigned fields
-    blob = dump_index(idx)
+    blob = _dump_sealed(idx)
     try:
         with time_limit(2):
             loaded = load_index(blob)

@@ -83,13 +83,51 @@ def test_link_monotonicity_and_permanence():
     for _ in range(300):
         online.prepend(rng.randint(1, 4))
         for v in online.nodes():
-            for b, (t, hard) in v.links.items():
+            for b, t in v.links.items():
+                hard = t.sdepth == v.sdepth + 1
+                # once hard, a link never changes target or softens
+                prev = hard_seen.get((id(v), b))
+                assert prev is None or (prev is t and hard)
                 if hard:
-                    # once hard, a link never changes target or softens
-                    prev = hard_seen.get((id(v), b))
-                    assert prev is None or prev is t
                     hard_seen[(id(v), b)] = t
     online.audit_links()
+
+
+def _soft_link(online):
+    """Some stored soft link (source, letter, target) whose target's
+    parent is not the root."""
+    for v in online.nodes():
+        for b, t in v.links.items():
+            if t.sdepth != v.sdepth + 1 and t.parent is not online.root:
+                return v, b, t
+    raise AssertionError("no soft link")
+
+
+def _grown_tree():
+    rng = random.Random(5)
+    online = OnlineSuffixTree(2)
+    for _ in range(60):
+        online.prepend(rng.randint(1, 2))
+    online.audit_links()
+    return online
+
+
+def test_audit_links_catches_link_aimed_at_parent():
+    online = _grown_tree()
+    v, b, t = _soft_link(online)
+    t.rev_soft.discard(v)
+    v.links[b] = t.parent
+    t.parent.rev_soft.add(v)
+    with pytest.raises(AssertionError):
+        online.audit_links()
+
+
+def test_audit_links_catches_missing_reverse_entry():
+    online = _grown_tree()
+    v, _, t = _soft_link(online)
+    t.rev_soft.discard(v)
+    with pytest.raises(AssertionError):
+        online.audit_links()
 
 
 # ------------------------------------------------------------------- FMA

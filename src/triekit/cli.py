@@ -21,7 +21,7 @@ from .errors import (AlphabetOverflowError, CorruptTrieError, DuplicateKeyError,
                      InvalidInputError)
 from .instrument import GLOBAL
 from .sa import build_suffix_array, build_suffix_tree
-from .serialize import VersionMismatchError, dump_index, load_index
+from .serialize import VersionMismatchError, check_sigma, dump_index, load_index
 from .static_index import StaticTrieIndex, build_static_index, build_suffix_tray
 from .suffix_oracle import OnlineSuffixTree
 from .text import Text, build_string_trie, check_codes, encode_text
@@ -95,9 +95,10 @@ def cmd_build(args) -> int:
         return _fail(e, EXIT_IO)
     t0 = time.perf_counter()
     try:
+        check_sigma(args.sigma)  # before building what could not be written
         index = _build_index(data, args.sigma, args.mode, args.engine)
         elapsed = time.perf_counter() - t0
-        blob = dump_index(index)  # refuses a sigma an index file cannot hold
+        blob = dump_index(index)
     except AlphabetOverflowError as e:
         return _fail(e, EXIT_ALPHABET)
     except InvalidInputError as e:

@@ -3,8 +3,11 @@
 The trie is split into a heavy top (nodes with more than s/2 leaves, s =
 sigma, always containing the root) and light small trees hanging off it.
 Heavy nodes carry a dynamic predecessor over their children's first
-characters, plus either a size-sigma array over heavy children (branching)
-or a single heavy-child pointer.  Light nodes carry the per-small-tree
+characters, plus either a size-sigma array over all children or a single
+heavy-child pointer.  A heavy node has the array when it has two or more
+heavy children (at most 2n/sigma nodes) and the root has it once
+64 * n_strings >= sigma + 1, so the arrays hold at most 64n + 1 +
+(sigma + 1) * 2n/sigma cells.  Light nodes carry the per-small-tree
 machinery: a level in the capacity hierarchy, fragments (maximal same-level
 connected subtrees) with leaf counters at their roots, a deterministic
 dictionary over same-level child edges and a wexponential search tree over
@@ -36,6 +39,10 @@ from .wexp import WexpTree, audit_wexp, capacity
 # Below 2*f(2) keys a dynamic predecessor is one linear scan (a wexp base
 # container), so `_ascend` scans a heavy node's children itself.
 _DYNP_MIN_KIDS = 2 * capacity(2)
+
+# The root gets its sigma+1 child array once it costs at most this many
+# cells per stored string, so the array stays O(n) whatever sigma is.
+_ROOT_CELLS_PER_STRING = 64
 
 
 def _ceil_sqrt(w: int) -> int:
@@ -148,35 +155,32 @@ class DynTrieIndex:
             dynp.insert(c)
         self.dynp[v] = dynp
 
+    def _has_array(self, v, n_heavy_kids) -> bool:
+        """Whether heavy node v keeps a sigma+1 array over all its children."""
+        return n_heavy_kids >= 2 or (
+            v == self.trie.ROOT and _ROOT_CELLS_PER_STRING * self.n_strings >= self.sigma + 1)
+
     def _set_heavy_child_links(self, v):
-        kids = [(c, ch) for c, ch in self.trie.nodes[v].children.items() if self.heavy[ch]]
-        if len(kids) >= 2:
+        children = self.trie.nodes[v].children
+        kids = [(c, ch) for c, ch in children.items() if self.heavy[ch]]
+        if self._has_array(v, len(kids)):
             arr = [None] * (self.sigma + 1)
-            for c, ch in kids:
+            for c, ch in children.items():
                 arr[c] = ch
             self.arr[v] = arr
             self.hptr[v] = None
-        elif len(kids) == 1:
-            self.arr[v] = None
-            self.hptr[v] = kids[0]
         else:
             self.arr[v] = None
-            self.hptr[v] = None
+            self.hptr[v] = kids[0] if kids else None
 
     def _note_new_heavy_child(self, u, child):
         """Child of heavy node u has just become heavy; update u's links."""
-        c = self._edge_char(child)
         if self.arr[u] is not None:
-            self.arr[u][c] = child
-        elif self.hptr[u] is not None:
-            oc, och = self.hptr[u]
-            arr = [None] * (self.sigma + 1)
-            arr[oc] = och
-            arr[c] = child
-            self.arr[u] = arr
-            self.hptr[u] = None
+            return  # the array already holds every child
+        if self.hptr[u] is None:
+            self.hptr[u] = (self._edge_char(child), child)
         else:
-            self.hptr[u] = (c, child)
+            self._set_heavy_child_links(u)  # a second heavy child
 
     # --------------------------------------------------------------- insert
 
@@ -191,6 +195,9 @@ class DynTrieIndex:
             raise
         self._grow(max(leaf, mid if mid is not None else 0))
         self.n_strings += 1
+        root = self.trie.ROOT
+        if self.arr[root] is None and self._has_array(root, 0):
+            self._set_heavy_child_links(root)
 
         if mid is not None:
             self._wire_mid(attach, mid, leaf)
@@ -210,6 +217,8 @@ class DynTrieIndex:
         if self.heavy[u]:
             self._make_light(leaf, 0, _Fragment(leaf, 0))
             self.dynp[u].insert(c)
+            if self.arr[u] is not None:
+                self.arr[u][c] = leaf
         elif self.level[u] == 0:
             self._make_light(leaf, 0, self.frag[u])
             self._rebuild_same_dict(u)
@@ -224,13 +233,13 @@ class DynTrieIndex:
         w = next(ch for ch in trie.nodes[mid].children.values() if ch != leaf)
         self.occ[mid] = self.occ[w]
         c_mid = self._edge_char(mid)
+        if self.arr[u] is not None:  # only a heavy node has an array
+            self.arr[u][c_mid] = mid
         if self.heavy[w]:
             # mid has all of w's leaves plus one: keep the heavy top connected
             self._make_heavy(mid)
             self.hptr[mid] = (self._edge_char(w), w)
-            if self.arr[u] is not None:
-                self.arr[u][c_mid] = mid
-            elif self.hptr[u] is not None and self.hptr[u][0] == c_mid:
+            if self.hptr[u] is not None and self.hptr[u][0] == c_mid:
                 self.hptr[u] = (c_mid, mid)
             self._wire_leaf(mid, leaf)
             return
@@ -428,7 +437,11 @@ class DynTrieIndex:
 
     def search(self, pattern: list[int]) -> MatchResult:
         """Prefix search; the interval is (0, occ-1): the dynamic structure
-        maintains no global leaf ranks, only the matched set."""
+        maintains no global leaf ranks, only the matched set.
+
+        At a heavy node with an array the step is one cell read, and an empty
+        cell is a miss; only a heavy node without one asks its dynamic
+        predecessor, for a character that is not its heavy child's."""
         check_codes(pattern, self.sigma)
         trie = self.trie
         m = len(pattern)
@@ -442,12 +455,15 @@ class DynTrieIndex:
             c = pattern[i]
             child = None
             if self.heavy[v]:
-                if self.arr[v] is not None:
-                    child = self.arr[v][c]
-                elif self.hptr[v] is not None and self.hptr[v][0] == c:
-                    child = self.hptr[v][1]
-                if child is None and self.dynp[v].query(c) == c:
-                    child = trie.nodes[v].children[c]
+                arr = self.arr[v]
+                if arr is not None:
+                    child = arr[c]
+                else:
+                    hptr = self.hptr[v]
+                    if hptr is not None and hptr[0] == c:
+                        child = hptr[1]
+                    elif self.dynp[v].query(c) == c:
+                        child = trie.nodes[v].children[c]
             else:
                 same = self.same_dict[v]
                 if same is not None:
@@ -592,17 +608,18 @@ class DynTrieIndex:
                 heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
                 assert set(nd.children) == set(self.dynp[v].keys()), \
                     "dyn pred keys differ from child chars"
-                if len(heavy_kids) >= 2:
-                    assert self.arr[v] is not None, "branching heavy node lacks its array"
-                    for c, ch in heavy_kids:
-                        assert self.arr[v][c] == ch
+                arr = self.arr[v]
+                if self._has_array(v, len(heavy_kids)):
+                    assert arr is not None and len(arr) == self.sigma + 1, \
+                        "heavy node lacks its array"
                     for c, ch in nd.children.items():
-                        if not self.heavy[ch]:
-                            assert self.arr[v][c] is None
-                elif len(heavy_kids) == 1:
-                    assert self.arr[v] is None and self.hptr[v] == heavy_kids[0]
+                        assert arr[c] == ch, "array cell differs from the child"
+                    assert len(arr) - arr.count(None) == len(nd.children), \
+                        "array holds a cell for a non-child character"
+                    assert self.hptr[v] is None
                 else:
-                    assert self.arr[v] is None and self.hptr[v] is None
+                    assert arr is None, "array at a heavy node the rule gives none"
+                    assert self.hptr[v] == (heavy_kids[0] if heavy_kids else None)
                 continue
             # light node checks
             assert counts[v] < self.s, "overweight light node"

@@ -69,10 +69,15 @@ def _column(values, lo: int, hi: int) -> list[bytes]:
     raise InvalidInputError("index value outside 64 bits")
 
 
-def dump_index(index) -> bytes:
-    if not 1 <= index.sigma < SIGMA_LIMIT:
+def check_sigma(sigma: int):
+    """Refuse a sigma an index file cannot hold."""
+    if not 1 <= sigma < SIGMA_LIMIT:
         raise InvalidInputError(
-            f"sigma {index.sigma} outside [1, {SIGMA_LIMIT}) cannot be written to an index file")
+            f"sigma {sigma} outside [1, {SIGMA_LIMIT}) cannot be written to an index file")
+
+
+def dump_index(index) -> bytes:
+    check_sigma(index.sigma)
     engine = 0 if isinstance(index, StaticTrieIndex) else 1
     suffix = index.mode == "suffix"
     trie = index.trie

@@ -191,13 +191,16 @@ class OnlineSuffixTree:
             else:
                 rep[id(v)] = rep[id(next(iter(v.children.values())))]
         for v in order:
-            if v.parent is not None and v.parent is not self.root:
+            if v.parent is None:
+                assert not v.rev_soft, "a soft link aims at the root"
+            elif v.parent is not self.root:
                 for b in v.links:
                     assert b in v.parent.links, "link sets must be monotone upward"
             for q in v.rev_soft:
                 assert q.links.get(self.char(v.hi + v.parent.sdepth)) is v, \
                     "reverse soft set holds a source whose link aims elsewhere"
             for b, t in v.links.items():
+                assert t is not self.root, "an a-link aims at the root"
                 depth = v.sdepth + 1
                 if t.sdepth != depth:
                     assert t.parent.sdepth < depth < t.sdepth, "soft locus outside edge"

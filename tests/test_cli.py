@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from triekit import cli
 from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex
 from triekit.serialize import dump_index, load_index
@@ -384,6 +385,21 @@ def test_build_sigma_beyond_index_range_exits_5(sigma, tmp_path, capsys):
                               "--output", str(out_path)], capsys)
     assert code == 5 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and str(sigma) in err
+    assert not out_path.exists()
+
+
+def test_build_checks_sigma_before_building(tmp_path, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built an index for a sigma no file can hold")
+
+    monkeypatch.setattr(cli, "_build_index", no_build)
+    text = tmp_path / "codes.txt"
+    text.write_bytes(b"5 700 5 700 9")
+    out_path = tmp_path / "o.tkix"
+    code, out, err = run_cli(["build", "--input", str(text), "--sigma", str(2**32),
+                              "--output", str(out_path)], capsys)
+    assert code == 5 and out == ""
+    assert err == f"error: sigma {2**32} outside [1, {2**32}) cannot be written to an index file\n"
     assert not out_path.exists()
 
 

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
+from triekit.instrument import GLOBAL
 from triekit.text import SENTINEL
 from triekit.wexp import capacity
 
@@ -294,3 +296,99 @@ def test_deep_promotions():
     idx.audit()
     levels = {idx.level[v] for v in range(1, len(idx.trie.nodes)) if not idx.heavy[v]}
     assert max(levels) >= 2, "promotions should have raised some levels"
+
+
+# ------------------------------------------------- heavy-node child arrays
+
+def test_array_search_makes_no_predecessor_query():
+    # sigma = 4000 and 1,000 strings: only the root is heavy, and its array
+    # (built at the 63rd string, 64 * 63 >= 4001) holds every child
+    sigma = 4000
+    rng = random.Random(12)
+    firsts = rng.sample(range(1, sigma + 1), 300)
+    idx = DynTrieIndex(sigma=sigma)
+    stored = set()
+    for step in range(1000):
+        w = (rng.choice(firsts),) + tuple(rng.randint(1, sigma) for _ in range(rng.randrange(4)))
+        if w in stored:
+            continue
+        stored.add(w)
+        idx.insert(list(w))
+        if step % 100 != 99:
+            continue
+        assert idx.arr[idx.trie.ROOT] is not None
+        oracle = sorted(stored)
+        pats = [list(p[:rng.randrange(len(p) + 1)]) for p in rng.sample(oracle, 50)]
+        pats += [list(p) + [rng.randint(1, sigma)] for p in rng.sample(oracle, 50)]
+        pats += [[rng.randint(1, sigma) for _ in range(rng.randrange(1, 4))] for _ in range(50)]
+        before = GLOBAL.snapshot()
+        results = [idx.search(p) for p in pats]
+        assert GLOBAL.diff(before)["dyn_pred_probes"] == 0
+        for pat, res in zip(pats, results):
+            pat = tuple(pat)
+            lo = bisect.bisect_left(oracle, pat)
+            hi = bisect.bisect_left(oracle, pat + (sigma + 1,))
+            assert res.matched == (hi > lo), pat
+            if hi > lo:
+                assert res.occ == hi - lo
+            else:
+                # the longest match is with a neighbour in sorted order
+                near = oracle[max(0, lo - 1):lo + 1]
+                assert res.matched_len == longest_matchable_prefix(near, pat), pat
+    idx.audit()
+
+
+def test_root_array_rule():
+    # at sigma = 2^32 - 1 the root array waits for 2^26 strings
+    idx = DynTrieIndex(sigma=2**32 - 1)
+    for w in ([5], [5, 9], [2**32 - 1], [7, 7, 7]):
+        idx.insert(w)
+    assert idx.arr[idx.trie.ROOT] is None
+    assert idx.search([5]).occ == 2 and not idx.search([6]).matched
+    idx.audit()
+    # at sigma = 300 it appears at the 5th string: 64 * 4 < 301 <= 64 * 5
+    idx = DynTrieIndex(sigma=300)
+    for n, w in enumerate(([1], [2, 3], [300], [2, 4], [9, 9], [10]), start=1):
+        idx.insert(w)
+        assert (idx.arr[idx.trie.ROOT] is not None) == (n >= 5), n
+        idx.audit()
+
+
+def _array_index():
+    idx = DynTrieIndex(sigma=300)
+    rng = random.Random(8)
+    while idx.n_strings < 40:
+        try:
+            idx.insert([rng.randint(1, 300) for _ in range(rng.randint(1, 3))])
+        except DuplicateKeyError:
+            pass
+    idx.audit()
+    return idx
+
+
+def test_audit_catches_cleared_array_cell():
+    idx = _array_index()
+    root = idx.trie.ROOT
+    c, ch = next((c, ch) for c, ch in idx.trie.nodes[root].children.items() if not idx.heavy[ch])
+    idx.arr[root][c] = None
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_extra_array_cell():
+    idx = _array_index()
+    root = idx.trie.ROOT
+    kids = idx.trie.nodes[root].children
+    c = next(c for c in range(1, 301) if c not in kids)
+    idx.arr[root][c] = next(iter(kids.values()))
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_bench_checksum_pinned(capsys):
+    argv = ["bench", "--n", "8000", "--sigma", "4000", "--engines", "dynamic",
+            "--queries", "2000", "--seed", "3"]
+    assert main(argv) == 0
+    line = next(l for l in capsys.readouterr().out.split("\n") if "checksum=" in l)
+    assert "checksum=614384522149803998 " in line
+    assert "dyn_pred_probes" not in line

@@ -122,6 +122,19 @@ def test_audit_links_catches_link_aimed_at_parent():
         online.audit_links()
 
 
+@pytest.mark.parametrize("reverse_entry", [False, True])
+def test_audit_links_catches_link_aimed_at_root(reverse_entry):
+    # the root has no parent, so the soft-locus check cannot run on it
+    online = _grown_tree()
+    v, b, t = _soft_link(online)
+    t.rev_soft.discard(v)
+    v.links[b] = online.root
+    if reverse_entry:
+        online.root.rev_soft.add(v)
+    with pytest.raises(AssertionError):
+        online.audit_links()
+
+
 def test_audit_links_catches_missing_reverse_entry():
     online = _grown_tree()
     v, _, t = _soft_link(online)

@@ -268,16 +268,18 @@ def cmd_prepend_stream(args) -> int:
         tree.prepend(a)
         if args.inject_corruption == step:
             tree.root.children.pop(max(tree.root.children))  # test hook
-        if audit_each:
-            tree.audit_links()
-        if step % args.check_every == 0:
-            text = Text(tree.text_codes())
-            fresh = build_suffix_tree(build_suffix_array(text), text)
-            if tree.canonical() != fresh.canonical():
-                return _fail(f"verification failed at step {step}", EXIT_VERIFY)
-            tree.audit_links()
-            print(f"step={step} nodes={len(tree.nodes())} "
-                  f"oracle_steps={GLOBAL.oracle_steps}")
+        checkpoint = step % args.check_every == 0
+        try:
+            if audit_each or checkpoint:
+                tree.audit_links()
+            if checkpoint:
+                text = Text(tree.text_codes())
+                form = tree.canonical()
+                if form != build_suffix_tree(build_suffix_array(text), text).canonical():
+                    raise AssertionError("tree differs from a fresh build")
+                print(f"step={step} nodes={len(form)} oracle_steps={GLOBAL.oracle_steps}")
+        except AssertionError:
+            return _fail(f"verification failed at step {step}", EXIT_VERIFY)
     return 0
 
 

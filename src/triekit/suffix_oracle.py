@@ -14,6 +14,10 @@ target's string depth.  Soft links are stored eagerly and copied to the
 middle node whenever an edge splits.  Each node keeps the set of source
 nodes whose soft links aim at it, which makes the retargeting explicit;
 their letter is implied, since it is the first letter of the target's string.
+
+Checks read no label: `canonical()` is the flat form `CompactedTrie.canonical`
+gives a fresh build, and `audit_links()` tests each label and a-link in O(1);
+so each costs O(nodes + links), apart from canonical()'s child sorts.
 """
 
 from __future__ import annotations
@@ -141,75 +145,79 @@ class OnlineSuffixTree:
 
     # ------------------------------------------------------------- inspection
 
-    def nodes(self):
+    def canonical(self) -> list[tuple[int, int, int]]:
+        """`CompactedTrie.canonical`'s form with leaf start positions; with
+        the labels anchored (`audit_links`), it equals a fresh build's form
+        iff the trees are equal, label contents included."""
+        n = self.n
         out = []
         stack = [self.root]
         while stack:
             v = stack.pop()
-            out.append(v)
-            stack.extend(v.children.values())
+            out.append((v.sdepth, n - v.leaf_id if v.is_leaf else -1, len(v.children)))
+            stack.extend(ch for _, ch in sorted(v.children.items(), reverse=True))
         return out
-
-    def label_codes(self, v) -> list[int]:
-        return [self.char(p) for p in range(v.hi, v.lo - 1, -1)]
-
-    def canonical(self):
-        """(label codes, leaf id, sorted children) form, leaf ids being the
-        0-based left start positions in the current text."""
-        n = self.n
-        done = {}
-        stack = [(self.root, False)]
-        while stack:
-            v, expanded = stack.pop()
-            if not expanded:
-                stack.append((v, True))
-                for _, ch in sorted(v.children.items()):
-                    stack.append((ch, False))
-            else:
-                kids = tuple((c, done[id(ch)]) for c, ch in sorted(v.children.items()))
-                leaf = n - v.leaf_id if v.is_leaf else -1
-                done[id(v)] = (tuple(self.label_codes(v)), leaf, kids)
-        return done[id(self.root)]
 
     def text_codes(self) -> list[int]:
         return list(reversed(self.buf))
 
-    def suffix_char(self, leaf_id, k):
-        """Character k of the suffix whose leaf id (right index) is leaf_id;
-        the sentinel at k == leaf_id."""
-        return self.char(leaf_id - 1 - k)
-
     def audit_links(self):
-        """Verify every stored a-link against the definition, plus the
-        monotonicity of link sets along root paths."""
-        # a representative leaf under every node
-        rep = {}
-        order = self.nodes()
-        for v in reversed(order):
+        """Check labels, child keys and a-links in O(nodes + links), raising
+        AssertionError.  Preorder numbers put the leaves below v in [pre(v),
+        end(v)]; leaf q spells the text from position q - 1 down.  A label is
+        anchored: its length is the depth step and leaf hi + 1 + sdepth(parent)
+        lies below it.  For a leaf q below t, str(t) starts with b*str(v), as
+        a link v -b-> t says, iff char(q - 1) == b and leaf q - 1 lies below
+        v.  Given a canonical form equal to a fresh build's, anchored labels
+        read the same letters, so every label and link is right."""
+        n = self.n
+        order = []                 # preorder
+        pre = {}                   # id(node) -> preorder number
+        leaf_pre = [-1] * (n + 1)  # leaf id -> preorder number
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            pre[id(v)] = len(order)
+            assert v.is_leaf != bool(v.children), "a leaf has children or an inner node none"
             if v.is_leaf:
-                rep[id(v)] = v.leaf_id
-            else:
-                rep[id(v)] = rep[id(next(iter(v.children.values())))]
-        for v in order:
-            if v.parent is None:
+                # a node below two keys or parents reaches some leaf twice
+                assert v.leaf_id <= n and leaf_pre[v.leaf_id] < 0, "leaf id out of range or taken"
+                leaf_pre[v.leaf_id] = len(order)
+            order.append(v)
+            for ch in v.children.values():
+                assert ch.parent is v, "a child's parent pointer aims elsewhere"
+                stack.append(ch)
+        assert min(leaf_pre) >= 0, "a suffix has no leaf"
+        end = list(range(len(order)))  # last preorder number below each node, a leaf
+        for i in range(len(order) - 1, 0, -1):
+            p = pre[id(order[i].parent)]
+            end[p] = max(end[p], end[i])
+
+        def below(q, i):
+            return 0 <= q <= n and i <= leaf_pre[q] <= end[i]
+
+        for i, v in enumerate(order):
+            p = v.parent
+            if p is None:
                 assert not v.rev_soft, "a soft link aims at the root"
-            elif v.parent is not self.root:
-                for b in v.links:
-                    assert b in v.parent.links, "link sets must be monotone upward"
-            for q in v.rev_soft:
-                assert q.links.get(self.char(v.hi + v.parent.sdepth)) is v, \
+            else:
+                assert 0 < v.label_len == v.sdepth - p.sdepth, "label length off the depth step"
+                assert below(v.hi + 1 + p.sdepth, i), "label names no leaf below its node"
+                assert p.children.get(self.char(v.hi)) is v, "child key differs from its label"
+                assert p is self.root or v.links.keys() <= p.links.keys(), \
+                    "link sets must be monotone upward"
+                assert all(q.links.get(self.char(v.hi + p.sdepth)) is v for q in v.rev_soft), \
                     "reverse soft set holds a source whose link aims elsewhere"
             for b, t in v.links.items():
-                assert t is not self.root, "an a-link aims at the root"
+                j = pre.get(id(t))
+                assert j, "an a-link aims at the root (numbered 0) or outside the tree"
                 depth = v.sdepth + 1
                 if t.sdepth != depth:
                     assert t.parent.sdepth < depth < t.sdepth, "soft locus outside edge"
                     assert v in t.rev_soft, "reverse soft set out of sync"
-                # contents: b*str(v) must equal the first depth chars of str(t)
-                src, dst = rep[id(v)], rep[id(t)]
-                assert self.suffix_char(dst, 0) == b
-                for k in range(v.sdepth):
-                    assert self.suffix_char(dst, k + 1) == self.suffix_char(src, k)
+                q = order[end[j]].leaf_id
+                assert q > 0 and self.char(q - 1) == b and below(q - 1, i), \
+                    "link contents differ from b*str(source)"
 
 
 class FmaTree:

@@ -152,11 +152,6 @@ class CompactedTrie:
         GLOBAL.chars_compared += stop - 1
         return stop
 
-    def label_codes(self, node_id: int) -> list[int]:
-        nd = self.nodes[node_id]
-        src = self.sources[nd.sid]
-        return [src.at(i) for i in range(nd.start, nd.end)]
-
     def new_node(self, parent, sid, start, end, leaf_id=-1) -> int:
         self.nodes.append(Node(parent=parent, sid=sid, start=start, end=end, leaf_id=leaf_id))
         return len(self.nodes) - 1
@@ -272,25 +267,20 @@ class CompactedTrie:
             depth[v] = depth[nd.parent] + nd.label_len
         return depth
 
-    def canonical(self, node_id: int = ROOT):
-        """Canonical form: children by first char, labels expanded.
-
-        Two tries over the same string set are isomorphic iff their
-        canonical forms are equal.  Iterative to cope with path-shaped tries.
-        """
-        done: dict[int, tuple] = {}
-        stack = [(node_id, False)]
+    def canonical(self) -> list[tuple[int, int, int]]:
+        """Preorder (string depth, leaf id or -1, child count), children by
+        first character; flat, so comparing two needs no recursion.  Every
+        label is a span of the string of a leaf below it, so tries over the
+        same sources with equal forms have equal labels; none is read."""
+        out = []
+        stack = [(self.ROOT, 0)]
         while stack:
-            v, expanded = stack.pop()
+            v, depth = stack.pop()
             nd = self.nodes[v]
-            if not expanded:
-                stack.append((v, True))
-                for _, ch in sorted(nd.children.items()):
-                    stack.append((ch, False))
-            else:
-                kids = tuple((c, done[ch]) for c, ch in sorted(nd.children.items()))
-                done[v] = (tuple(self.label_codes(v)), nd.leaf_id if nd.is_leaf else -1, kids)
-        return done[node_id]
+            depth += nd.label_len
+            out.append((depth, nd.leaf_id, len(nd.children)))
+            stack.extend((ch, depth) for _, ch in sorted(nd.children.items(), reverse=True))
+        return out
 
 
 def sorted_string_ranks(texts: list[Text]) -> list[int]:

@@ -50,7 +50,7 @@ class UncompactedTrie:
         self.leaf_of[v] = leaf_id
 
     def compressed_canonical(self, v=0, label=()):
-        """Same canonical form as CompactedTrie.canonical after compression."""
+        """expanded_canonical's form of the compacted trie."""
         while len(self.children[v]) == 1 and self.leaf_of[v] < 0 and (v != 0 or label):
             ((c, w),) = self.children[v].items()
             label = label + (c,)
@@ -60,6 +60,31 @@ class UncompactedTrie:
             for c, w in sorted(self.children[v].items())
         )
         return (label, self.leaf_of[v], kids)
+
+
+def label_codes(trie: CompactedTrie, v: int) -> list[int]:
+    """The characters of node v's edge label, sentinel included."""
+    nd = trie.nodes[v]
+    src = trie.sources[nd.sid]
+    return [src.at(i) for i in range(nd.start, nd.end)]
+
+
+def expanded_canonical(trie: CompactedTrie):
+    """Nested (label codes, leaf id, ((first char, child form), ...)) form
+    of a CompactedTrie, children by first char, every label expanded: the
+    form compressed_canonical gives.  Iterative, so path-shaped tries fit."""
+    done: dict[int, tuple] = {}
+    stack = [(trie.ROOT, False)]
+    while stack:
+        v, expanded = stack.pop()
+        nd = trie.nodes[v]
+        if not expanded:
+            stack.append((v, True))
+            stack.extend((ch, False) for _, ch in sorted(nd.children.items()))
+        else:
+            kids = tuple((c, done[ch]) for c, ch in sorted(nd.children.items()))
+            done[v] = (tuple(label_codes(trie, v)), nd.leaf_id, kids)
+    return done[trie.ROOT]
 
 
 def compress_canonical(strings: list[Text]):
@@ -144,6 +169,17 @@ def string_predecessor(strings: list[list[int]], pattern: list[int]):
     return None if best is None else best[:-1]
 
 
+def subtree_nodes(v) -> list:
+    """Every OnlineSuffixTree node below v, v included."""
+    out = []
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(v.children.values())
+    return out
+
+
 class NaiveSuffixTree:
     """Independent oracle: plain compacted trie grown by inserting each new
     suffix with a character-by-character walk from the root."""
@@ -187,5 +223,3 @@ class NaiveSuffixTree:
         self.n = n + 1
 
     canonical = OnlineSuffixTree.canonical
-    label_codes = OnlineSuffixTree.label_codes
-    nodes = OnlineSuffixTree.nodes

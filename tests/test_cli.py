@@ -1,7 +1,9 @@
 import io
 import json
+import random
 import struct
 import sys
+import time
 
 import pytest
 
@@ -284,6 +286,47 @@ def test_prepend_stream_detects_corruption(tmp_path, capsys):
     code, _, err = run_cli(["prepend-stream", "--text", str(text),
                             "--check-every", "2", "--inject-corruption", "4"], capsys)
     assert code == 6 and "step 4" in err
+
+
+def test_prepend_stream_audit_failure_exits_6(tmp_path, capsys, monkeypatch):
+    # under TRIEKIT_AUDIT=1 the audit right after step 4 finds the detached
+    # subtree, long before the first checkpoint at step 100
+    monkeypatch.setenv("TRIEKIT_AUDIT", "1")
+    text = tmp_path / "t.bin"
+    text.write_bytes(b"mississippi")
+    code, out, err = run_cli(["prepend-stream", "--text", str(text),
+                              "--inject-corruption", "4"], capsys)
+    assert code == 6 and out == ""
+    assert err == "error: verification failed at step 4\n"
+
+
+@pytest.mark.parametrize("data, check_every", [(b"a" * 400, 1), (b"b" + b"a" * 2000, 667)],
+                         ids=["a400", "b-a2000"])
+def test_prepend_stream_repetitive_text(tmp_path, capsys, data, check_every):
+    # the flat forms compare without recursion, however deep the tree; 667
+    # puts the last checkpoint on the final prepend, of b
+    text = tmp_path / "t.bin"
+    text.write_bytes(data)
+    code, out, err = run_cli(["prepend-stream", "--text", str(text),
+                              "--check-every", str(check_every)], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == len(data) // check_every
+    assert lines[-1].startswith(f"step={len(data)} ")
+
+
+def test_prepend_stream_scales_to_8000_symbols(tmp_path, capsys):
+    # a checkpoint costs O(n): no label is expanded, so default flags on
+    # 8,000 symbols make 80 checkpoints of at most 13,000 nodes each
+    rng = random.Random(8)
+    text = tmp_path / "t.bin"
+    text.write_bytes(bytes(rng.choice(b"ACGT") for _ in range(8000)))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["prepend-stream", "--text", str(text)], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 80
+    assert elapsed < 120, f"took {elapsed:.1f} s against a 120 s budget"
 
 
 def test_bench_deterministic(run_in_checkout):

@@ -22,8 +22,8 @@ from triekit.static_index import (
 )
 from triekit.text import Node, Text, build_string_trie, encode_text
 
-from oracles import (brute_suffix_array, occurrences, longest_matchable_prefix,
-                     string_predecessor)
+from oracles import (brute_suffix_array, label_codes, occurrences,
+                     longest_matchable_prefix, string_predecessor)
 
 
 def suffix_index(raw: bytes, sigma=256, engine="static"):
@@ -615,7 +615,7 @@ def _heavy_edge_last_char_patterns(idx, sigma):
         path = []
         u = v
         while u != trie.ROOT:
-            path[:0] = trie.label_codes(u)
+            path[:0] = label_codes(trie, u)
             u = trie.nodes[u].parent
         out.extend(path[:-1] + [c] for c in range(1, sigma + 1) if c != path[-1])
     return out

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from triekit.errors import AlphabetOverflowError, MarkOrderViolationError
 from triekit.sa import build_suffix_array, build_suffix_tree
-from triekit.suffix_oracle import FmaTree, OnlineSuffixTree
+from triekit.suffix_oracle import FmaTree, OnlineSuffixTree, _ONode
 from triekit.text import Text
 
-from oracles import NaiveSuffixTree
+from oracles import NaiveSuffixTree, subtree_nodes
 
 
 def fresh_canonical(codes):
@@ -22,6 +22,7 @@ def test_prepend_single_letters():
     t.prepend(2)  # text "ba"
     assert t.text_codes() == [2, 1]
     assert t.canonical() == fresh_canonical([2, 1])
+    t.audit_links()
     kids = t.root.children
     assert sorted(kids) == [0, 1, 2]  # "$", "a$", "ba$"
 
@@ -34,6 +35,7 @@ def test_prepend_alphabet_bounds():
             t.prepend(bad)
     assert t.text_codes() == [1]
     assert t.canonical() == fresh_canonical([1])
+    t.audit_links()
 
 
 def test_prepend_splits_edge():
@@ -61,8 +63,8 @@ def test_prepend_stream_matches_oracles(seed):
         online.prepend(a)
         naive.prepend(a)
         assert online.canonical() == naive.canonical()
+        online.audit_links()  # anchored labels: equal forms give equal labels
         if step % 25 == 24:
-            online.audit_links()
             assert online.canonical() == fresh_canonical(online.text_codes())
     online.audit_links()
     assert online.canonical() == fresh_canonical(online.text_codes())
@@ -73,7 +75,7 @@ def test_repetitive_text():
     for step, a in enumerate([1] * 40 + [2, 1, 1, 2] * 5):
         online.prepend(a)
         assert online.canonical() == fresh_canonical(online.text_codes())
-    online.audit_links()
+        online.audit_links()
 
 
 def test_link_monotonicity_and_permanence():
@@ -82,7 +84,7 @@ def test_link_monotonicity_and_permanence():
     hard_seen = {}
     for _ in range(300):
         online.prepend(rng.randint(1, 4))
-        for v in online.nodes():
+        for v in subtree_nodes(online.root):
             for b, t in v.links.items():
                 hard = t.sdepth == v.sdepth + 1
                 # once hard, a link never changes target or softens
@@ -96,7 +98,7 @@ def test_link_monotonicity_and_permanence():
 def _soft_link(online):
     """Some stored soft link (source, letter, target) whose target's
     parent is not the root."""
-    for v in online.nodes():
+    for v in subtree_nodes(online.root):
         for b, t in v.links.items():
             if t.sdepth != v.sdepth + 1 and t.parent is not online.root:
                 return v, b, t
@@ -140,6 +142,95 @@ def test_audit_links_catches_missing_reverse_entry():
     v, _, t = _soft_link(online)
     t.rev_soft.discard(v)
     with pytest.raises(AssertionError):
+        online.audit_links()
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_audit_links_catches_shifted_label(shift):
+    # a shift that lands on another leaf below the node reads the same
+    # letters, so only shifts that name no leaf below are faults
+    online = _grown_tree()
+    caught = 0
+    for v in subtree_nodes(online.root):
+        if v.is_leaf or v is online.root:
+            continue
+        if v.hi + shift + 1 + v.parent.sdepth in {u.leaf_id for u in subtree_nodes(v) if u.is_leaf}:
+            continue
+        v.hi += shift
+        v.lo += shift
+        with pytest.raises(AssertionError, match="label names no leaf"):
+            online.audit_links()
+        v.hi -= shift
+        v.lo -= shift
+        caught += 1
+    assert caught >= 10
+    online.audit_links()
+
+
+def test_audit_links_catches_link_reaimed_at_same_depth():
+    # the new target has the old one's string depth and first letter, so
+    # only the contents test can tell
+    online = _grown_tree()
+    nodes = subtree_nodes(online.root)
+
+    def first_letter(u):
+        return online.char(u.hi + u.parent.sdepth)
+
+    caught = 0
+    for v in nodes:
+        for b, t in list(v.links.items()):
+            depth = v.sdepth + 1
+            for u in nodes:
+                if (u is t or u is online.root or u.sdepth != t.sdepth
+                        or first_letter(u) != b or not u.parent.sdepth < depth):
+                    continue
+                soft = t.sdepth != depth
+                if soft:
+                    t.rev_soft.discard(v)
+                    u.rev_soft.add(v)
+                v.links[b] = u
+                with pytest.raises(AssertionError, match="link contents"):
+                    online.audit_links()
+                v.links[b] = t
+                if soft:
+                    u.rev_soft.discard(v)
+                    t.rev_soft.add(v)
+                caught += 1
+    assert caught >= 10
+    online.audit_links()
+
+
+def test_audit_links_catches_swapped_sibling_keys():
+    online = _grown_tree()
+    caught = 0
+    for v in subtree_nodes(online.root):
+        if len(v.children) < 2:
+            continue
+        c, d = sorted(v.children)[:2]
+        kids = v.children
+        kids[c], kids[d] = kids[d], kids[c]
+        with pytest.raises(AssertionError, match="child key"):
+            online.audit_links()
+        kids[c], kids[d] = kids[d], kids[c]
+        caught += 1
+    assert caught >= 10
+    online.audit_links()
+
+
+def test_audit_links_catches_nodes_outside_the_tree():
+    # a detached subtree leaves links aiming outside the tree: an
+    # AssertionError, not a failed lookup
+    online = _grown_tree()
+    online.root.children.pop(max(online.root.children))
+    with pytest.raises(AssertionError):
+        online.audit_links()
+    online = _grown_tree()
+    v, b, t = _soft_link(online)
+    stray = _ONode(t.parent, t.hi, t.lo, t.sdepth)
+    t.rev_soft.discard(v)
+    stray.rev_soft.add(v)
+    v.links[b] = stray
+    with pytest.raises(AssertionError, match="outside the tree"):
         online.audit_links()
 
 

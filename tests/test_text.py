@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
 from triekit.text import CompactedTrie, Text, build_string_trie, encode_text
 
-from oracles import compress_canonical
+from oracles import compress_canonical, expanded_canonical, label_codes
 
 
 def test_encode_bytes_identity():
@@ -35,7 +35,7 @@ def test_insert_pair_splits_once():
     root_kids = trie.nodes[trie.ROOT].children
     assert list(root_kids) == [1]
     mid = root_kids[1]
-    assert trie.label_codes(mid) == [1, 2]
+    assert label_codes(trie, mid) == [1, 2]
     assert sorted(trie.nodes[mid].children) == [3, 4]
 
 
@@ -76,7 +76,7 @@ def test_trie_isomorphic_to_compressed_naive(strings, rng):
     trie = CompactedTrie(sources=list(texts))
     for sid in shuffled:
         trie.insert_path(sid)
-    assert trie.canonical() == compress_canonical(texts)
+    assert expanded_canonical(trie) == compress_canonical(texts)
 
 
 @given(distinct_string_sets())

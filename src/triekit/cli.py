@@ -240,13 +240,15 @@ def cmd_dynamic(args) -> int:
                 print(f"P\t{_pattern_text(codes, args.sigma)}\t{word}")
             else:
                 return _fail(f"line {lineno}: unknown op {kind!r}", EXIT_MALFORMED)
+            ops += 1
+            if audit_every and ops % audit_every == 0:
+                idx.audit()
         except AlphabetOverflowError as e:
             return _fail(f"line {lineno}: {e}", EXIT_ALPHABET)
         except (DuplicateKeyError, InvalidInputError) as e:
             return _fail(f"line {lineno}: {e}", EXIT_MALFORMED)
-        ops += 1
-        if audit_every and ops % audit_every == 0:
-            idx.audit()
+        except AssertionError:  # from --audit-every, or TRIEKIT_AUDIT=1 in insert
+            return _fail(f"line {lineno}: verification failed", EXIT_VERIFY)
     return 0
 
 

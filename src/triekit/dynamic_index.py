@@ -2,19 +2,24 @@
 
 The trie is split into a heavy top (nodes with more than s/2 leaves, s =
 sigma, always containing the root) and light small trees hanging off it.
-Heavy nodes carry a dynamic predecessor over their children's first
-characters, plus either a size-sigma array over all children or a single
-heavy-child pointer.  A heavy node has the array when it has two or more
-heavy children (at most 2n/sigma nodes) and the root has it once
-64 * n_strings >= sigma + 1, so the arrays hold at most 64n + 1 +
-(sigma + 1) * 2n/sigma cells.  Light nodes carry the per-small-tree
-machinery: a level in the capacity hierarchy, fragments (maximal same-level
-connected subtrees) with leaf counters at their roots, a deterministic
-dictionary over same-level child edges and a wexponential search tree over
-lower-level child edges whose stored weights track the true weights within
-[ceil(sqrt(w)), w].  The dictionary exists only while a node has a
-same-level child, and the tree only from its first lower-level child on, so
-leaves hold neither.
+Heavy nodes carry either a size-(sigma + 1) array over all children or a
+single heavy-child pointer.  A heavy node has the array when sigma + 1 <= 64
+(then every heavy node has one: at most 2n nodes, so at most 128n cells),
+when it has two or more heavy children (at most 2n/sigma nodes), and at the
+root once 64 * n_strings >= sigma + 1; above 64 cells the arrays hold at
+most 64n + 1 + (sigma + 1) * 2n/sigma cells, so O(n) for every sigma.
+When sigma + 1 >= 8 a heavy node also keeps a dynamic predecessor over its
+children's first characters, for the `search` step at a node without an
+array and for `predecessor`'s ascent at a node with 8 or more children;
+below that no query reads one, so none is kept.
+
+Light nodes carry the per-small-tree machinery: a level in the capacity
+hierarchy, fragments (maximal same-level connected subtrees) with leaf
+counters at their roots, a deterministic dictionary over same-level child
+edges and a wexponential search tree over lower-level child edges whose
+stored weights track the true weights within [ceil(sqrt(w)), w].  The
+dictionary exists only while a node has a same-level child, and the tree only
+from its first lower-level child on, so leaves hold neither.
 
 No state is stored that the rest determines: a fragment's members are the
 nodes whose `frag` entry is its record, and a small tree's root is the root
@@ -40,9 +45,10 @@ from .wexp import WexpTree, audit_wexp, capacity
 # container), so `_ascend` scans a heavy node's children itself.
 _DYNP_MIN_KIDS = 2 * capacity(2)
 
-# The root gets its sigma+1 child array once it costs at most this many
-# cells per stored string, so the array stays O(n) whatever sigma is.
-_ROOT_CELLS_PER_STRING = 64
+# A sigma+1 child array of at most this many cells is O(1) space, so at
+# such a sigma every heavy node keeps one; at any sigma the root gets its
+# array once it costs at most this many cells per stored string.
+_ARRAY_CELLS = 64
 
 
 def _ceil_sqrt(w: int) -> int:
@@ -82,12 +88,17 @@ class DynTrieIndex:
         self.same_dict: list[DetDictionary | None] = [None]
         self.wexp: list[WexpTree | None] = [None]
         self.wexp_handles: list[dict | None] = [None]
-        self.dynp: list[DynamicPredecessor | None] = [DynamicPredecessor(sigma + 1)]
+        # below _DYNP_MIN_KIDS cells every heavy node has an array, which
+        # `search` reads, and `_ascend` scans: no query reads a dynp
+        self.keep_dynp = sigma + 1 >= _DYNP_MIN_KIDS
+        self.dynp: list[DynamicPredecessor | None] = [None]
         self.arr: list[list | None] = [None]
         self.hptr: list[tuple | None] = [None]
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
         self.n_strings = 0
         self.audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
+        self._make_heavy(self.trie.ROOT)
+        self._set_heavy_child_links(self.trie.ROOT)
 
     # ------------------------------------------------------------- plumbing
 
@@ -150,15 +161,17 @@ class DynTrieIndex:
         self.same_dict[v] = None
         self.wexp[v] = None
         self.wexp_handles[v] = None
-        dynp = DynamicPredecessor(self.sigma + 1)
-        for c in self.trie.nodes[v].children:
-            dynp.insert(c)
+        dynp = DynamicPredecessor(self.sigma + 1) if self.keep_dynp else None
+        if dynp is not None:
+            for c in self.trie.nodes[v].children:
+                dynp.insert(c)
         self.dynp[v] = dynp
 
     def _has_array(self, v, n_heavy_kids) -> bool:
         """Whether heavy node v keeps a sigma+1 array over all its children."""
-        return n_heavy_kids >= 2 or (
-            v == self.trie.ROOT and _ROOT_CELLS_PER_STRING * self.n_strings >= self.sigma + 1)
+        cells = self.sigma + 1
+        return cells <= _ARRAY_CELLS or n_heavy_kids >= 2 or (
+            v == self.trie.ROOT and _ARRAY_CELLS * self.n_strings >= cells)
 
     def _set_heavy_child_links(self, v):
         children = self.trie.nodes[v].children
@@ -216,7 +229,8 @@ class DynTrieIndex:
         c = self._edge_char(leaf)
         if self.heavy[u]:
             self._make_light(leaf, 0, _Fragment(leaf, 0))
-            self.dynp[u].insert(c)
+            if self.keep_dynp:
+                self.dynp[u].insert(c)
             if self.arr[u] is not None:
                 self.arr[u][c] = leaf
         elif self.level[u] == 0:
@@ -238,7 +252,7 @@ class DynTrieIndex:
         if self.heavy[w]:
             # mid has all of w's leaves plus one: keep the heavy top connected
             self._make_heavy(mid)
-            self.hptr[mid] = (self._edge_char(w), w)
+            self._set_heavy_child_links(mid)
             if self.hptr[u] is not None and self.hptr[u][0] == c_mid:
                 self.hptr[u] = (c_mid, mid)
             self._wire_leaf(mid, leaf)
@@ -592,70 +606,100 @@ class DynTrieIndex:
         for v in reversed(order):
             nd = trie.nodes[v]
             counts[v] = 1 if nd.is_leaf else sum(counts[ch] for ch in nd.children.values())
-        assert self.heavy[trie.ROOT]
+        if not self.heavy[trie.ROOT]:
+            raise AssertionError
         for v in order:
             nd = trie.nodes[v]
-            assert self.occ[v] == counts[v], "stale leaf-count payload"
+            if self.occ[v] != counts[v]:
+                raise AssertionError("stale leaf-count payload")
             if v != trie.ROOT and not nd.is_leaf:
-                assert len(nd.children) >= 2, "compactedness violated"
+                if len(nd.children) < 2:
+                    raise AssertionError("compactedness violated")
             for c, ch in nd.children.items():
-                assert trie.label_char(ch, 0) == c
-                assert trie.nodes[ch].parent == v
+                if trie.label_char(ch, 0) != c:
+                    raise AssertionError
+                if trie.nodes[ch].parent != v:
+                    raise AssertionError
             if self.heavy[v]:
-                assert v == trie.ROOT or counts[v] > self.s / 2, "underweight heavy node"
+                if not (v == trie.ROOT or counts[v] > self.s / 2):
+                    raise AssertionError("underweight heavy node")
                 p = nd.parent
-                assert p == -1 or self.heavy[p], "heavy set must be connected"
+                if not (p == -1 or self.heavy[p]):
+                    raise AssertionError("heavy set must be connected")
                 heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
-                assert set(nd.children) == set(self.dynp[v].keys()), \
-                    "dyn pred keys differ from child chars"
+                dynp = self.dynp[v]
+                if (dynp is not None) != self.keep_dynp:
+                    raise AssertionError("dyn pred kept iff sigma + 1 >= _DYNP_MIN_KIDS")
+                if not (dynp is None or set(nd.children) == set(dynp.keys())):
+                    raise AssertionError("dyn pred keys differ from child chars")
                 arr = self.arr[v]
                 if self._has_array(v, len(heavy_kids)):
-                    assert arr is not None and len(arr) == self.sigma + 1, \
-                        "heavy node lacks its array"
+                    if not (arr is not None and len(arr) == self.sigma + 1):
+                        raise AssertionError("heavy node lacks its array")
                     for c, ch in nd.children.items():
-                        assert arr[c] == ch, "array cell differs from the child"
-                    assert len(arr) - arr.count(None) == len(nd.children), \
-                        "array holds a cell for a non-child character"
-                    assert self.hptr[v] is None
+                        if arr[c] != ch:
+                            raise AssertionError("array cell differs from the child")
+                    if len(arr) - arr.count(None) != len(nd.children):
+                        raise AssertionError("array holds a cell for a non-child character")
+                    if self.hptr[v] is not None:
+                        raise AssertionError
                 else:
-                    assert arr is None, "array at a heavy node the rule gives none"
-                    assert self.hptr[v] == (heavy_kids[0] if heavy_kids else None)
+                    if arr is not None:
+                        raise AssertionError("array at a heavy node the rule gives none")
+                    if self.hptr[v] != (heavy_kids[0] if heavy_kids else None):
+                        raise AssertionError
                 continue
             # light node checks
-            assert counts[v] < self.s, "overweight light node"
+            if counts[v] >= self.s:
+                raise AssertionError("overweight light node")
             lv = self.level[v]
             f = self.frag[v]
+            if f is None:
+                raise AssertionError("light node without a fragment record")
             p = nd.parent
             if f.root == v:
-                assert self.heavy[p] or self.level[p] > lv, "fragment not maximal"
-                assert f.counter == counts[v], "stale fragment counter"
+                if not (self.heavy[p] or self.level[p] > lv):
+                    raise AssertionError("fragment not maximal")
+                if f.counter != counts[v]:
+                    raise AssertionError("stale fragment counter")
                 if not self.heavy[p]:
-                    assert f.reg is not None
+                    if f.reg is None:
+                        raise AssertionError
                     tree, h = f.reg
-                    assert tree is self.wexp[p] and h is self.wexp_handles[p][self._edge_char(v)]
-                    assert _ceil_sqrt(counts[v]) <= h.weight <= counts[v], \
-                        "stored weight outside [ceil(sqrt(w)), w]"
+                    if tree is not self.wexp[p] or h is not self.wexp_handles[p][self._edge_char(v)]:
+                        raise AssertionError
+                    if not (_ceil_sqrt(counts[v]) <= h.weight <= counts[v]):
+                        raise AssertionError("stored weight outside [ceil(sqrt(w)), w]")
             else:
-                assert not self.heavy[p] and self.level[p] == lv and self.frag[p] is f
+                if not (not self.heavy[p] and self.level[p] == lv and self.frag[p] is f):
+                    raise AssertionError
             low = capacity(lv) if lv >= 1 else 1
-            assert low <= counts[v] < 2 * capacity(lv + 1), "level window violated"
+            if not (low <= counts[v] < 2 * capacity(lv + 1)):
+                raise AssertionError("level window violated")
             if not self.heavy[p]:
-                assert self.level[p] >= lv, "levels must not increase downward"
+                if self.level[p] < lv:
+                    raise AssertionError("levels must not increase downward")
             # a same-level dict iff same-level children, covering exactly them;
             # each lower-level child sits in the wexp tree made on first use
             same = {c for c, ch in nd.children.items()
                     if not self.heavy[ch] and self.level[ch] == lv}
             sd, tree = self.same_dict[v], self.wexp[v]
-            assert (sd is None) == (not same), "same-level dict must exist exactly for same-level kids"
-            assert (tree is None) == (self.wexp_handles[v] is None)
-            assert not nd.is_leaf or tree is None, "leaf holds a wexp tree"
+            if (sd is None) != (not same):
+                raise AssertionError("same-level dict must exist exactly for same-level kids")
+            if (tree is None) != (self.wexp_handles[v] is None):
+                raise AssertionError
+            if not (not nd.is_leaf or tree is None):
+                raise AssertionError("leaf holds a wexp tree")
             for c, ch in nd.children.items():
                 if c in same:
-                    assert sd.lookup(c) == ch
+                    if sd.lookup(c) != ch:
+                        raise AssertionError
                 else:
-                    assert sd is None or sd.lookup(c) is None
-                    assert self.level[ch] < lv
-                    assert tree is not None and self.wexp_handles[v].get(c) is not None, \
-                        "lower-level child missing from wexp"
+                    if not (sd is None or sd.lookup(c) is None):
+                        raise AssertionError
+                    if self.level[ch] >= lv:
+                        raise AssertionError
+                    if not (tree is not None and self.wexp_handles[v].get(c) is not None):
+                        raise AssertionError("lower-level child missing from wexp")
             if tree is not None:
                 audit_wexp(tree)

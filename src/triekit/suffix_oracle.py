@@ -178,16 +178,20 @@ class OnlineSuffixTree:
         while stack:
             v = stack.pop()
             pre[id(v)] = len(order)
-            assert v.is_leaf != bool(v.children), "a leaf has children or an inner node none"
+            if v.is_leaf == bool(v.children):
+                raise AssertionError("a leaf has children or an inner node none")
             if v.is_leaf:
                 # a node below two keys or parents reaches some leaf twice
-                assert v.leaf_id <= n and leaf_pre[v.leaf_id] < 0, "leaf id out of range or taken"
+                if not (v.leaf_id <= n and leaf_pre[v.leaf_id] < 0):
+                    raise AssertionError("leaf id out of range or taken")
                 leaf_pre[v.leaf_id] = len(order)
             order.append(v)
             for ch in v.children.values():
-                assert ch.parent is v, "a child's parent pointer aims elsewhere"
+                if ch.parent is not v:
+                    raise AssertionError("a child's parent pointer aims elsewhere")
                 stack.append(ch)
-        assert min(leaf_pre) >= 0, "a suffix has no leaf"
+        if min(leaf_pre) < 0:
+            raise AssertionError("a suffix has no leaf")
         end = list(range(len(order)))  # last preorder number below each node, a leaf
         for i in range(len(order) - 1, 0, -1):
             p = pre[id(order[i].parent)]
@@ -199,25 +203,32 @@ class OnlineSuffixTree:
         for i, v in enumerate(order):
             p = v.parent
             if p is None:
-                assert not v.rev_soft, "a soft link aims at the root"
+                if v.rev_soft:
+                    raise AssertionError("a soft link aims at the root")
             else:
-                assert 0 < v.label_len == v.sdepth - p.sdepth, "label length off the depth step"
-                assert below(v.hi + 1 + p.sdepth, i), "label names no leaf below its node"
-                assert p.children.get(self.char(v.hi)) is v, "child key differs from its label"
-                assert p is self.root or v.links.keys() <= p.links.keys(), \
-                    "link sets must be monotone upward"
-                assert all(q.links.get(self.char(v.hi + p.sdepth)) is v for q in v.rev_soft), \
-                    "reverse soft set holds a source whose link aims elsewhere"
+                if not (0 < v.label_len == v.sdepth - p.sdepth):
+                    raise AssertionError("label length off the depth step")
+                if not below(v.hi + 1 + p.sdepth, i):
+                    raise AssertionError("label names no leaf below its node")
+                if p.children.get(self.char(v.hi)) is not v:
+                    raise AssertionError("child key differs from its label")
+                if not (p is self.root or v.links.keys() <= p.links.keys()):
+                    raise AssertionError("link sets must be monotone upward")
+                if not all(q.links.get(self.char(v.hi + p.sdepth)) is v for q in v.rev_soft):
+                    raise AssertionError("reverse soft set holds a source whose link aims elsewhere")
             for b, t in v.links.items():
                 j = pre.get(id(t))
-                assert j, "an a-link aims at the root (numbered 0) or outside the tree"
+                if not j:
+                    raise AssertionError("an a-link aims at the root (numbered 0) or outside the tree")
                 depth = v.sdepth + 1
                 if t.sdepth != depth:
-                    assert t.parent.sdepth < depth < t.sdepth, "soft locus outside edge"
-                    assert v in t.rev_soft, "reverse soft set out of sync"
+                    if not (t.parent.sdepth < depth < t.sdepth):
+                        raise AssertionError("soft locus outside edge")
+                    if v not in t.rev_soft:
+                        raise AssertionError("reverse soft set out of sync")
                 q = order[end[j]].leaf_id
-                assert q > 0 and self.char(q - 1) == b and below(q - 1, i), \
-                    "link contents differ from b*str(source)"
+                if not (q > 0 and self.char(q - 1) == b and below(q - 1, i)):
+                    raise AssertionError("link contents differ from b*str(source)")
 
 
 class FmaTree:

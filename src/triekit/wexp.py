@@ -327,59 +327,83 @@ def audit_wexp(tree: WexpTree) -> None:
 
     def walk(node, parent, lo, hi):
         """Returns the subtree weight; lo < keys < hi (None = unbounded)."""
-        assert node.parent is parent
+        if node.parent is not parent:
+            raise AssertionError
         if isinstance(node, _Base):
-            assert node.level == 1
+            if node.level != 1:
+                raise AssertionError
             w = 0
             last = lo
             for e in node.items:
-                assert last is None or e.key > last
-                assert hi is None or e.key < hi
-                assert e.home is node and e.weight >= 1
-                assert e.weight < base_cap, "overweight element in base container"
-                assert e.weight < base_depth_limit
+                if not (last is None or e.key > last):
+                    raise AssertionError
+                if not (hi is None or e.key < hi):
+                    raise AssertionError
+                if not (e.home is node and e.weight >= 1):
+                    raise AssertionError
+                if e.weight >= base_cap:
+                    raise AssertionError("overweight element in base container")
+                if e.weight >= base_depth_limit:
+                    raise AssertionError
                 last = e.key
                 w += e.weight
-            assert w == node.weight
-            assert w < base_cap
+            if w != node.weight:
+                raise AssertionError
+            if w >= base_cap:
+                raise AssertionError
             return w
-        assert isinstance(node, _Node)
+        if not isinstance(node, _Node):
+            raise AssertionError
         lv = node.level
-        assert lv >= 2
-        assert len(node.children) == len(node.splitters) + 1
+        if lv < 2:
+            raise AssertionError
+        if len(node.children) != len(node.splitters) + 1:
+            raise AssertionError
         group_min, weight_cap, depth_limit = bounds(lv)
         if node.splitters:
-            assert len(node.splitters) <= 2 * weight_cap // group_min
+            if len(node.splitters) > 2 * weight_cap // group_min:
+                raise AssertionError
         total = 0
         prev_key = lo
         children = node.children
         for i, e in enumerate(node.splitters):
-            assert prev_key is None or e.key > prev_key
-            assert e.home is node and e.weight >= 1
-            assert e.weight < weight_cap
-            assert e.weight < depth_limit
+            if not (prev_key is None or e.key > prev_key):
+                raise AssertionError
+            if not (e.home is node and e.weight >= 1):
+                raise AssertionError
+            if e.weight >= weight_cap:
+                raise AssertionError
+            if e.weight >= depth_limit:
+                raise AssertionError
             child = children[i]
             cw = 0
             if child is not None:
-                assert child.level == lv - 1, "levels must decrease by one"
+                if child.level != lv - 1:
+                    raise AssertionError("levels must decrease by one")
                 cw = walk(child, node, prev_key, e.key)
             total += cw + e.weight
             prev_key = e.key
         child = children[-1]
         if child is not None:
-            assert child.level == lv - 1
+            if child.level != lv - 1:
+                raise AssertionError
             total += walk(child, node, prev_key, hi)
-        assert total == node.weight
-        assert node.weight < weight_cap, "condition 1 violated"
-        assert sorted(node.slot_of) == [e.key for e in node.splitters]
+        if total != node.weight:
+            raise AssertionError
+        if node.weight >= weight_cap:
+            raise AssertionError("condition 1 violated")
+        if sorted(node.slot_of) != [e.key for e in node.splitters]:
+            raise AssertionError
         # condition 4: each group {e_i} u X_i u {e_i+1} is heavy enough
         for i in range(len(node.splitters) - 1):
             x = children[i + 1]
             w = (node.splitters[i].weight + node.splitters[i + 1].weight
                  + (x.weight if x is not None else 0))
-            assert w > group_min, "condition 4 violated"
+            if w <= group_min:
+                raise AssertionError("condition 4 violated")
         return total
 
-    assert tree.root.parent is None
+    if tree.root.parent is not None:
+        raise AssertionError
     walk(tree.root, None, None, None)
 

@@ -254,6 +254,26 @@ def test_dynamic_with_forced_audit(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("env, flags, lineno", [("1", [], 1), (None, ["--audit-every", "2"], 3)],
+                         ids=["TRIEKIT_AUDIT", "audit-every"])
+def test_dynamic_audit_failure_exits_6(tmp_path, capsys, monkeypatch, env, flags, lineno):
+    # a failed audit is one error line naming the op's line, not a traceback
+    if env is None:
+        monkeypatch.delenv("TRIEKIT_AUDIT", raising=False)
+    else:
+        monkeypatch.setenv("TRIEKIT_AUDIT", env)
+
+    def failing_audit(self):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(DynTrieIndex, "audit", failing_audit)
+    ops = tmp_path / "ops.txt"
+    ops.write_bytes(b"I abc\n\nI abd\nQ ab\n")
+    code, out, err = run_cli(["dynamic", "--ops", str(ops)] + flags, capsys)
+    assert code == 6 and out == ""
+    assert err == f"error: line {lineno}: verification failed\n"
+
+
 def test_forced_audit_once_per_insert(tmp_path, capsys, monkeypatch):
     # TRIEKIT_AUDIT=1 audits each mutation once; a query mutates nothing
     calls = []
@@ -298,6 +318,18 @@ def test_prepend_stream_audit_failure_exits_6(tmp_path, capsys, monkeypatch):
                               "--inject-corruption", "4"], capsys)
     assert code == 6 and out == ""
     assert err == "error: verification failed at step 4\n"
+
+
+def test_prepend_stream_audit_checks_under_optimize(tmp_path, run_in_checkout):
+    # the audit raises through explicit checks, not `assert`, so `python -O`
+    # still catches the corruption at step 4 instead of failing later
+    text = tmp_path / "mississippi.txt"
+    text.write_bytes(b"mississippi")
+    res = run_in_checkout([sys.executable, "-O", "-m", "triekit.cli", "prepend-stream",
+                           "--text", str(text), "--sigma", "256", "--inject-corruption", "4"],
+                          TRIEKIT_AUDIT="1")
+    assert res.returncode == 6 and res.stdout == b""
+    assert res.stderr == b"error: verification failed at step 4\n"
 
 
 @pytest.mark.parametrize("data, check_every", [(b"a" * 400, 1), (b"b" + b"a" * 2000, 667)],

@@ -8,6 +8,7 @@ from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
 from triekit.instrument import GLOBAL
+from triekit.predkit import DynamicPredecessor
 from triekit.text import SENTINEL
 from triekit.wexp import capacity
 
@@ -103,6 +104,14 @@ def test_audit_catches_split_fragment():
     v = next(v for v in range(1, len(idx.trie.nodes))
              if not idx.heavy[v] and idx.frag[v].root != v)
     idx.frag[v] = _Fragment(v, idx.occ[v])
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_missing_fragment_record():
+    idx = _random_index(4)
+    v = next(v for v in range(1, len(idx.trie.nodes)) if not idx.heavy[v])
+    idx.frag[v] = None
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -392,3 +401,148 @@ def test_bench_checksum_pinned(capsys):
     line = next(l for l in capsys.readouterr().out.split("\n") if "checksum=" in l)
     assert "checksum=614384522149803998 " in line
     assert "dyn_pred_probes" not in line
+
+
+# ------------------------------------------- small alphabets (sigma + 1 <= 64)
+
+def _heavy_nodes(idx):
+    return [v for v in range(len(idx.trie.nodes)) if idx.heavy[v]]
+
+
+def _heavy_kids(idx, v):
+    return [ch for ch in idx.trie.nodes[v].children.values() if idx.heavy[ch]]
+
+
+def _check_against_oracle(idx, oracle, pats, sigma):
+    """Search and predecessor answers equal a sorted list's."""
+    for pat in pats:
+        pat = tuple(pat)
+        res = idx.search(list(pat))
+        lo = bisect.bisect_left(oracle, pat)
+        hi = bisect.bisect_left(oracle, pat + (sigma + 1,))
+        assert res.matched == (hi > lo), pat
+        if hi > lo:
+            assert res.occ == hi - lo
+        else:
+            assert res.matched_len == longest_matchable_prefix(oracle[max(0, lo - 1):lo + 1], pat)
+        i = bisect.bisect_right(oracle, pat)
+        got = idx.predecessor(list(pat))
+        assert (None if got is None else tuple(idx.string_codes(got))) == \
+            (oracle[i - 1] if i else None), pat
+
+
+def test_small_sigma_stream_reads_arrays_only():
+    # sigma = 4: every heavy node keeps a 5-cell array and no dynamic
+    # predecessor, so no search or predecessor makes a predecessor query
+    sigma = 4
+    rng = random.Random(44)
+    idx = DynTrieIndex(sigma=sigma)
+    oracle = []
+    while idx.n_strings < 1200:
+        w = tuple(rng.randint(1, sigma) for _ in range(rng.randrange(12)))
+        i = bisect.bisect_left(oracle, w)
+        if i < len(oracle) and oracle[i] == w:
+            continue
+        oracle.insert(i, w)
+        idx.insert(list(w))
+        pats = [[rng.randint(1, sigma) for _ in range(rng.randrange(10))] for _ in range(2)]
+        pats.append(list(w[:rng.randrange(len(w) + 1)]) + [rng.randint(1, sigma)])
+        before = GLOBAL.snapshot()
+        _check_against_oracle(idx, oracle, pats, sigma)
+        assert GLOBAL.diff(before)["dyn_pred_probes"] == 0
+        if idx.n_strings % 100 == 0:
+            idx.audit()
+            for v in _heavy_nodes(idx):
+                assert len(idx.arr[v]) == sigma + 1 and idx.dynp[v] is None
+                assert idx.hptr[v] is None
+    assert len(_heavy_nodes(idx)) > 100
+    assert any(len(_heavy_kids(idx, v)) < 2 for v in _heavy_nodes(idx))
+
+
+def _chain_index(sigma, seed=5):
+    """Strings 1 2 x.. outnumber the other strings under 1, so node `1` is
+    heavy with one heavy child (`1 2`): a non-branching heavy node."""
+    rng = random.Random(seed)
+    words = {(1,)}
+    while len(words) < 2 * sigma:
+        words.add((1, 2) + tuple(rng.randint(1, sigma) for _ in range(rng.randint(1, 3))))
+    for y in range(1, sigma + 1):
+        if y != 2:
+            words.add((1, y) + tuple(rng.randint(1, sigma) for _ in range(rng.randint(0, 2))))
+    idx = DynTrieIndex(sigma=sigma)
+    for w in sorted(words, key=lambda w: rng.random()):
+        idx.insert(list(w))
+    idx.audit()
+    v = idx.trie.nodes[idx.trie.ROOT].children[1]
+    assert idx.heavy[v] and v != idx.trie.ROOT
+    assert _heavy_kids(idx, v) == [idx.trie.nodes[v].children[2]]
+    return idx, sorted(words), v
+
+
+def _search_probes(idx, pat):
+    before = GLOBAL.snapshot()
+    res = idx.search(pat)
+    return res, GLOBAL.diff(before)["dyn_pred_probes"]
+
+
+def test_sigma_63_non_branching_heavy_node_has_array():
+    idx, oracle, v = _chain_index(63)
+    assert len(idx.arr[v]) == 64 and idx.hptr[v] is None
+    c = next(c for c, ch in idx.trie.nodes[v].children.items() if not idx.heavy[ch])
+    res, probes = _search_probes(idx, [1, c])
+    assert res.matched and probes == 0
+    _check_against_oracle(idx, oracle, [[1, c] for c in range(1, 64)], 63)
+
+
+def test_sigma_64_non_branching_heavy_node_keeps_pointer():
+    idx, oracle, v = _chain_index(64)
+    kids = idx.trie.nodes[v].children
+    assert idx.arr[v] is None and idx.hptr[v] == (2, kids[2])
+    assert idx.arr[idx.trie.ROOT] is not None  # 64 * n >= 65 from the 2nd string
+    res, probes = _search_probes(idx, [1, 2])
+    assert res.matched and probes == 0  # the heavy-child pointer
+    c = next(c for c, ch in kids.items() if c and not idx.heavy[ch])
+    res, probes = _search_probes(idx, [1, c])
+    assert res.matched and probes == 1  # a light child: the dynamic predecessor
+    _check_against_oracle(idx, oracle, [[1, c] for c in range(1, 65)], 64)
+
+
+def test_sigma_6_heavy_nodes_keep_no_dynamic_predecessor():
+    idx, oracle, v = _chain_index(6)
+    assert len(idx.arr[v]) == 7
+    assert all(idx.dynp[u] is None for u in _heavy_nodes(idx))
+    pats = [list(w[:k]) + [c] for w in oracle for k in range(len(w) + 1) for c in range(1, 7)]
+    before = GLOBAL.snapshot()
+    _check_against_oracle(idx, oracle, pats, 6)
+    assert GLOBAL.diff(before)["dyn_pred_probes"] == 0
+
+
+def test_sigma_7_heavy_nodes_keep_dynamic_predecessor():
+    # node `1` has the sentinel and all 7 letters as children: 8 >=
+    # _DYNP_MIN_KIDS, so a predecessor ascent through it asks its dynp
+    idx, oracle, v = _chain_index(7)
+    assert len(idx.arr[v]) == 8 and len(idx.trie.nodes[v].children) == 8
+    for u in _heavy_nodes(idx):
+        assert sorted(idx.dynp[u].keys()) == sorted(idx.trie.nodes[u].children)
+    pats = [list(w[:k]) + [c] for w in oracle for k in range(len(w) + 1) for c in range(1, 8)]
+    before = GLOBAL.snapshot()
+    _check_against_oracle(idx, oracle, pats, 7)
+    assert GLOBAL.diff(before)["dyn_pred_probes"] > 0
+
+
+def test_audit_catches_cleared_cell_at_non_branching_heavy_node():
+    idx, _, v = _chain_index(4)
+    c = next(c for c, ch in idx.trie.nodes[v].children.items() if not idx.heavy[ch])
+    idx.arr[v][c] = None
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_planted_dynamic_predecessor():
+    idx, _, v = _chain_index(4)
+    dynp = DynamicPredecessor(5)
+    for c in idx.trie.nodes[v].children:
+        dynp.insert(c)
+    idx.dynp[v] = dynp
+    with pytest.raises(AssertionError):
+        idx.audit()

@@ -342,6 +342,10 @@ def cmd_bench(args) -> int:
             return _fail(f"unknown engine {e!r}", EXIT_MALFORMED)
     if args.n <= 0 or args.queries < 0:
         return _fail("parameters must be positive", EXIT_MALFORMED)
+    words = max(1, args.n // 8)  # distinct 8-letter words the dynamic engine inserts
+    if "dynamic" in engines and words > args.sigma ** 8:
+        return _fail(f"--n {args.n} asks for {words} distinct 8-letter words, "
+                     f"but sigma={args.sigma} has only {args.sigma ** 8}", EXIT_MALFORMED)
     rng = random.Random(args.seed)
     text_codes = [rng.randint(1, args.sigma) for _ in range(args.n)]
     patterns = _bench_patterns(random.Random(args.seed + 1), text_codes,
@@ -365,7 +369,7 @@ def cmd_bench(args) -> int:
             idx = DynTrieIndex(sigma=args.sigma)
             wrng = random.Random(args.seed + 2)
             inserted = 0
-            while inserted < max(1, args.n // 8):
+            while inserted < words:
                 w = [wrng.randint(1, args.sigma) for _ in range(8)]
                 try:
                     idx.insert(w)

@@ -8,10 +8,15 @@ single heavy-child pointer.  A heavy node has the array when sigma + 1 <= 64
 when it has two or more heavy children (at most 2n/sigma nodes), and at the
 root once 64 * n_strings >= sigma + 1; above 64 cells the arrays hold at
 most 64n + 1 + (sigma + 1) * 2n/sigma cells, so O(n) for every sigma.
-When sigma + 1 >= 8 a heavy node also keeps a dynamic predecessor over its
-children's first characters, for the `search` step at a node without an
-array and for `predecessor`'s ascent at a node with 8 or more children;
-below that no query reads one, so none is kept.
+Each heavy node also keeps one insert-only predecessor over its children's
+first characters.  An array node keeps a tree of 64-bit words beside the
+array (`BitPredecessor`, at most (sigma + 1)/63 + 6 more cells): a query
+reads at most two words on each of its ceil(log_64 (sigma + 1)) levels, at
+most 6 levels for sigma < 2^32.  Every other heavy node keeps a heavy-child
+pointer and a wexponential-tree predecessor (`DynamicPredecessor`), as in
+the paper.  The `search` step asks the predecessor only at a node without
+an array; `predecessor`'s ascent asks it at a node with 8 or more children
+and scans the children of every other node.
 
 Light nodes carry the per-small-tree machinery: a level in the capacity
 hierarchy, fragments (maximal same-level connected subtrees) with leaf
@@ -36,7 +41,7 @@ from math import isqrt
 
 from .errors import DuplicateKeyError
 from .instrument import GLOBAL
-from .predkit import DetDictionary, DynamicPredecessor
+from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor
 from .text import SENTINEL, CompactedTrie, MatchResult, Outcome, Text, check_codes
 from .wexp import WexpTree, audit_wexp, capacity
 
@@ -88,10 +93,9 @@ class DynTrieIndex:
         self.same_dict: list[DetDictionary | None] = [None]
         self.wexp: list[WexpTree | None] = [None]
         self.wexp_handles: list[dict | None] = [None]
-        # below _DYNP_MIN_KIDS cells every heavy node has an array, which
-        # `search` reads, and `_ascend` scans: no query reads a dynp
-        self.keep_dynp = sigma + 1 >= _DYNP_MIN_KIDS
+        # a heavy node has exactly one of bitp (with arr) and dynp (with hptr)
         self.dynp: list[DynamicPredecessor | None] = [None]
+        self.bitp: list[BitPredecessor | None] = [None]
         self.arr: list[list | None] = [None]
         self.hptr: list[tuple | None] = [None]
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
@@ -111,6 +115,7 @@ class DynTrieIndex:
             self.wexp.append(None)
             self.wexp_handles.append(None)
             self.dynp.append(None)
+            self.bitp.append(None)
             self.arr.append(None)
             self.hptr.append(None)
             self.occ.append(0)
@@ -152,20 +157,17 @@ class DynTrieIndex:
         self.wexp[v] = None
         self.wexp_handles[v] = None
         self.dynp[v] = None
+        self.bitp[v] = None
         self.arr[v] = None
         self.hptr[v] = None
 
     def _make_heavy(self, v):
+        """Mark v heavy; `_set_heavy_child_links` then builds its links."""
         self.heavy[v] = True
         self.frag[v] = None
         self.same_dict[v] = None
         self.wexp[v] = None
         self.wexp_handles[v] = None
-        dynp = DynamicPredecessor(self.sigma + 1) if self.keep_dynp else None
-        if dynp is not None:
-            for c in self.trie.nodes[v].children:
-                dynp.insert(c)
-        self.dynp[v] = dynp
 
     def _has_array(self, v, n_heavy_kids) -> bool:
         """Whether heavy node v keeps a sigma+1 array over all its children."""
@@ -174,17 +176,28 @@ class DynTrieIndex:
             v == self.trie.ROOT and _ARRAY_CELLS * self.n_strings >= cells)
 
     def _set_heavy_child_links(self, v):
+        """Give heavy node v an array and bit words, or a heavy-child
+        pointer and a dynp, as `_has_array` rules; a new array drops the
+        dynp."""
         children = self.trie.nodes[v].children
         kids = [(c, ch) for c, ch in children.items() if self.heavy[ch]]
         if self._has_array(v, len(kids)):
             arr = [None] * (self.sigma + 1)
+            bitp = BitPredecessor(self.sigma + 1)
             for c, ch in children.items():
                 arr[c] = ch
+                bitp.insert(c)
             self.arr[v] = arr
+            self.bitp[v] = bitp
             self.hptr[v] = None
+            self.dynp[v] = None
         else:
             self.arr[v] = None
+            self.bitp[v] = None
             self.hptr[v] = kids[0] if kids else None
+            dynp = self.dynp[v] = DynamicPredecessor(self.sigma + 1)
+            for c in children:
+                dynp.insert(c)
 
     def _note_new_heavy_child(self, u, child):
         """Child of heavy node u has just become heavy; update u's links."""
@@ -229,10 +242,11 @@ class DynTrieIndex:
         c = self._edge_char(leaf)
         if self.heavy[u]:
             self._make_light(leaf, 0, _Fragment(leaf, 0))
-            if self.keep_dynp:
-                self.dynp[u].insert(c)
             if self.arr[u] is not None:
                 self.arr[u][c] = leaf
+                self.bitp[u].insert(c)
+            else:
+                self.dynp[u].insert(c)
         elif self.level[u] == 0:
             self._make_light(leaf, 0, self.frag[u])
             self._rebuild_same_dict(u)
@@ -575,7 +589,8 @@ class DynTrieIndex:
         while True:
             kids = trie.nodes[v].children
             if self.heavy[v] and len(kids) >= _DYNP_MIN_KIDS:
-                c = self.dynp[v].query(below_char - 1) if below_char else None
+                pred = self.dynp[v] if self.arr[v] is None else self.bitp[v]
+                c = pred.query(below_char - 1) if below_char else None
             else:
                 cands = [k for k in kids if k < below_char]
                 c = max(cands) if cands else None
@@ -627,12 +642,14 @@ class DynTrieIndex:
                 if not (p == -1 or self.heavy[p]):
                     raise AssertionError("heavy set must be connected")
                 heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
-                dynp = self.dynp[v]
-                if (dynp is not None) != self.keep_dynp:
-                    raise AssertionError("dyn pred kept iff sigma + 1 >= _DYNP_MIN_KIDS")
-                if not (dynp is None or set(nd.children) == set(dynp.keys())):
-                    raise AssertionError("dyn pred keys differ from child chars")
-                arr = self.arr[v]
+                arr, bitp, dynp = self.arr[v], self.bitp[v], self.dynp[v]
+                if (bitp is not None) != (arr is not None) or (dynp is None) == (bitp is None):
+                    raise AssertionError("bit words iff an array, a dynp iff none")
+                pred = dynp if bitp is None else bitp
+                if sorted(nd.children) != sorted(pred.keys()):
+                    raise AssertionError("predecessor keys differ from child chars")
+                if bitp is not None:
+                    bitp.audit()
                 if self._has_array(v, len(heavy_kids)):
                     if not (arr is not None and len(arr) == self.sigma + 1):
                         raise AssertionError("heavy node lacks its array")

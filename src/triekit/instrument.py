@@ -13,7 +13,7 @@ class ProbeCounters:
     dict_cell_probes: int = 0       # table cells touched inside lookups
     static_pred_probes: int = 0     # elementary probes inside static predecessor queries
     static_pred_queries: int = 0    # static predecessor query calls
-    dyn_pred_probes: int = 0        # dynamic predecessor query calls
+    dyn_pred_probes: int = 0        # heavy-node predecessor query calls (wexp or bit words)
     wexp_levels_descended: int = 0
     chars_compared: int = 0
     tray_bsearch_steps: int = 0     # child binary-search comparisons in the tray

@@ -2,7 +2,9 @@
 
 Building blocks used everywhere else: a constant-probe deterministic
 dictionary, a static predecessor (a direct table for dense keys, sampled
-x-fast otherwise) and a dynamic predecessor.
+x-fast otherwise) and two insert-only dynamic predecessors: a wexponential
+search tree, and a tree of 64-bit words for nodes that already pay for a
+universe-sized array.
 No randomized seeds anywhere; identical inputs always produce identical
 tables.  Callers count each dictionary lookup (`dict_probes`) where they make
 it; a lookup counts the table cells it reads (`dict_cell_probes`).
@@ -272,3 +274,76 @@ class DynamicPredecessor:
 
     def __len__(self):
         return self._tree.size
+
+
+class BitPredecessor:
+    """Insert-only predecessor over [0, u), a 64-ary tree of 64-bit words.
+
+    Bit i of level-0 word j marks key 64j + i; bit i of word j at a higher
+    level marks a nonzero word 64j + i on the level below.  There are
+    max(1, ceil(log_64 u)) levels, at most 6 for u <= 2^32, and the words
+    number at most u/63 + 6.  An insert sets at most one bit per level and
+    stops at the first word that was already nonzero; a query reads at most
+    two words per level, one going up and one coming down, and adds one to
+    `dyn_pred_probes` as `DynamicPredecessor.query` does.
+    """
+
+    __slots__ = ("levels",)
+
+    def __init__(self, u: int):
+        self.levels = []
+        n = u
+        while True:
+            n = -(-n // 64)
+            self.levels.append([0] * max(1, n))
+            if n <= 1:
+                return
+
+    def insert(self, key: int):
+        """Idempotent insert of `key`."""
+        for words in self.levels:
+            j = key >> 6
+            w = words[j]
+            words[j] = w | (1 << (key & 63))
+            if w:
+                return  # the levels above already mark word j
+            key = j
+
+    def query(self, x: int):
+        """max{y <= x | y stored} for x < u, or None below the minimum."""
+        GLOBAL.dyn_pred_probes += 1
+        if x < 0:
+            return None
+        levels = self.levels
+        # up: the first level with a marked position at or left of x; the
+        # top level is one word, so the loop breaks or returns
+        for depth, words in enumerate(levels):
+            w = words[x >> 6] & ((2 << (x & 63)) - 1)
+            if w:
+                break
+            x = (x >> 6) - 1
+            if x < 0:
+                return None
+        x = (x & ~63) + w.bit_length() - 1
+        # down: the highest marked position in each word below
+        for words in reversed(levels[:depth]):
+            x = (x << 6) + words[x].bit_length() - 1
+        return x
+
+    def keys(self) -> list[int]:
+        """Stored keys in increasing order, read off the level-0 words."""
+        out = []
+        for j, w in enumerate(self.levels[0]):
+            while w:
+                low = w & -w
+                out.append((j << 6) + low.bit_length() - 1)
+                w ^= low
+        return out
+
+    def audit(self):
+        """Raise AssertionError unless each higher-level bit marks exactly
+        a nonzero word below it."""
+        for below, words in zip(self.levels, self.levels[1:]):
+            marks = sum(1 << j for j, w in enumerate(below) if w)
+            if marks != sum(w << (j * 64) for j, w in enumerate(words)):
+                raise AssertionError("bit-word summary differs from the words below")

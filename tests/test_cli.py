@@ -378,6 +378,19 @@ def test_bench_unknown_engine(capsys):
     assert code == 5
 
 
+def test_bench_rejects_more_dynamic_words_than_exist(capsys):
+    # sigma = 1 has one 8-letter word: n = 16 asks for two, n = 8 for one
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["bench", "--n", "16", "--sigma", "1",
+                              "--engines", "dynamic", "--queries", "5"], capsys)
+    assert code == 5 and out == "" and err.startswith("error:")
+    assert time.perf_counter() - t0 < 5
+    code, out, _ = run_cli(["bench", "--n", "8", "--sigma", "1",
+                            "--engines", "dynamic", "--queries", "5"], capsys)
+    assert code == 0
+    assert "engine=dynamic checksum=954305" in out
+
+
 def test_bench_build_only(capsys):
     code, out, _ = run_cli(["bench", "--n", "500", "--sigma", "26",
                             "--engines", "static", "--queries", "0"], capsys)

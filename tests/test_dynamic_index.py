@@ -519,11 +519,13 @@ def test_sigma_6_heavy_nodes_keep_no_dynamic_predecessor():
 
 def test_sigma_7_heavy_nodes_keep_dynamic_predecessor():
     # node `1` has the sentinel and all 7 letters as children: 8 >=
-    # _DYNP_MIN_KIDS, so a predecessor ascent through it asks its dynp
+    # _DYNP_MIN_KIDS, so a predecessor ascent through it asks the bit
+    # words that every array node keeps in place of a dynp
     idx, oracle, v = _chain_index(7)
     assert len(idx.arr[v]) == 8 and len(idx.trie.nodes[v].children) == 8
     for u in _heavy_nodes(idx):
-        assert sorted(idx.dynp[u].keys()) == sorted(idx.trie.nodes[u].children)
+        assert idx.dynp[u] is None
+        assert idx.bitp[u].keys() == sorted(idx.trie.nodes[u].children)
     pats = [list(w[:k]) + [c] for w in oracle for k in range(len(w) + 1) for c in range(1, 8)]
     before = GLOBAL.snapshot()
     _check_against_oracle(idx, oracle, pats, 7)
@@ -544,5 +546,68 @@ def test_audit_catches_planted_dynamic_predecessor():
     for c in idx.trie.nodes[v].children:
         dynp.insert(c)
     idx.dynp[v] = dynp
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+# ------------------------------------------ one predecessor per heavy node
+
+def _sigma_256_index():
+    """sigma = 256 strings whose root array appears at the 5th string and
+    whose node `1` branches into two heavy children (`1 2`, `1 3`)."""
+    rng = random.Random(256)
+    idx = DynTrieIndex(sigma=256)
+    words = set()
+    while len(words) < 1200:
+        head = rng.choice([(1, 2), (1, 3), (rng.randint(1, 256),)])
+        words.add(head + tuple(rng.randint(1, 256) for _ in range(rng.randint(1, 3))))
+    for w in sorted(words, key=lambda w: rng.random()):
+        idx.insert(list(w))
+    idx.audit()
+    v = idx.trie.nodes[idx.trie.ROOT].children[1]
+    assert len(_heavy_kids(idx, v)) == 2 and idx.arr[v] is not None
+    return idx, v
+
+
+def test_sigma_256_array_nodes_keep_bit_words_only():
+    idx, v = _sigma_256_index()
+    for u in _heavy_nodes(idx):
+        has_array = idx.arr[u] is not None
+        assert (idx.bitp[u] is not None) == has_array
+        assert (idx.dynp[u] is None) == has_array
+    assert idx.bitp[v].keys() == sorted(idx.trie.nodes[v].children)
+    assert len(idx.bitp[v].levels) == 2  # 257 cells: 5 words and 1 above
+
+
+def test_audit_catches_bit_for_non_child_character():
+    idx, v = _sigma_256_index()
+    kids = idx.trie.nodes[v].children
+    idx.bitp[v].insert(next(c for c in range(1, 257) if c not in kids))
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_cleared_bit():
+    idx, v = _sigma_256_index()
+    c = max(idx.trie.nodes[v].children)
+    idx.bitp[v].levels[0][c >> 6] &= ~(1 << (c & 63))
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_dynamic_predecessor_beside_array():
+    idx, v = _sigma_256_index()
+    dynp = DynamicPredecessor(257)
+    for c in idx.trie.nodes[v].children:
+        dynp.insert(c)
+    idx.dynp[v] = dynp
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_unmarked_bit_word():
+    idx, v = _sigma_256_index()
+    levels = idx.bitp[v].levels
+    levels[1][0] = 0  # the summary no longer marks the nonzero words below
     with pytest.raises(AssertionError):
         idx.audit()

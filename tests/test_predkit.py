@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from triekit.errors import DuplicateKeyError, InvalidInputError
 from triekit import predkit
 from triekit.instrument import GLOBAL
-from triekit.predkit import DetDictionary, DynamicPredecessor, StaticPredecessor
+from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor, StaticPredecessor
 
 from oracles import SortedSetOracle
 
@@ -357,3 +357,44 @@ def test_dyn_pred_interleaved_random():
         else:
             x = rng.randrange(2**32)
             assert p.query(x) == oracle.pred(x)
+
+
+# ------------------------------------------------------ bit-word predecessor
+
+@pytest.mark.parametrize("u", [1, 2, 63, 64, 65, 257, 4097, 65537])
+def test_bit_pred_against_sorted_list(u):
+    rng = random.Random(u)
+    p = BitPredecessor(u)
+    oracle = SortedSetOracle()
+    assert p.query(u - 1) is None and p.keys() == []
+    # a repeated key now and then: the insert is idempotent
+    pool = [rng.randrange(u) for _ in range(min(u, 600))]
+    for step, key in enumerate(pool + rng.sample(pool, len(pool) // 4)):
+        p.insert(key)
+        oracle.insert(key)
+        if step % 97 != 0:
+            continue
+        xs = range(u) if u <= 257 else [rng.randrange(u) for _ in range(500)]
+        for x in xs:
+            assert p.query(x) == oracle.pred(x), (u, x)
+    xs = range(u) if u <= 257 else [rng.randrange(u) for _ in range(2000)]
+    for x in xs:
+        assert p.query(x) == oracle.pred(x), (u, x)
+    assert p.query(u - 1) == oracle.keys[-1]
+    assert p.keys() == oracle.keys
+    p.audit()
+
+
+def test_bit_pred_levels_and_probes():
+    assert [len(BitPredecessor(u).levels) for u in (1, 64, 65, 257, 65537, 2**24 + 1)] == \
+        [1, 1, 2, 2, 3, 5]
+    p = BitPredecessor(4097)
+    for k in (4096, 0, 70):
+        p.insert(k)
+    before = GLOBAL.dyn_pred_probes
+    assert [p.query(x) for x in (69, 70, 4095, 4096)] == [0, 70, 70, 4096]
+    assert GLOBAL.dyn_pred_probes - before == 4
+    # an insert stops at the first word that was already nonzero
+    levels = [list(words) for words in p.levels]
+    p.insert(71)
+    assert p.levels[1:] == levels[1:]

@@ -1,37 +1,40 @@
 """Amortized dynamic compacted-trie search structure.
 
-The trie is split into a heavy top (nodes with more than s/2 leaves, s =
-sigma, always containing the root) and light small trees hanging off it.
+The trie is split into a heavy top (nodes with more than sigma/2 leaves,
+always containing the root) and light small trees hanging off it.
 Heavy nodes carry either a size-(sigma + 1) array over all children or a
 single heavy-child pointer.  A heavy node has the array when sigma + 1 <= 64
 (then every heavy node has one: at most 2n nodes, so at most 128n cells),
 when it has two or more heavy children (at most 2n/sigma nodes), and at the
 root once 64 * n_strings >= sigma + 1; above 64 cells the arrays hold at
 most 64n + 1 + (sigma + 1) * 2n/sigma cells, so O(n) for every sigma.
-Each heavy node also keeps one insert-only predecessor over its children's
-first characters.  An array node keeps a tree of 64-bit words beside the
-array (`BitPredecessor`, at most (sigma + 1)/63 + 6 more cells): a query
-reads at most two words on each of its ceil(log_64 (sigma + 1)) levels, at
-most 6 levels for sigma < 2^32.  Every other heavy node keeps a heavy-child
-pointer and a wexponential-tree predecessor (`DynamicPredecessor`), as in
-the paper.  The `search` step asks the predecessor only at a node without
-an array; `predecessor`'s ascent asks it at a node with 8 or more children
-and scans the children of every other node.
+Each heavy node has one predecessor slot over its children's first
+characters, asked only by `predecessor`'s ascent at a node with 8 or more
+children (the ascent scans the children of every other node) and by the
+`search` step at a node without an array.  A node without an array keeps a
+heavy-child pointer and a wexponential-tree predecessor
+(`DynamicPredecessor`), as in the paper.  An array node keeps a tree of
+64-bit words (`BitPredecessor`, at most (sigma + 1)/63 + 6 more cells; a
+query reads at most two words on each of its ceil(log_64 (sigma + 1))
+levels, at most 6 levels for sigma < 2^32) when sigma + 1 >= 8, and nothing
+below that, where no node has 8 children.
 
 Light nodes carry the per-small-tree machinery: a level in the capacity
-hierarchy, fragments (maximal same-level connected subtrees) with leaf
-counters at their roots, a deterministic dictionary over same-level child
+hierarchy, fragments (maximal same-level connected subtrees) weighed by the
+leaf count of their roots, a deterministic dictionary over same-level child
 edges and a wexponential search tree over lower-level child edges whose
 stored weights track the true weights within [ceil(sqrt(w)), w].  The
 dictionary exists only while a node has a same-level child, and the tree only
 from its first lower-level child on, so leaves hold neither.
 
-No state is stored that the rest determines: a fragment's members are the
-nodes whose `frag` entry is its record, and a small tree's root is the root
-of the topmost fragment above a node, the one whose parent is heavy.
+No state is stored that the rest determines: every weight that promotions
+and rebalances read is the leaf count `occ` that match reporting keeps
+anyway, a fragment's members are the nodes whose `frag` entry is its
+record, and a small tree's root is the root of the topmost fragment above a
+node, the one whose parent is heavy.
 
-All rebuild work (small-tree rebalancing at s leaves, fragment promoting at
-2*f(level+1)) is eager and atomic: the amortized variant.
+All rebuild work (small-tree rebalancing at sigma leaves, fragment
+promoting at 2*f(level+1)) is eager and atomic: the amortized variant.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .wexp import WexpTree, audit_wexp, capacity
 
 # Below 2*f(2) keys a dynamic predecessor is one linear scan (a wexp base
 # container), so `_ascend` scans a heavy node's children itself.
-_DYNP_MIN_KIDS = 2 * capacity(2)
+_PRED_MIN_KIDS = 2 * capacity(2)
 
 # A sigma+1 child array of at most this many cells is O(1) space, so at
 # such a sigma every heavy node keeps one; at any sigma the root gets its
@@ -70,14 +73,15 @@ def canonical_level(weight: int) -> int:
 
 
 class _Fragment:
-    """Maximal connected same-level subtree; the root holds the counter."""
+    """Maximal connected same-level subtree, named by its root; its weight
+    is the root's `occ`.  Below a light parent p the root's edge is
+    registered in `wexp[p]` under `handle`."""
 
-    __slots__ = ("root", "counter", "reg")
+    __slots__ = ("root", "handle")
 
-    def __init__(self, root, counter, reg=None):
+    def __init__(self, root, handle=None):
         self.root = root
-        self.counter = counter
-        self.reg = reg  # (owning WexpTree, ElementHandle) or None
+        self.handle = handle
 
 
 class DynTrieIndex:
@@ -85,7 +89,6 @@ class DynTrieIndex:
 
     def __init__(self, sigma: int):
         self.sigma = sigma
-        self.s = sigma
         self.trie = CompactedTrie(sources=[])
         self.heavy = [True]  # the root is permanently heavy
         self.level = [0]
@@ -93,9 +96,9 @@ class DynTrieIndex:
         self.same_dict: list[DetDictionary | None] = [None]
         self.wexp: list[WexpTree | None] = [None]
         self.wexp_handles: list[dict | None] = [None]
-        # a heavy node has exactly one of bitp (with arr) and dynp (with hptr)
-        self.dynp: list[DynamicPredecessor | None] = [None]
-        self.bitp: list[BitPredecessor | None] = [None]
+        # heavy-node predecessor: a DynamicPredecessor without an array, bit
+        # words with one at sigma + 1 >= _PRED_MIN_KIDS, else none
+        self.pred: list[DynamicPredecessor | BitPredecessor | None] = [None]
         self.arr: list[list | None] = [None]
         self.hptr: list[tuple | None] = [None]
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
@@ -114,8 +117,7 @@ class DynTrieIndex:
             self.same_dict.append(None)
             self.wexp.append(None)
             self.wexp_handles.append(None)
-            self.dynp.append(None)
-            self.bitp.append(None)
+            self.pred.append(None)
             self.arr.append(None)
             self.hptr.append(None)
             self.occ.append(0)
@@ -147,7 +149,7 @@ class DynTrieIndex:
         while h.weight < target:
             tree.increase(h)
             GLOBAL.promote_steps += 1
-        return (tree, h)
+        return h
 
     def _make_light(self, v, level, fragment):
         self.heavy[v] = False
@@ -156,8 +158,7 @@ class DynTrieIndex:
         self.same_dict[v] = None
         self.wexp[v] = None
         self.wexp_handles[v] = None
-        self.dynp[v] = None
-        self.bitp[v] = None
+        self.pred[v] = None
         self.arr[v] = None
         self.hptr[v] = None
 
@@ -176,28 +177,26 @@ class DynTrieIndex:
             v == self.trie.ROOT and _ARRAY_CELLS * self.n_strings >= cells)
 
     def _set_heavy_child_links(self, v):
-        """Give heavy node v an array and bit words, or a heavy-child
-        pointer and a dynp, as `_has_array` rules; a new array drops the
-        dynp."""
+        """Give heavy node v an array (with bit words at sigma + 1 >= 8), or
+        a heavy-child pointer and a DynamicPredecessor, as `_has_array`
+        rules."""
         children = self.trie.nodes[v].children
         kids = [(c, ch) for c, ch in children.items() if self.heavy[ch]]
+        cells = self.sigma + 1
         if self._has_array(v, len(kids)):
-            arr = [None] * (self.sigma + 1)
-            bitp = BitPredecessor(self.sigma + 1)
+            arr = self.arr[v] = [None] * cells
             for c, ch in children.items():
                 arr[c] = ch
-                bitp.insert(c)
-            self.arr[v] = arr
-            self.bitp[v] = bitp
             self.hptr[v] = None
-            self.dynp[v] = None
+            pred = BitPredecessor(cells) if cells >= _PRED_MIN_KIDS else None
         else:
             self.arr[v] = None
-            self.bitp[v] = None
             self.hptr[v] = kids[0] if kids else None
-            dynp = self.dynp[v] = DynamicPredecessor(self.sigma + 1)
+            pred = DynamicPredecessor(cells)
+        if pred is not None:
             for c in children:
-                dynp.insert(c)
+                pred.insert(c)
+        self.pred[v] = pred
 
     def _note_new_heavy_child(self, u, child):
         """Child of heavy node u has just become heavy; update u's links."""
@@ -233,27 +232,24 @@ class DynTrieIndex:
         while v != -1:
             self.occ[v] += 1
             v = self.trie.nodes[v].parent
-        self._bump_counters_and_trigger(leaf)
+        self._reweigh_and_trigger(leaf)
         if self.audit_each:
             self.audit()
 
     def _wire_leaf(self, u, leaf):
         """New leaf directly under existing node u."""
-        c = self._edge_char(leaf)
         if self.heavy[u]:
-            self._make_light(leaf, 0, _Fragment(leaf, 0))
+            self._make_light(leaf, 0, _Fragment(leaf))
+            c = self._edge_char(leaf)
             if self.arr[u] is not None:
                 self.arr[u][c] = leaf
-                self.bitp[u].insert(c)
-            else:
-                self.dynp[u].insert(c)
+            if self.pred[u] is not None:
+                self.pred[u].insert(c)
         elif self.level[u] == 0:
             self._make_light(leaf, 0, self.frag[u])
             self._rebuild_same_dict(u)
         else:
-            fragment = _Fragment(leaf, 0)
-            self._make_light(leaf, 0, fragment)
-            fragment.reg = self._register_child(u, leaf, 1)
+            self._make_light(leaf, 0, _Fragment(leaf, self._register_child(u, leaf, 1)))
 
     def _wire_mid(self, u, mid, leaf):
         """Edge (u, w) was split at new node mid; leaf hangs under mid."""
@@ -286,23 +282,25 @@ class DynTrieIndex:
             self.same_dict[u].repoint(c_mid, mid)
         self._wire_leaf(mid, leaf)
 
-    def _bump_counters_and_trigger(self, leaf):
+    def _reweigh_and_trigger(self, leaf):
+        """After `occ` counts a new leaf: raise the stored weights of the
+        fragments above it into their windows, top-down, then rebalance or
+        promote as their leaf counts demand."""
+        occ = self.occ
+        nodes = self.trie.nodes
         frags = self._fragments_above(leaf)
-        # counters first, top-down, maintaining the stored-weight windows
         for f in reversed(frags):
-            f.counter += 1
-            if f.reg is not None:
-                tree, h = f.reg
-                if h.weight < _ceil_sqrt(f.counter):
-                    tree.increase(h)
-        if frags and frags[-1].counter >= self.s:
+            h = f.handle
+            if h is not None and h.weight < _ceil_sqrt(occ[f.root]):
+                self.wexp[nodes[f.root].parent].increase(h)
+        if frags and occ[frags[-1].root] >= self.sigma:
             # the topmost fragment's root hangs off the heavy top: it is
             # the root of the small tree
             self._rebalance(frags[-1].root)
             return
         while True:
             for f in self._fragments_above(leaf):
-                if f.counter >= 2 * capacity(self.level[f.root] + 1):
+                if occ[f.root] >= 2 * capacity(self.level[f.root] + 1):
                     self._promote(f)
                     break
             else:
@@ -320,90 +318,56 @@ class DynTrieIndex:
 
     # ------------------------------------------------------------ promoting
 
-    def _member_weights(self, fragment):
-        """True weights of every member, via one DFS over the fragment."""
-        trie = self.trie
-        weights = {}
-        order = []
-        stack = [fragment.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for ch in trie.nodes[v].children.values():
-                if self.frag[ch] is fragment:
-                    stack.append(ch)
-        for v in reversed(order):
-            nd = trie.nodes[v]
-            GLOBAL.promote_steps += 1
-            if nd.is_leaf:
-                weights[v] = 1
-                continue
-            w = 0
-            for ch in nd.children.values():
-                GLOBAL.promote_steps += 1
-                if self.frag[ch] is fragment:
-                    w += weights[ch]
-                elif self.heavy[ch]:
-                    raise AssertionError("heavy child below a light node")
-                else:
-                    w += self.frag[ch].counter
-            weights[v] = w
-        return weights
-
     def _promote(self, fragment):
         """Raise the level of the over-weight tail of `fragment` by one."""
         GLOBAL.promotions += 1
         trie = self.trie
+        occ = self.occ
         r = fragment.root
         lv = self.level[r]
-        weights = self._member_weights(fragment)
         threshold = capacity(lv + 1)
-        # the tail: maximal descending chain of members heavier than f(lv+1)
-        tail = [r]
-        cur = r
-        while True:
-            nxt = [ch for ch in trie.nodes[cur].children.values()
-                   if self.frag[ch] is fragment and weights[ch] > threshold]
-            if not nxt:
-                break
-            assert len(nxt) == 1, "two over-weight children cannot coexist"
-            cur = nxt[0]
-            tail.append(cur)
-        tail_set = set(tail)
-
-        # split the remainder of the old fragment into new fragments
+        # the tail: maximal descending chain of members heavier than
+        # f(lv+1); every other member child of a tail node roots a new
+        # fragment at level lv
+        tail = []
         new_roots = []
-        for x in tail:
-            for ch in trie.nodes[x].children.values():
-                if self.frag[ch] is fragment and ch not in tail_set:
-                    new_roots.append((x, ch))
+        cur = r
+        while cur is not None:
+            tail.append(cur)
+            self.level[cur] = lv + 1
+            nxt = None
+            for ch in trie.nodes[cur].children.values():
+                GLOBAL.promote_steps += 1
+                if self.frag[ch] is not fragment:
+                    continue
+                if occ[ch] > threshold:
+                    assert nxt is None, "two over-weight children cannot coexist"
+                    nxt = ch
+                else:
+                    new_roots.append((cur, ch))
+            cur = nxt
+
+        # split the remainder of the old fragment into new fragments; a
+        # new root's subtree holds no tail node
         for _, root_ch in new_roots:
-            nf = _Fragment(root_ch, weights[root_ch])
+            nf = _Fragment(root_ch)
             stack = [root_ch]
             while stack:
                 v = stack.pop()
                 self.frag[v] = nf
                 GLOBAL.promote_steps += 1
                 for ch in trie.nodes[v].children.values():
-                    if self.frag[ch] is fragment and ch not in tail_set:
+                    if self.frag[ch] is fragment:
                         stack.append(ch)
 
-        # bump the tail's level
-        for x in tail:
-            self.level[x] = lv + 1
-
-        # fragment record for the tail: join the parent's or start fresh
+        # the tail joins its parent's fragment or keeps the old record,
+        # whose root and registration are still its own
         p = trie.nodes[r].parent
-        if p != -1 and not self.heavy[p] and self.level[p] == lv + 1:
+        if not self.heavy[p] and self.level[p] == lv + 1:
             pf = self.frag[p]
             for x in tail:
                 self.frag[x] = pf
             self._rebuild_same_dict(p)  # r's edge moves into the parent's dict
-        else:
-            nf = _Fragment(r, weights[r],
-                           reg=fragment.reg if (p != -1 and not self.heavy[p]) else None)
-            for x in tail:
-                self.frag[x] = nf
 
         # per tail node: same-level dict is just the next tail node, so it
         # changes only where former same-level children left; they register
@@ -411,29 +375,25 @@ class DynTrieIndex:
         for x in dict.fromkeys(x for x, _ in new_roots):
             self._rebuild_same_dict(x)
         for x, ch in new_roots:
-            f_ch = self.frag[ch]
-            f_ch.reg = self._register_child(x, ch, f_ch.counter)
+            self.frag[ch].handle = self._register_child(x, ch, occ[ch])
 
     # ----------------------------------------------------------- rebalancing
 
     def _rebalance(self, root):
-        """Small tree at `root` reached s leaves: carve out the new heavy
-        top and rebuild every remaining light payload from scratch."""
+        """Small tree at `root` reached sigma leaves: carve out the new
+        heavy top and rebuild every remaining light payload from scratch."""
         trie = self.trie
+        occ = self.occ
         u = trie.nodes[root].parent
         order = []
         stack = [root]
         while stack:
             v = stack.pop()
+            GLOBAL.rebalance_steps += 1
             order.append(v)
             stack.extend(trie.nodes[v].children.values())
-        counts = {}
-        for v in reversed(order):
-            GLOBAL.rebalance_steps += 1
-            nd = trie.nodes[v]
-            counts[v] = 1 if nd.is_leaf else sum(counts[ch] for ch in nd.children.values())
-        half = self.s / 2
-        new_heavy = [v for v in order if counts[v] > half]
+        half = self.sigma / 2
+        new_heavy = [v for v in order if occ[v] > half]
         for v in new_heavy:
             self._make_heavy(v)
         for v in new_heavy:
@@ -446,9 +406,9 @@ class DynTrieIndex:
                 continue
             p = trie.nodes[v].parent
             GLOBAL.rebalance_steps += 1
-            lv = canonical_level(counts[v])
+            lv = canonical_level(occ[v])
             if self.heavy[p] or self.level[p] != lv:
-                fragment = _Fragment(v, counts[v])
+                fragment = _Fragment(v)
             else:
                 fragment = self.frag[p]
             self._make_light(v, lv, fragment)
@@ -458,8 +418,7 @@ class DynTrieIndex:
             self._rebuild_same_dict(v)
             for ch in trie.nodes[v].children.values():
                 if self.level[ch] != self.level[v]:
-                    f_ch = self.frag[ch]
-                    f_ch.reg = self._register_child(v, ch, f_ch.counter)
+                    self.frag[ch].handle = self._register_child(v, ch, occ[ch])
 
     # ---------------------------------------------------------------- search
 
@@ -490,7 +449,7 @@ class DynTrieIndex:
                     hptr = self.hptr[v]
                     if hptr is not None and hptr[0] == c:
                         child = hptr[1]
-                    elif self.dynp[v].query(c) == c:
+                    elif self.pred[v].query(c) == c:
                         child = trie.nodes[v].children[c]
             else:
                 same = self.same_dict[v]
@@ -588,9 +547,8 @@ class DynTrieIndex:
         trie = self.trie
         while True:
             kids = trie.nodes[v].children
-            if self.heavy[v] and len(kids) >= _DYNP_MIN_KIDS:
-                pred = self.dynp[v] if self.arr[v] is None else self.bitp[v]
-                c = pred.query(below_char - 1) if below_char else None
+            if self.heavy[v] and len(kids) >= _PRED_MIN_KIDS:
+                c = self.pred[v].query(below_char - 1) if below_char else None
             else:
                 cands = [k for k in kids if k < below_char]
                 c = max(cands) if cands else None
@@ -636,20 +594,22 @@ class DynTrieIndex:
                 if trie.nodes[ch].parent != v:
                     raise AssertionError
             if self.heavy[v]:
-                if not (v == trie.ROOT or counts[v] > self.s / 2):
+                if not (v == trie.ROOT or counts[v] > self.sigma / 2):
                     raise AssertionError("underweight heavy node")
                 p = nd.parent
                 if not (p == -1 or self.heavy[p]):
                     raise AssertionError("heavy set must be connected")
                 heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
-                arr, bitp, dynp = self.arr[v], self.bitp[v], self.dynp[v]
-                if (bitp is not None) != (arr is not None) or (dynp is None) == (bitp is None):
-                    raise AssertionError("bit words iff an array, a dynp iff none")
-                pred = dynp if bitp is None else bitp
-                if sorted(nd.children) != sorted(pred.keys()):
+                arr, pred = self.arr[v], self.pred[v]
+                kind = (DynamicPredecessor if arr is None else BitPredecessor
+                        if self.sigma + 1 >= _PRED_MIN_KIDS else type(None))
+                if type(pred) is not kind:
+                    raise AssertionError("a DynamicPredecessor iff no array, bit words "
+                                         "iff an array and sigma + 1 >= 8, else none")
+                if pred is not None and sorted(nd.children) != sorted(pred.keys()):
                     raise AssertionError("predecessor keys differ from child chars")
-                if bitp is not None:
-                    bitp.audit()
+                if kind is BitPredecessor:
+                    pred.audit()
                 if self._has_array(v, len(heavy_kids)):
                     if not (arr is not None and len(arr) == self.sigma + 1):
                         raise AssertionError("heavy node lacks its array")
@@ -667,7 +627,7 @@ class DynTrieIndex:
                         raise AssertionError
                 continue
             # light node checks
-            if counts[v] >= self.s:
+            if counts[v] >= self.sigma:
                 raise AssertionError("overweight light node")
             lv = self.level[v]
             f = self.frag[v]
@@ -677,14 +637,10 @@ class DynTrieIndex:
             if f.root == v:
                 if not (self.heavy[p] or self.level[p] > lv):
                     raise AssertionError("fragment not maximal")
-                if f.counter != counts[v]:
-                    raise AssertionError("stale fragment counter")
                 if not self.heavy[p]:
-                    if f.reg is None:
-                        raise AssertionError
-                    tree, h = f.reg
-                    if tree is not self.wexp[p] or h is not self.wexp_handles[p][self._edge_char(v)]:
-                        raise AssertionError
+                    h = f.handle
+                    if h is None or h is not (self.wexp_handles[p] or {}).get(self._edge_char(v)):
+                        raise AssertionError("fragment root not registered in its parent's wexp")
                     if not (_ceil_sqrt(counts[v]) <= h.weight <= counts[v]):
                         raise AssertionError("stored weight outside [ceil(sqrt(w)), w]")
             else:

@@ -19,7 +19,7 @@ class ProbeCounters:
     tray_bsearch_steps: int = 0     # child binary-search comparisons in the tray
     splits: int = 0                 # wexp node/container splits
     promotions: int = 0             # fragment promotions in the dynamic trie
-    promote_steps: int = 0          # elementary work inside promotions
+    promote_steps: int = 0          # tail-walk children, refiled nodes, wexp weight raises
     rebalance_steps: int = 0        # elementary work inside heavy/light rebalances
     oracle_steps: int = 0           # walk-up + link maintenance in the suffix oracle
 

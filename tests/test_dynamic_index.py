@@ -8,7 +8,7 @@ from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
 from triekit.instrument import GLOBAL
-from triekit.predkit import DynamicPredecessor
+from triekit.predkit import BitPredecessor, DynamicPredecessor
 from triekit.text import SENTINEL
 from triekit.wexp import capacity
 
@@ -103,7 +103,7 @@ def test_audit_catches_split_fragment():
     idx = _random_index(4)
     v = next(v for v in range(1, len(idx.trie.nodes))
              if not idx.heavy[v] and idx.frag[v].root != v)
-    idx.frag[v] = _Fragment(v, idx.occ[v])
+    idx.frag[v] = _Fragment(v)
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -116,10 +116,17 @@ def test_audit_catches_missing_fragment_record():
         idx.audit()
 
 
-def test_audit_catches_stale_fragment_counter():
+@pytest.mark.parametrize("where", ["root", "member", "heavy"])
+def test_audit_catches_stale_leaf_count(where):
+    # occ is the one leaf count that promotions and rebalances read
     idx = _random_index(4)
-    v = next(v for v in range(1, len(idx.trie.nodes)) if not idx.heavy[v])
-    idx.frag[v].counter += 1
+    nodes = range(1, len(idx.trie.nodes))
+    if where == "heavy":
+        v = next(v for v in nodes if idx.heavy[v])
+    else:
+        v = next(v for v in nodes
+                 if not idx.heavy[v] and (idx.frag[v].root == v) == (where == "root"))
+    idx.occ[v] += 1
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -220,7 +227,7 @@ def test_predecessor_boundary_patterns():
 
 def test_predecessor_wide_alphabet():
     # sigma = 2^16 and a few thousand strings: the heavy root has many
-    # children, so predecessor ascents are answered by its dynamic predecessor
+    # children, so predecessor ascents are answered by its predecessor slot
     sigma = 1 << 16
     rng = random.Random(16)
     firsts = rng.sample(range(1, sigma + 1), 1500)
@@ -394,13 +401,26 @@ def test_audit_catches_extra_array_cell():
         idx.audit()
 
 
-def test_bench_checksum_pinned(capsys):
-    argv = ["bench", "--n", "8000", "--sigma", "4000", "--engines", "dynamic",
+_BENCH_PINS = {  # sigma: fields of the dynamic engine's counter line
+    4: ["checksum=1864420888280272836", "rebalance_steps=2435"],
+    7: ["checksum=1926378633496758048", "promotions=170", "rebalance_steps=1179"],
+    256: ["checksum=2246706613913943113"],
+    4000: ["checksum=614384522149803998"],
+    65536: ["checksum=1765523029328393993"],
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(_BENCH_PINS))
+def test_bench_checksum_pinned(capsys, sigma):
+    argv = ["bench", "--n", "8000", "--sigma", str(sigma), "--engines", "dynamic",
             "--queries", "2000", "--seed", "3"]
     assert main(argv) == 0
     line = next(l for l in capsys.readouterr().out.split("\n") if "checksum=" in l)
-    assert "checksum=614384522149803998 " in line
-    assert "dyn_pred_probes" not in line
+    fields = line.split()
+    for pin in _BENCH_PINS[sigma]:
+        assert pin in fields
+    if sigma == 4000:
+        assert not any(f.startswith("dyn_pred_probes=") for f in fields)
 
 
 # ------------------------------------------- small alphabets (sigma + 1 <= 64)
@@ -432,8 +452,8 @@ def _check_against_oracle(idx, oracle, pats, sigma):
 
 
 def test_small_sigma_stream_reads_arrays_only():
-    # sigma = 4: every heavy node keeps a 5-cell array and no dynamic
-    # predecessor, so no search or predecessor makes a predecessor query
+    # sigma = 4: every heavy node keeps a 5-cell array and no predecessor,
+    # so no search or predecessor makes a predecessor query
     sigma = 4
     rng = random.Random(44)
     idx = DynTrieIndex(sigma=sigma)
@@ -453,7 +473,7 @@ def test_small_sigma_stream_reads_arrays_only():
         if idx.n_strings % 100 == 0:
             idx.audit()
             for v in _heavy_nodes(idx):
-                assert len(idx.arr[v]) == sigma + 1 and idx.dynp[v] is None
+                assert len(idx.arr[v]) == sigma + 1 and idx.pred[v] is None
                 assert idx.hptr[v] is None
     assert len(_heavy_nodes(idx)) > 100
     assert any(len(_heavy_kids(idx, v)) < 2 for v in _heavy_nodes(idx))
@@ -510,7 +530,7 @@ def test_sigma_64_non_branching_heavy_node_keeps_pointer():
 def test_sigma_6_heavy_nodes_keep_no_dynamic_predecessor():
     idx, oracle, v = _chain_index(6)
     assert len(idx.arr[v]) == 7
-    assert all(idx.dynp[u] is None for u in _heavy_nodes(idx))
+    assert all(idx.pred[u] is None for u in _heavy_nodes(idx))
     pats = [list(w[:k]) + [c] for w in oracle for k in range(len(w) + 1) for c in range(1, 7)]
     before = GLOBAL.snapshot()
     _check_against_oracle(idx, oracle, pats, 6)
@@ -519,13 +539,13 @@ def test_sigma_6_heavy_nodes_keep_no_dynamic_predecessor():
 
 def test_sigma_7_heavy_nodes_keep_dynamic_predecessor():
     # node `1` has the sentinel and all 7 letters as children: 8 >=
-    # _DYNP_MIN_KIDS, so a predecessor ascent through it asks the bit
-    # words that every array node keeps in place of a dynp
+    # _PRED_MIN_KIDS, so a predecessor ascent through it asks the bit
+    # words that every array node keeps at sigma + 1 >= 8
     idx, oracle, v = _chain_index(7)
     assert len(idx.arr[v]) == 8 and len(idx.trie.nodes[v].children) == 8
     for u in _heavy_nodes(idx):
-        assert idx.dynp[u] is None
-        assert idx.bitp[u].keys() == sorted(idx.trie.nodes[u].children)
+        assert isinstance(idx.pred[u], BitPredecessor)
+        assert idx.pred[u].keys() == sorted(idx.trie.nodes[u].children)
     pats = [list(w[:k]) + [c] for w in oracle for k in range(len(w) + 1) for c in range(1, 8)]
     before = GLOBAL.snapshot()
     _check_against_oracle(idx, oracle, pats, 7)
@@ -540,12 +560,26 @@ def test_audit_catches_cleared_cell_at_non_branching_heavy_node():
         idx.audit()
 
 
-def test_audit_catches_planted_dynamic_predecessor():
+def _plant_predecessor(kind):
+    """A sigma = 4 index whose non-branching heavy node holds a predecessor
+    of `kind` over its child characters."""
     idx, _, v = _chain_index(4)
-    dynp = DynamicPredecessor(5)
+    pred = kind(5)
     for c in idx.trie.nodes[v].children:
-        dynp.insert(c)
-    idx.dynp[v] = dynp
+        pred.insert(c)
+    idx.pred[v] = pred
+    return idx
+
+
+def test_audit_catches_planted_dynamic_predecessor():
+    idx = _plant_predecessor(DynamicPredecessor)
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_unread_bit_words():
+    # at sigma + 1 < 8 no node has 8 children, so no query reads bit words
+    idx = _plant_predecessor(BitPredecessor)
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -573,16 +607,15 @@ def test_sigma_256_array_nodes_keep_bit_words_only():
     idx, v = _sigma_256_index()
     for u in _heavy_nodes(idx):
         has_array = idx.arr[u] is not None
-        assert (idx.bitp[u] is not None) == has_array
-        assert (idx.dynp[u] is None) == has_array
-    assert idx.bitp[v].keys() == sorted(idx.trie.nodes[v].children)
-    assert len(idx.bitp[v].levels) == 2  # 257 cells: 5 words and 1 above
+        assert isinstance(idx.pred[u], BitPredecessor if has_array else DynamicPredecessor)
+    assert idx.pred[v].keys() == sorted(idx.trie.nodes[v].children)
+    assert len(idx.pred[v].levels) == 2  # 257 cells: 5 words and 1 above
 
 
 def test_audit_catches_bit_for_non_child_character():
     idx, v = _sigma_256_index()
     kids = idx.trie.nodes[v].children
-    idx.bitp[v].insert(next(c for c in range(1, 257) if c not in kids))
+    idx.pred[v].insert(next(c for c in range(1, 257) if c not in kids))
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -590,24 +623,25 @@ def test_audit_catches_bit_for_non_child_character():
 def test_audit_catches_cleared_bit():
     idx, v = _sigma_256_index()
     c = max(idx.trie.nodes[v].children)
-    idx.bitp[v].levels[0][c >> 6] &= ~(1 << (c & 63))
+    idx.pred[v].levels[0][c >> 6] &= ~(1 << (c & 63))
     with pytest.raises(AssertionError):
         idx.audit()
 
 
 def test_audit_catches_dynamic_predecessor_beside_array():
     idx, v = _sigma_256_index()
+    # a DynamicPredecessor over the right keys in the slot of the bit words
     dynp = DynamicPredecessor(257)
     for c in idx.trie.nodes[v].children:
         dynp.insert(c)
-    idx.dynp[v] = dynp
+    idx.pred[v] = dynp
     with pytest.raises(AssertionError):
         idx.audit()
 
 
 def test_audit_catches_unmarked_bit_word():
     idx, v = _sigma_256_index()
-    levels = idx.bitp[v].levels
+    levels = idx.pred[v].levels
     levels[1][0] = 0  # the summary no longer marks the nonzero words below
     with pytest.raises(AssertionError):
         idx.audit()

@@ -24,8 +24,11 @@ hierarchy, fragments (maximal same-level connected subtrees) weighed by the
 leaf count of their roots, a deterministic dictionary over same-level child
 edges and a wexponential search tree over lower-level child edges whose
 stored weights track the true weights within [ceil(sqrt(w)), w].  The
-dictionary exists only while a node has a same-level child, and the tree only
-from its first lower-level child on, so leaves hold neither.
+dictionary exists only while a node at level 1 or above has a same-level
+child, and the tree only from its first lower-level child on, so leaves hold
+neither.  A level-0 node keeps no dictionary: its level window (fewer than
+2*f(1) = 4 leaves) leaves it at most 3 children, all same-level, and a search
+step reads its children map, charging each entry as a cell.
 
 No state is stored that the rest determines: every weight that promotions
 and rebalances read is the leaf count `occ` that match reporting keeps
@@ -79,9 +82,9 @@ class _Fragment:
 
     __slots__ = ("root", "handle")
 
-    def __init__(self, root, handle=None):
+    def __init__(self, root):
         self.root = root
-        self.handle = handle
+        self.handle = None
 
 
 class DynTrieIndex:
@@ -126,15 +129,16 @@ class DynTrieIndex:
         return self.trie.label_char(v, 0)
 
     def _rebuild_same_dict(self, v):
-        trie = self.trie
-        pairs = [(c, ch) for c, ch in trie.nodes[v].children.items()
-                 if not self.heavy[ch] and self.level[ch] == self.level[v]]
+        """Dictionary over v's same-level children; a level-0 node keeps none."""
+        lv = self.level[v]
+        pairs = [(c, ch) for c, ch in self.trie.nodes[v].children.items()
+                 if lv and not self.heavy[ch] and self.level[ch] == lv]
         self.same_dict[v] = DetDictionary(pairs) if pairs else None
 
-    def _register_child(self, v, child, weight):
+    def _register_child(self, v, child, weight) -> int:
         """Register lower-level child's fragment root in v's wexp tree with
-        stored weight ceil(sqrt(weight)); reuses a stale handle when the
-        edge character was registered before (no deletions exist)."""
+        stored weight ceil(sqrt(weight)); returns the raises made.  Reuses a
+        stale handle when its edge character was registered (no deletions)."""
         c = self._edge_char(child)
         tree = self.wexp[v]
         if tree is None:
@@ -145,11 +149,13 @@ class DynTrieIndex:
         if h is None:
             h = tree.insert(c)
             handles[c] = h
+        self.frag[child].handle = h
         target = _ceil_sqrt(weight)
+        raises = 0
         while h.weight < target:
             tree.increase(h)
-            GLOBAL.promote_steps += 1
-        return h
+            raises += 1
+        return raises
 
     def _make_light(self, v, level, fragment):
         self.heavy[v] = False
@@ -247,9 +253,9 @@ class DynTrieIndex:
                 self.pred[u].insert(c)
         elif self.level[u] == 0:
             self._make_light(leaf, 0, self.frag[u])
-            self._rebuild_same_dict(u)
         else:
-            self._make_light(leaf, 0, _Fragment(leaf, self._register_child(u, leaf, 1)))
+            self._make_light(leaf, 0, _Fragment(leaf))
+            self._register_child(u, leaf, 1)  # stored weight 1: no raise
 
     def _wire_mid(self, u, mid, leaf):
         """Edge (u, w) was split at new node mid; leaf hangs under mid."""
@@ -271,15 +277,14 @@ class DynTrieIndex:
         fragment = self.frag[w]
         was_root = fragment.root == w
         self._make_light(mid, self.level[w], fragment)
-        if self.level[w]:
-            # w is mid's same-level child; at level 0 the leaf is one too,
-            # and _wire_leaf builds mid's dictionary over both
-            self._rebuild_same_dict(mid)
         if was_root:
             fragment.root = mid
-        else:
-            # u is light and same level as w: its entry for c_mid now leads to mid
-            self.same_dict[u].repoint(c_mid, mid)
+        if self.level[w]:
+            # w is mid's one same-level child; level-0 mid and u keep no dict
+            self._rebuild_same_dict(mid)
+            if not was_root:
+                # u is light and same level as w: its entry for c_mid now leads to mid
+                self.same_dict[u].repoint(c_mid, mid)
         self._wire_leaf(mid, leaf)
 
     def _reweigh_and_trigger(self, leaf):
@@ -370,12 +375,13 @@ class DynTrieIndex:
             self._rebuild_same_dict(p)  # r's edge moves into the parent's dict
 
         # per tail node: same-level dict is just the next tail node, so it
-        # changes only where former same-level children left; they register
-        # in the wexp tree
+        # changes only where former same-level children left (as at every
+        # internal node of a tail lifted out of level 0, which had no dict);
+        # they register in the wexp tree
         for x in dict.fromkeys(x for x, _ in new_roots):
             self._rebuild_same_dict(x)
         for x, ch in new_roots:
-            self.frag[ch].handle = self._register_child(x, ch, occ[ch])
+            GLOBAL.promote_steps += self._register_child(x, ch, occ[ch])
 
     # ----------------------------------------------------------- rebalancing
 
@@ -418,7 +424,7 @@ class DynTrieIndex:
             self._rebuild_same_dict(v)
             for ch in trie.nodes[v].children.values():
                 if self.level[ch] != self.level[v]:
-                    self.frag[ch].handle = self._register_child(v, ch, occ[ch])
+                    GLOBAL.rebalance_steps += self._register_child(v, ch, occ[ch])
 
     # ---------------------------------------------------------------- search
 
@@ -451,6 +457,12 @@ class DynTrieIndex:
                         child = hptr[1]
                     elif self.pred[v].query(c) == c:
                         child = trie.nodes[v].children[c]
+            elif self.level[v] == 0:
+                kids = trie.nodes[v].children  # at most 3, all same-level
+                if kids:
+                    GLOBAL.dict_probes += 1
+                    GLOBAL.dict_cell_probes += len(kids)
+                    child = kids.get(c)
             else:
                 same = self.same_dict[v]
                 if same is not None:
@@ -652,12 +664,15 @@ class DynTrieIndex:
             if not self.heavy[p]:
                 if self.level[p] < lv:
                     raise AssertionError("levels must not increase downward")
-            # a same-level dict iff same-level children, covering exactly them;
-            # each lower-level child sits in the wexp tree made on first use
+            # above level 0 a same-level dict iff same-level children, covering
+            # them; each lower-level child sits in the wexp tree made on first use
             same = {c for c, ch in nd.children.items()
                     if not self.heavy[ch] and self.level[ch] == lv}
             sd, tree = self.same_dict[v], self.wexp[v]
-            if (sd is None) != (not same):
+            if lv == 0:
+                if sd is not None or len(nd.children) > 3:
+                    raise AssertionError("a level-0 node keeps no dict and at most 3 children")
+            elif (sd is None) != (not same):
                 raise AssertionError("same-level dict must exist exactly for same-level kids")
             if (tree is None) != (self.wexp_handles[v] is None):
                 raise AssertionError
@@ -665,7 +680,7 @@ class DynTrieIndex:
                 raise AssertionError("leaf holds a wexp tree")
             for c, ch in nd.children.items():
                 if c in same:
-                    if sd.lookup(c) != ch:
+                    if lv and sd.lookup(c) != ch:
                         raise AssertionError
                 else:
                     if not (sd is None or sd.lookup(c) is None):

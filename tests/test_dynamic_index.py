@@ -8,7 +8,7 @@ from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
 from triekit.instrument import GLOBAL
-from triekit.predkit import BitPredecessor, DynamicPredecessor
+from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor
 from triekit.text import SENTINEL
 from triekit.wexp import capacity
 
@@ -402,9 +402,10 @@ def test_audit_catches_extra_array_cell():
 
 
 _BENCH_PINS = {  # sigma: fields of the dynamic engine's counter line
-    4: ["checksum=1864420888280272836", "rebalance_steps=2435"],
-    7: ["checksum=1926378633496758048", "promotions=170", "rebalance_steps=1179"],
-    256: ["checksum=2246706613913943113"],
+    4: ["checksum=1864420888280272836", "dict_probes=623", "rebalance_steps=2435"],
+    7: ["checksum=1926378633496758048", "dict_probes=705", "promotions=170",
+        "rebalance_steps=1179"],
+    256: ["checksum=2246706613913943113", "dict_probes=587"],
     4000: ["checksum=614384522149803998"],
     65536: ["checksum=1765523029328393993"],
 }
@@ -453,7 +454,9 @@ def _check_against_oracle(idx, oracle, pats, sigma):
 
 def test_small_sigma_stream_reads_arrays_only():
     # sigma = 4: every heavy node keeps a 5-cell array and no predecessor,
-    # so no search or predecessor makes a predecessor query
+    # so no search or predecessor makes a predecessor query; every light
+    # node has fewer than 2*f(1) = 4 leaves, so it is at level 0 and keeps
+    # no same-level dictionary
     sigma = 4
     rng = random.Random(44)
     idx = DynTrieIndex(sigma=sigma)
@@ -475,6 +478,7 @@ def test_small_sigma_stream_reads_arrays_only():
             for v in _heavy_nodes(idx):
                 assert len(idx.arr[v]) == sigma + 1 and idx.pred[v] is None
                 assert idx.hptr[v] is None
+            assert all(d is None for d in idx.same_dict)
     assert len(_heavy_nodes(idx)) > 100
     assert any(len(_heavy_kids(idx, v)) < 2 for v in _heavy_nodes(idx))
 
@@ -645,3 +649,91 @@ def test_audit_catches_unmarked_bit_word():
     levels[1][0] = 0  # the summary no longer marks the nonzero words below
     with pytest.raises(AssertionError):
         idx.audit()
+
+
+# -------------------------------------- level-0 light nodes keep no dictionary
+
+def _pooled_words(rng, sigma, count):
+    """Distinct words over a pool of at most 6 letters spread across
+    1..sigma, so that they share prefixes at every sigma."""
+    pool = rng.sample(range(1, sigma + 1), min(sigma, 6))
+    words = set()
+    while len(words) < count:
+        words.add(tuple(rng.choice(pool) for _ in range(rng.randrange(12))))
+    return sorted(words, key=lambda w: rng.random()), pool
+
+
+def _check_same_dicts(idx):
+    """No level-0 light node keeps a same-level dictionary, and every node
+    at level >= 1 with a same-level child keeps one; returns how many do."""
+    kept = 0
+    for v in range(len(idx.trie.nodes)):
+        if idx.heavy[v]:
+            continue
+        kids = idx.trie.nodes[v].children.values()
+        if idx.level[v] == 0:
+            assert idx.same_dict[v] is None and len(kids) <= 3
+        elif any(idx.level[ch] == idx.level[v] for ch in kids):
+            assert idx.same_dict[v] is not None
+            kept += 1
+    return kept
+
+
+def _sigma_256_stream(check_every=0):
+    rng = random.Random(2560)
+    idx = DynTrieIndex(sigma=256)
+    words, _ = _pooled_words(rng, 256, 1500)
+    for i, w in enumerate(words, 1):
+        idx.insert(list(w))
+        if check_every and i % check_every == 0:
+            _check_same_dicts(idx)
+    idx.audit()
+    return idx
+
+
+def test_sigma_256_stream_keeps_dicts_above_level_0_only():
+    idx = _sigma_256_stream(check_every=100)
+    assert _check_same_dicts(idx) > 0
+    assert any(not idx.heavy[v] and idx.level[v] == 0 and idx.trie.nodes[v].children
+               for v in range(len(idx.trie.nodes)))
+
+
+def test_audit_catches_dict_at_level_0_node():
+    idx = _sigma_256_stream()
+    v = next(v for v in range(len(idx.trie.nodes))
+             if not idx.heavy[v] and idx.level[v] == 0 and idx.trie.nodes[v].children)
+    idx.same_dict[v] = DetDictionary(idx.trie.nodes[v].children.items())
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+def test_audit_catches_missing_dict_above_level_0():
+    idx = _sigma_256_stream()
+    v = next(v for v in range(len(idx.trie.nodes))
+             if not idx.heavy[v] and idx.level[v] >= 1 and idx.same_dict[v] is not None)
+    idx.same_dict[v] = None
+    with pytest.raises(AssertionError):
+        idx.audit()
+
+
+@pytest.mark.parametrize("sigma", [4, 256, 65536])
+def test_dynamic_search_probe_bounds(sigma):
+    # a light step makes one dictionary probe, or reads one level-0 children
+    # map, and either reads at most 3 cells
+    rng = random.Random(sigma)
+    words, pool = _pooled_words(rng, sigma, 800)
+    idx = DynTrieIndex(sigma=sigma)
+    probes = 0
+    for w in words:
+        idx.insert(list(w))
+        pats = [list(w[:rng.randrange(len(w) + 1)]) + [rng.choice(pool)],
+                [rng.choice(pool) for _ in range(rng.randrange(12))],
+                [rng.randint(1, sigma) for _ in range(rng.randrange(4))]]
+        for pat in pats:
+            before = GLOBAL.snapshot()
+            res = idx.search(pat)
+            d = GLOBAL.diff(before)
+            assert d["dict_probes"] <= res.matched_len + 1, pat
+            assert d["dict_cell_probes"] <= 3 * d["dict_probes"], pat
+            probes += d["dict_probes"]
+    assert probes > 0

@@ -6,8 +6,9 @@ Heavy nodes carry either a size-(sigma + 1) array over all children or a
 single heavy-child pointer.  A heavy node has the array when sigma + 1 <= 64
 (then every heavy node has one: at most 2n nodes, so at most 128n cells),
 when it has two or more heavy children (at most 2n/sigma nodes), and at the
-root once 64 * n_strings >= sigma + 1; above 64 cells the arrays hold at
-most 64n + 1 + (sigma + 1) * 2n/sigma cells, so O(n) for every sigma.
+root once 64 * occ[root] >= sigma + 1, occ[root] being the number of stored
+strings; above 64 cells the arrays hold at most
+64n + 1 + (sigma + 1) * 2n/sigma cells, so O(n) for every sigma.
 Each heavy node has one predecessor slot over its children's first
 characters, asked only by `predecessor`'s ascent at a node with 8 or more
 children (the ascent scans the children of every other node) and by the
@@ -98,14 +99,12 @@ class DynTrieIndex:
         self.frag: list[_Fragment | None] = [None]
         self.same_dict: list[DetDictionary | None] = [None]
         self.wexp: list[WexpTree | None] = [None]
-        self.wexp_handles: list[dict | None] = [None]
         # heavy-node predecessor: a DynamicPredecessor without an array, bit
         # words with one at sigma + 1 >= _PRED_MIN_KIDS, else none
         self.pred: list[DynamicPredecessor | BitPredecessor | None] = [None]
         self.arr: list[list | None] = [None]
         self.hptr: list[tuple | None] = [None]
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
-        self.n_strings = 0
         self.audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
         self._make_heavy(self.trie.ROOT)
         self._set_heavy_child_links(self.trie.ROOT)
@@ -119,7 +118,6 @@ class DynTrieIndex:
             self.frag.append(None)
             self.same_dict.append(None)
             self.wexp.append(None)
-            self.wexp_handles.append(None)
             self.pred.append(None)
             self.arr.append(None)
             self.hptr.append(None)
@@ -143,12 +141,9 @@ class DynTrieIndex:
         tree = self.wexp[v]
         if tree is None:
             tree = self.wexp[v] = WexpTree(self.sigma + 1)
-            self.wexp_handles[v] = {}
-        handles = self.wexp_handles[v]
-        h = handles.get(c)
+        h = tree.handles.get(c)
         if h is None:
             h = tree.insert(c)
-            handles[c] = h
         self.frag[child].handle = h
         target = _ceil_sqrt(weight)
         raises = 0
@@ -163,7 +158,6 @@ class DynTrieIndex:
         self.frag[v] = fragment
         self.same_dict[v] = None
         self.wexp[v] = None
-        self.wexp_handles[v] = None
         self.pred[v] = None
         self.arr[v] = None
         self.hptr[v] = None
@@ -174,13 +168,12 @@ class DynTrieIndex:
         self.frag[v] = None
         self.same_dict[v] = None
         self.wexp[v] = None
-        self.wexp_handles[v] = None
 
     def _has_array(self, v, n_heavy_kids) -> bool:
         """Whether heavy node v keeps a sigma+1 array over all its children."""
         cells = self.sigma + 1
         return cells <= _ARRAY_CELLS or n_heavy_kids >= 2 or (
-            v == self.trie.ROOT and _ARRAY_CELLS * self.n_strings >= cells)
+            v == self.trie.ROOT and _ARRAY_CELLS * self.occ[v] >= cells)
 
     def _set_heavy_child_links(self, v):
         """Give heavy node v an array (with bit words at sigma + 1 >= 8), or
@@ -225,7 +218,10 @@ class DynTrieIndex:
             self.trie.sources.pop()  # insert_path raises before touching a node
             raise
         self._grow(max(leaf, mid if mid is not None else 0))
-        self.n_strings += 1
+        v = leaf
+        while v != -1:
+            self.occ[v] += 1
+            v = self.trie.nodes[v].parent
         root = self.trie.ROOT
         if self.arr[root] is None and self._has_array(root, 0):
             self._set_heavy_child_links(root)
@@ -234,10 +230,6 @@ class DynTrieIndex:
             self._wire_mid(attach, mid, leaf)
         else:
             self._wire_leaf(attach, leaf)
-        v = leaf
-        while v != -1:
-            self.occ[v] += 1
-            v = self.trie.nodes[v].parent
         self._reweigh_and_trigger(leaf)
         if self.audit_each:
             self.audit()
@@ -261,7 +253,7 @@ class DynTrieIndex:
         """Edge (u, w) was split at new node mid; leaf hangs under mid."""
         trie = self.trie
         w = next(ch for ch in trie.nodes[mid].children.values() if ch != leaf)
-        self.occ[mid] = self.occ[w]
+        self.occ[mid] += self.occ[w]  # the new leaf, counted already, and w's
         c_mid = self._edge_char(mid)
         if self.arr[u] is not None:  # only a heavy node has an array
             self.arr[u][c_mid] = mid
@@ -438,7 +430,7 @@ class DynTrieIndex:
         check_codes(pattern, self.sigma)
         trie = self.trie
         m = len(pattern)
-        if self.n_strings == 0:
+        if self.occ[trie.ROOT] == 0:
             return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0)
         v = trie.ROOT
         i = 0
@@ -513,8 +505,6 @@ class DynTrieIndex:
         """String id of the largest stored string <= pattern, or None."""
         check_codes(pattern, self.sigma)
         trie = self.trie
-        if self.n_strings == 0:
-            return None
         nodes = trie.nodes
         m = len(pattern)
         v = trie.ROOT
@@ -618,7 +608,7 @@ class DynTrieIndex:
                 if type(pred) is not kind:
                     raise AssertionError("a DynamicPredecessor iff no array, bit words "
                                          "iff an array and sigma + 1 >= 8, else none")
-                if pred is not None and sorted(nd.children) != sorted(pred.keys()):
+                if pred is not None and sorted(nd.children) != pred.keys():
                     raise AssertionError("predecessor keys differ from child chars")
                 if kind is BitPredecessor:
                     pred.audit()
@@ -651,7 +641,8 @@ class DynTrieIndex:
                     raise AssertionError("fragment not maximal")
                 if not self.heavy[p]:
                     h = f.handle
-                    if h is None or h is not (self.wexp_handles[p] or {}).get(self._edge_char(v)):
+                    ptree = self.wexp[p]
+                    if h is None or ptree is None or h is not ptree.handles.get(self._edge_char(v)):
                         raise AssertionError("fragment root not registered in its parent's wexp")
                     if not (_ceil_sqrt(counts[v]) <= h.weight <= counts[v]):
                         raise AssertionError("stored weight outside [ceil(sqrt(w)), w]")
@@ -674,8 +665,6 @@ class DynTrieIndex:
                     raise AssertionError("a level-0 node keeps no dict and at most 3 children")
             elif (sd is None) != (not same):
                 raise AssertionError("same-level dict must exist exactly for same-level kids")
-            if (tree is None) != (self.wexp_handles[v] is None):
-                raise AssertionError
             if not (not nd.is_leaf or tree is None):
                 raise AssertionError("leaf holds a wexp tree")
             for c, ch in nd.children.items():
@@ -687,7 +676,7 @@ class DynTrieIndex:
                         raise AssertionError
                     if self.level[ch] >= lv:
                         raise AssertionError
-                    if not (tree is not None and self.wexp_handles[v].get(c) is not None):
+                    if not (tree is not None and c in tree.handles):
                         raise AssertionError("lower-level child missing from wexp")
             if tree is not None:
                 audit_wexp(tree)

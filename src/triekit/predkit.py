@@ -55,17 +55,17 @@ class DetDictionary:
     doubled table in adversarial cases.
     """
 
-    __slots__ = ("k", "base", "shift", "mask", "disp", "slot_keys", "slot_vals")
+    __slots__ = ("base", "shift", "mask", "disp", "slot_keys", "slot_vals")
 
     def __init__(self, pairs):
         items = list(pairs)
         keys = [k for k, _ in items]
         if len(set(keys)) != len(keys):
             raise DuplicateKeyError("duplicate key in dictionary build")
-        self.k = len(items)
+        k = len(items)
         lo = min(keys, default=0)
         span = max(keys, default=-1) - lo + 1
-        if not items or _dense(span, self.k):
+        if not items or _dense(span, k):
             self.base = lo
             self.slot_keys = [_EMPTY] * span
             self.slot_vals = [None] * span
@@ -74,7 +74,7 @@ class DetDictionary:
                 self.slot_vals[key - lo] = val
             return
         self.base = None
-        bits = max(2, (2 * self.k - 1).bit_length())
+        bits = max(2, (2 * k - 1).bit_length())
         mixed = [(_mix(key), key, val) for key, val in items]  # once, for every try
         while not self._try_build(mixed, bits):
             bits += 1
@@ -164,7 +164,7 @@ class StaticPredecessor:
     comparison adds one to `static_pred_probes`.
     """
 
-    __slots__ = ("keys", "u", "w", "q", "below", "levels")
+    __slots__ = ("keys", "w", "q", "below", "levels")
 
     def __init__(self, keys, u: int):
         keys = self.keys = list(keys)
@@ -173,7 +173,6 @@ class StaticPredecessor:
                 raise InvalidInputError("keys must be strictly increasing")
         if keys and (keys[0] < 0 or keys[-1] >= u):
             raise InvalidInputError("keys must lie in [0, u)")
-        self.u = u
         self.w = self.q = max(1, (u - 1).bit_length())
         self.below = None
         # levels[l] maps the l-bit prefix to the (lo, hi) sample index range
@@ -249,20 +248,17 @@ class DynamicPredecessor:
     search tree with every weight forced to one.
     """
 
-    __slots__ = ("u", "_tree")
+    __slots__ = ("_tree",)
 
     def __init__(self, u: int):
         from .wexp import WexpTree
 
-        self.u = u
         self._tree = WexpTree(u)
 
     def insert(self, key: int):
         """Idempotent insert of `key`."""
-        try:
+        if key not in self._tree.handles:
             self._tree.insert(key)
-        except DuplicateKeyError:
-            pass
 
     def query(self, x: int):
         GLOBAL.dyn_pred_probes += 1
@@ -270,10 +266,10 @@ class DynamicPredecessor:
         return None if hit is None else hit[0]
 
     def keys(self) -> list[int]:
-        return self._tree.keys()
+        return sorted(self._tree.handles)
 
     def __len__(self):
-        return self._tree.size
+        return len(self._tree.handles)
 
 
 class BitPredecessor:

@@ -124,10 +124,13 @@ class SuffixArrayIndex:
 
 def build_suffix_array(text: Text) -> SuffixArrayIndex:
     """Suffix array + LCP of `text` with its implicit sentinel."""
-    codes = text.codes + [SENTINEL]
-    # shift codes by +0: sentinel 0 is already the unique minimum
-    sigma = (max(codes) + 1) if codes else 1
-    sa = _sais(codes, sigma)
+    # SA-IS keeps arrays as long as its alphabet: rename each code to the rank
+    # of its value among the distinct ones, which keeps the order (the
+    # sentinel 0 stays the unique minimum) and bounds the arrays by the text
+    rank = {c: r for r, c in enumerate(sorted(set(text.codes) | {SENTINEL}))}
+    codes = list(map(rank.__getitem__, text.codes))
+    codes.append(rank[SENTINEL])
+    sa = _sais(codes, len(rank))
     lcp = _kasai(codes, sa)
     return SuffixArrayIndex(sa=sa, lcp=lcp)
 

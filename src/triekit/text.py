@@ -156,12 +156,12 @@ class CompactedTrie:
         self.nodes.append(Node(parent=parent, sid=sid, start=start, end=end, leaf_id=leaf_id))
         return len(self.nodes) - 1
 
-    def insert_path(self, sid: int, leaf_rank: int = -1):
+    def insert_path(self, sid: int):
         """Insert the sentinel-terminated string `sources[sid]` as a leaf.
 
         Splits at most one existing edge and adds one leaf edge.  The leaf
-        carries `sid` as its payload; `leaf_rank`, when given, becomes its
-        interval.  Returns (leaf id, middle node id or None, attach node id).
+        carries `sid` as its payload.  Returns (leaf id, middle node id or
+        None, attach node id).
         Raises DuplicateKeyError if the string is already stored.
         """
         codes = self.sources[sid].codes
@@ -176,8 +176,6 @@ class CompactedTrie:
             if child is None:
                 leaf = self.new_node(v, sid, depth, total, leaf_id=sid)
                 nodes[v].children[c] = leaf
-                if leaf_rank >= 0:
-                    self.set_leaf_interval(leaf, leaf_rank)
                 return leaf, None, v
             nd = nodes[child]
             src = self.sources[nd.sid].codes
@@ -211,8 +209,6 @@ class CompactedTrie:
             mid_nd.children[src[nd.start] if nd.start < sn else SENTINEL] = child
             leaf = self.new_node(mid, sid, depth + k, total, leaf_id=sid)
             mid_nd.children[codes[depth + k] if depth + k < n else SENTINEL] = leaf
-            if leaf_rank >= 0:
-                self.set_leaf_interval(leaf, leaf_rank)
             return leaf, mid, v
 
     def compute_intervals(self):
@@ -243,10 +239,6 @@ class CompactedTrie:
                     raise CorruptTrieError(f"leaf rank {r} outside [0, {n_leaves}) or taken")
                 order[r] = nd.leaf_id
         return order
-
-    def set_leaf_interval(self, leaf: int, rank: int):
-        nd = self.nodes[leaf]
-        nd.low = nd.high = rank
 
     def topo_order(self) -> list[int]:
         """Node ids, parents before children."""
@@ -302,7 +294,8 @@ def build_string_trie(texts: list[Text]) -> tuple[CompactedTrie, list[int]]:
     ranks = sorted_string_ranks(texts)
     leaf_order = [0] * len(texts)
     for sid, rank in enumerate(ranks):
-        trie.insert_path(sid, leaf_rank=rank)
+        nd = trie.nodes[trie.insert_path(sid)[0]]
+        nd.low = nd.high = rank
         leaf_order[rank] = sid
     trie.compute_intervals()
     return trie, leaf_order

@@ -8,6 +8,9 @@ Splits are eager and atomic: the amortized variant.
 
 Supported: weight-1 insert, handle-based weight increase by one, weighted
 predecessor search.  No deletions, no weight decreases.
+
+Each tree owns its key->element map `handles`: it answers membership and
+handle validity, and nothing else stores the keys a second time.
 """
 
 from __future__ import annotations
@@ -102,17 +105,17 @@ class WexpTree:
     def __init__(self, u: int):
         self.u = u
         self.root = _Base([])
-        self.size = 0
+        self.handles: dict[int, ElementHandle] = {}
 
     # ------------------------------------------------------------------ ops
 
     def insert(self, key: int) -> ElementHandle:
         """Insert `key` with weight one; returns its handle."""
+        if key in self.handles:
+            raise DuplicateKeyError(f"key {key} already present")
         node = self.root
         while isinstance(node, _Node):
             hit = node.pred.query(key)
-            if hit == key:
-                raise DuplicateKeyError(f"key {key} already present")
             idx = node.slot_of[hit] + 1 if hit is not None else 0
             child = node.children[idx]
             if child is None:
@@ -123,32 +126,18 @@ class WexpTree:
         items = node.items
         while i < len(items) and items[i].key < key:
             i += 1
-        if i < len(items) and items[i].key == key:
-            raise DuplicateKeyError(f"key {key} already present")
         items.insert(i, elem)
         elem.home = node
-        self.size += 1
+        self.handles[key] = elem
         self._bump(node)
         return elem
 
     def increase(self, handle: ElementHandle) -> None:
         """Increase the weight of `handle`'s element by one."""
-        self._validate(handle)
+        if self.handles.get(handle.key) is not handle:
+            raise InvalidHandleError("handle does not belong to this tree")
         handle.weight += 1
         self._bump(handle.home)
-
-    def keys(self) -> list[int]:
-        """All stored keys, unordered; O(size)."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Base):
-                out.extend(e.key for e in node.items)
-            else:
-                out.extend(e.key for e in node.splitters)
-                stack.extend(c for c in node.children if c is not None)
-        return out
 
     def pred(self, x: int):
         """(key, weight) of the largest key <= x, or None."""
@@ -181,22 +170,6 @@ class WexpTree:
         return None if best is None else (best.key, best.weight)
 
     # ------------------------------------------------------------ internals
-
-    def _validate(self, handle):
-        home = handle.home
-        ok = False
-        if isinstance(home, _Base):
-            ok = handle in home.items
-        elif isinstance(home, _Node):
-            idx = home.slot_of.get(handle.key)
-            ok = idx is not None and home.splitters[idx] is handle
-        if not ok:
-            raise InvalidHandleError("handle does not belong to this tree")
-        node = home
-        while node.parent is not None:
-            node = node.parent
-        if node is not self.root:
-            raise InvalidHandleError("handle does not belong to this tree")
 
     def _materialize(self, parent, idx):
         """Create an empty child chain down to a base container."""
@@ -309,10 +282,14 @@ def audit_wexp(tree: WexpTree) -> None:
     with explicit constant 4, levels decreasing by one per child step,
     recorded weights versus recomputed subtree weights, the weight threshold
     forcing heavy elements up (2*f of the home level), the depth consequence
-    of the weight/level relation, and handle links.  The depth check
-    `w < splitter_weight_limit(lv)` is implied by condition 1, since
-    2*f(lv+1) <= 2^(2^(lv+2)) at every level; it stays as a cross-check.
+    of the weight/level relation, handle links, and the key->element map:
+    each element the walk visits is its key's entry, and the map holds no
+    other key.  The depth check `w < splitter_weight_limit(lv)` is implied
+    by condition 1, since 2*f(lv+1) <= 2^(2^(lv+2)) at every level; it stays
+    as a cross-check.
     """
+    handles = tree.handles
+    n_elems = 0
     base_cap = 2 * capacity(2)
     base_depth_limit = splitter_weight_limit(1)
     level_bounds = {}
@@ -327,11 +304,13 @@ def audit_wexp(tree: WexpTree) -> None:
 
     def walk(node, parent, lo, hi):
         """Returns the subtree weight; lo < keys < hi (None = unbounded)."""
+        nonlocal n_elems
         if node.parent is not parent:
             raise AssertionError
         if isinstance(node, _Base):
             if node.level != 1:
                 raise AssertionError
+            n_elems += len(node.items)
             w = 0
             last = lo
             for e in node.items:
@@ -339,7 +318,7 @@ def audit_wexp(tree: WexpTree) -> None:
                     raise AssertionError
                 if not (hi is None or e.key < hi):
                     raise AssertionError
-                if not (e.home is node and e.weight >= 1):
+                if not (e.home is node and e.weight >= 1 and handles.get(e.key) is e):
                     raise AssertionError
                 if e.weight >= base_cap:
                     raise AssertionError("overweight element in base container")
@@ -359,6 +338,7 @@ def audit_wexp(tree: WexpTree) -> None:
             raise AssertionError
         if len(node.children) != len(node.splitters) + 1:
             raise AssertionError
+        n_elems += len(node.splitters)
         group_min, weight_cap, depth_limit = bounds(lv)
         if node.splitters:
             if len(node.splitters) > 2 * weight_cap // group_min:
@@ -369,7 +349,7 @@ def audit_wexp(tree: WexpTree) -> None:
         for i, e in enumerate(node.splitters):
             if not (prev_key is None or e.key > prev_key):
                 raise AssertionError
-            if not (e.home is node and e.weight >= 1):
+            if not (e.home is node and e.weight >= 1 and handles.get(e.key) is e):
                 raise AssertionError
             if e.weight >= weight_cap:
                 raise AssertionError
@@ -406,4 +386,6 @@ def audit_wexp(tree: WexpTree) -> None:
     if tree.root.parent is not None:
         raise AssertionError
     walk(tree.root, None, None, None)
+    if n_elems != len(handles):
+        raise AssertionError("key->element map holds a key the tree does not")
 

@@ -506,6 +506,16 @@ def test_build_largest_sigma_round_trips(tmp_path, capsys):
     assert [r[1:4] for r in rows] == [["MATCHED_AT_NODE", "1", "2"], ["NOT_FOUND", "-", "-"]]
 
 
+def test_build_suffix_mode_with_codes_near_2_32(tmp_path, capsys):
+    # SA-IS arrays follow the distinct codes, not the largest one
+    text = tmp_path / "codes.txt"
+    text.write_bytes(b"4294967295 1 4294967290")
+    idx = tmp_path / "o.tkix"
+    code, out, _ = run_cli(["build", "--input", str(text), "--sigma", str(2**32 - 1),
+                            "--mode", "suffix", "--output", str(idx)], capsys)
+    assert code == 0 and "leaves=4" in out
+
+
 def test_negative_audit_every_exits_5(tmp_path, capsys):
     ops = tmp_path / "ops.txt"
     ops.write_bytes(b"I ab\n")

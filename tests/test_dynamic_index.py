@@ -10,7 +10,7 @@ from triekit.errors import AlphabetOverflowError, DuplicateKeyError
 from triekit.instrument import GLOBAL
 from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor
 from triekit.text import SENTINEL
-from triekit.wexp import capacity
+from triekit.wexp import WexpTree, capacity
 
 from oracles import longest_matchable_prefix, string_predecessor
 
@@ -56,10 +56,10 @@ def test_duplicate_leaves_state_unchanged(dup):
     idx = DynTrieIndex(sigma=4)
     for w in ([1, 2], [1], [1, 2, 3], [], [2, 2, 2]):
         idx.insert(w)
-    state = (len(idx.trie.sources), idx.n_strings, len(idx.trie.nodes))
+    state = (len(idx.trie.sources), idx.occ[idx.trie.ROOT], len(idx.trie.nodes))
     with pytest.raises(DuplicateKeyError):
         idx.insert(dup)
-    assert (len(idx.trie.sources), idx.n_strings, len(idx.trie.nodes)) == state
+    assert (len(idx.trie.sources), idx.occ[idx.trie.ROOT], len(idx.trie.nodes)) == state
     idx.insert([3, 1])
     sid = idx.predecessor([3, 1])  # a stored pattern is its own predecessor
     assert sid == state[0] and idx.string_codes(sid) == [3, 1]
@@ -116,6 +116,20 @@ def test_audit_catches_missing_fragment_record():
         idx.audit()
 
 
+def test_audit_catches_fragment_handle_from_another_tree():
+    idx = _random_index(4)
+    v = next(v for v in range(1, len(idx.trie.nodes))
+             if not idx.heavy[v] and idx.frag[v].root == v
+             and not idx.heavy[idx.trie.nodes[v].parent])
+    f = idx.frag[v]
+    h = f.handle
+    other = WexpTree(idx.sigma + 1).insert(h.key)
+    other.weight = h.weight
+    f.handle = other
+    with pytest.raises(AssertionError, match="not registered"):
+        idx.audit()
+
+
 @pytest.mark.parametrize("where", ["root", "member", "heavy"])
 def test_audit_catches_stale_leaf_count(where):
     # occ is the one leaf count that promotions and rebalances read
@@ -145,7 +159,7 @@ def test_alphabet_overflow():
         for op in (idx.insert, idx.search, idx.predecessor):
             with pytest.raises(AlphabetOverflowError):
                 op(bad)
-        assert idx.n_strings == 3 and idx.trie.sources == sources
+        assert idx.occ[idx.trie.ROOT] == 3 and idx.trie.sources == sources
     idx.audit()
 
 
@@ -373,7 +387,7 @@ def test_root_array_rule():
 def _array_index():
     idx = DynTrieIndex(sigma=300)
     rng = random.Random(8)
-    while idx.n_strings < 40:
+    while idx.occ[idx.trie.ROOT] < 40:
         try:
             idx.insert([rng.randint(1, 300) for _ in range(rng.randint(1, 3))])
         except DuplicateKeyError:
@@ -461,7 +475,7 @@ def test_small_sigma_stream_reads_arrays_only():
     rng = random.Random(44)
     idx = DynTrieIndex(sigma=sigma)
     oracle = []
-    while idx.n_strings < 1200:
+    while idx.occ[idx.trie.ROOT] < 1200:
         w = tuple(rng.randint(1, sigma) for _ in range(rng.randrange(12)))
         i = bisect.bisect_left(oracle, w)
         if i < len(oracle) and oracle[i] == w:
@@ -473,7 +487,7 @@ def test_small_sigma_stream_reads_arrays_only():
         before = GLOBAL.snapshot()
         _check_against_oracle(idx, oracle, pats, sigma)
         assert GLOBAL.diff(before)["dyn_pred_probes"] == 0
-        if idx.n_strings % 100 == 0:
+        if idx.occ[idx.trie.ROOT] % 100 == 0:
             idx.audit()
             for v in _heavy_nodes(idx):
                 assert len(idx.arr[v]) == sigma + 1 and idx.pred[v] is None

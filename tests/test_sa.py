@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit.sa import build_suffix_array, build_suffix_tree
@@ -36,6 +38,28 @@ def test_sa_matches_brute_force(seed):
     sigma = rng.choice([2, 4, 26, 200])
     n = rng.randrange(0, 160)
     codes = [rng.randint(1, sigma) for _ in range(n)]
+    idx = build_suffix_array(Text(codes))
+    assert idx.sa == brute_suffix_array(codes)
+    assert idx.lcp == brute_lcp(codes, idx.sa)
+
+
+def test_sparse_codes_take_memory_of_the_text_not_the_largest_code():
+    tracemalloc.start()
+    try:
+        idx = build_suffix_array(Text([2**22, 1, 2**22 - 5, 1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert idx.sa == [4, 3, 1, 2, 0]
+    assert idx.lcp == [0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_codes_match_brute_force(seed):
+    rng = random.Random(seed)
+    pool = rng.sample(range(1, 2**32), rng.randint(1, 6))
+    codes = [rng.choice(pool) for _ in range(rng.randrange(0, 120))]
     idx = build_suffix_array(Text(codes))
     assert idx.sa == brute_suffix_array(codes)
     assert idx.lcp == brute_lcp(codes, idx.sa)

@@ -62,6 +62,19 @@ def test_duplicate_rejected():
     t.insert(3)
     with pytest.raises(DuplicateKeyError):
         t.insert(3)
+    # a rejected insert leaves the map, the weights and the tree as they were
+    for k in range(4, 30):
+        t.insert(k)
+    t.increase(t.handles[7])
+    handles = dict(t.handles)
+    weights = {k: h.weight for k, h in handles.items()}
+    root, root_weight = t.root, t.root.weight
+    with pytest.raises(DuplicateKeyError):
+        t.insert(7)
+    assert t.handles.keys() == handles.keys()
+    assert all(t.handles[k] is h and h.weight == weights[k] for k, h in handles.items())
+    assert t.root is root and t.root.weight == root_weight
+    audit_wexp(t)
 
 
 def test_single_element_increase_many():
@@ -118,6 +131,22 @@ def test_audit_rejects_corruption():
         node.weight += delta
         node = node.parent
     with pytest.raises(AssertionError, match="overweight element"):
+        audit_wexp(t)
+
+
+@pytest.mark.parametrize("mutation", ["dropped", "reaimed", "stray"])
+def test_audit_checks_key_to_element_map(mutation):
+    t = WexpTree(u=256)
+    for k in range(1, 30):
+        t.insert(k)
+    audit_wexp(t)
+    if mutation == "dropped":
+        del t.handles[12]
+    elif mutation == "reaimed":
+        t.handles[12] = t.handles[13]
+    else:
+        t.handles[200] = WexpTree(u=256).insert(200)
+    with pytest.raises(AssertionError):
         audit_wexp(t)
 
 

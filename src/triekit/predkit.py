@@ -149,10 +149,15 @@ class StaticPredecessor:
     """Static predecessor over sorted keys: a direct table for dense keys,
     sampled x-fast plus block search for the rest.
 
+    A query answers a rank: the index in `keys` of the largest key <= x, or
+    -1 below the minimum, so a caller indexes its own per-key lists with it
+    and keeps no key->index map.
+
     Dense keys, whose span keys[-1] - keys[0] + 1 is below 4k (the same rule
     as `DetDictionary`), get one list `below`: below[x - keys[0]] is the
-    largest key <= x for x in [keys[0], keys[-1]).  No samples and no x-fast
-    levels are built, and a query that passes the end checks reads one cell.
+    index of the largest key <= x for x in [keys[0], keys[-1]).  No samples
+    and no x-fast levels are built, and a query that passes the end checks
+    reads one cell.
 
     For other keys, every q-th key, q = ceil(lg u), goes into an x-fast table
     of bit prefixes held in deterministic dictionaries; a query binary-searches
@@ -179,10 +184,8 @@ class StaticPredecessor:
         self.levels = []
         if keys and _dense(keys[-1] - keys[0] + 1, len(keys)):
             below = self.below = []
-            a = keys[0]
-            for b in keys[1:]:
-                below += [a] * (b - a)
-                a = b
+            for i in range(len(keys) - 1):
+                below += [i] * (keys[i + 1] - keys[i])
             return
         samples = keys[:: self.q]
         if len(samples) > 1:
@@ -194,13 +197,13 @@ class StaticPredecessor:
                     table[p] = (min(lo, i), max(hi, i))
                 self.levels.append(DetDictionary(table.items()))
 
-    def query(self, x: int):
-        """max{y <= x | y stored}, or None below the minimum."""
+    def query(self, x: int) -> int:
+        """Index of max{y <= x | y stored} in `keys`, or -1 below the minimum."""
         GLOBAL.static_pred_queries += 1
         if not self.keys or x < self.keys[0]:
-            return None
+            return -1
         if x >= self.keys[-1]:
-            return self.keys[-1]
+            return len(self.keys) - 1
         if self.below is not None:
             GLOBAL.static_pred_probes += 1
             return self.below[x - self.keys[0]]
@@ -229,8 +232,9 @@ class StaticPredecessor:
             i = lo - 1  # they all start with bit 1, hence exceed x
         return self._block_pred(i, x)
 
-    def _block_pred(self, i: int, x: int):
-        """Largest key <= x among the keys between samples i and i+1."""
+    def _block_pred(self, i: int, x: int) -> int:
+        """Index of the largest key <= x among the keys between samples i
+        and i+1."""
         lo_k = i * self.q
         hi_k = min(lo_k + self.q, len(self.keys)) - 1
         while lo_k < hi_k:
@@ -240,7 +244,7 @@ class StaticPredecessor:
                 lo_k = mid
             else:
                 hi_k = mid - 1
-        return self.keys[lo_k]
+        return lo_k
 
 
 class DynamicPredecessor:

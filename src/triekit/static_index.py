@@ -80,10 +80,6 @@ class _IndexBase:
         self.sigma = sigma
         self.mode = mode  # "suffix": leaf_order holds positions; "strings": string ids
         validate_intervals(trie, len(leaf_order))
-        counts = [0] * len(trie.nodes)
-        for v, nd in enumerate(trie.nodes):
-            counts[v] = nd.high - nd.low + 1 if nd.high >= nd.low else 0
-        self.leaf_counts = counts
 
     def leaf_len(self, r: int) -> int:
         """Length of the stored string at rank r, sentinel excluded."""
@@ -196,9 +192,8 @@ class StaticTrieIndex(_IndexBase):
         super().__init__(trie, leaf_order, sigma, mode)
         self.s = s if s is not None else heavy_threshold(sigma)
         n_nodes = len(trie.nodes)
-        self.heavy = [False] * n_nodes
-        for v in range(n_nodes):
-            self.heavy[v] = self.leaf_counts[v] >= self.s or v == trie.ROOT
+        self.heavy = [nd.high - nd.low + 1 >= self.s or v == trie.ROOT
+                      for v, nd in enumerate(trie.nodes)]
         u = sigma + 1  # edge characters live in [0, sigma]
         self.child_dict: dict[int, DetDictionary] = {}
         self.child_pred: dict[int, StaticPredecessor] = {}
@@ -238,9 +233,10 @@ class StaticTrieIndex(_IndexBase):
             if child is None:
                 # no edge with character c leaves v: the predecessor is the
                 # rightmost leaf below the child with the largest char < c
-                hit = self.child_pred[v].query(c)
+                pred = self.child_pred[v]
+                k = pred.query(c)
                 nd = nodes[v]
-                rank = nd.low - 1 if hit is None else nodes[nd.children[hit]].high
+                rank = nd.low - 1 if k < 0 else nodes[nd.children[pred.keys[k]]].high
                 return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), rank
             if not heavy[child]:
                 res, pos = self._light_search(child, pattern, i + 1)
@@ -290,8 +286,8 @@ class SuffixTrayIndex(_IndexBase):
         super().__init__(trie, leaf_order, sigma, mode)
         self.s = sigma
         n_nodes = len(trie.nodes)
-        self.heavy = [self.leaf_counts[v] >= self.s or v == trie.ROOT
-                      for v in range(n_nodes)]
+        self.heavy = [nd.high - nd.low + 1 >= self.s or v == trie.ROOT
+                      for v, nd in enumerate(trie.nodes)]
         self.child_array: dict[int, list] = {}
         self.heavy_ptr: dict[int, tuple[int, int]] = {}
         self.sorted_children: dict[int, list] = {}
@@ -309,9 +305,6 @@ class SuffixTrayIndex(_IndexBase):
                 if len(heavy_kids) == 1:
                     self.heavy_ptr[v] = heavy_kids[0]
                 self.sorted_children[v] = sorted(nd.children.items())
-
-    def branching_heavy_count(self) -> int:
-        return len(self.child_array)
 
     def tray_query(self, pattern: list[int]) -> MatchResult:
         check_codes(pattern, self.sigma)

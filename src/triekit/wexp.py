@@ -1,9 +1,13 @@
 """Weighted exponential search trees.
 
 A level-L tree keeps total weight below 2*f(L+1) for f(L) = floor(2^(1.5^L)).
-Splitter elements sit in a static predecessor structure; the children between
-consecutive splitters are trees one level lower.  Trees of level <= 1 are
-plain sorted arrays (f(0) = f(1) = 2 makes the recursion degenerate there).
+Splitter elements sit in a static predecessor structure whose query answers
+a splitter's index; the child slots between consecutive splitters hold
+nothing or a tree of any lower level.  Trees of level <= 1 are plain sorted
+arrays (f(0) = f(1) = 2 makes the recursion degenerate there), and every
+tree of level >= 2 holds at least one splitter, so no level is kept empty.
+A level-l tree weighs below 2*f(l+1) <= 2*f(L), so it fits any slot of a
+level-L node, and a search still visits at most one node per level.
 Splits are eager and atomic: the amortized variant.
 
 Supported: weight-1 insert, handle-based weight increase by one, weighted
@@ -74,9 +78,10 @@ class _Base:
 
 
 class _Node:
-    """Level->=2 tree: splitters + one child slot between/around each."""
+    """Level->=2 tree: at least one splitter, and one child slot between and
+    around each; a slot holds None or a tree of any lower level."""
 
-    __slots__ = ("level", "weight", "splitters", "children", "pred", "slot_of", "parent")
+    __slots__ = ("level", "weight", "splitters", "children", "pred", "parent")
 
     def __init__(self, level, splitters, children, u, parent=None):
         self.level = level
@@ -91,12 +96,7 @@ class _Node:
         for c in children:
             if c is not None:
                 c.parent = self
-        self._refresh(u)
-
-    def _refresh(self, u):
-        keys = [e.key for e in self.splitters]
-        self.pred = StaticPredecessor(keys, u)
-        self.slot_of = {k: i for i, k in enumerate(keys)}
+        self.pred = StaticPredecessor([e.key for e in splitters], u)
 
 
 class WexpTree:
@@ -115,11 +115,10 @@ class WexpTree:
             raise DuplicateKeyError(f"key {key} already present")
         node = self.root
         while isinstance(node, _Node):
-            hit = node.pred.query(key)
-            idx = node.slot_of[hit] + 1 if hit is not None else 0
-            child = node.children[idx]
+            i = node.pred.query(key) + 1
+            child = node.children[i]
             if child is None:
-                child = self._materialize(node, idx)
+                child = node.children[i] = _Base([], node)
             node = child
         elem = ElementHandle(key)
         i = 0
@@ -145,15 +144,13 @@ class WexpTree:
         best = None
         while isinstance(node, _Node):
             GLOBAL.wexp_levels_descended += 1
-            hit = node.pred.query(x)
-            if hit is not None:
-                e = node.splitters[node.slot_of[hit]]
-                if hit == x:
+            i = node.pred.query(x)
+            if i >= 0:
+                e = node.splitters[i]
+                if e.key == x:
                     return (e.key, e.weight)
                 best = e
-                child = node.children[node.slot_of[hit] + 1]
-            else:
-                child = node.children[0]
+            child = node.children[i + 1]
             if child is None:
                 break
             node = child
@@ -170,28 +167,6 @@ class WexpTree:
         return None if best is None else (best.key, best.weight)
 
     # ------------------------------------------------------------ internals
-
-    def _materialize(self, parent, idx):
-        """Create an empty child chain down to a base container."""
-        child_level = parent.level - 1
-        top = None
-        if child_level >= 2:
-            node = None
-            for lv in range(child_level, 1, -1):
-                nxt = _Node(lv, [], [None], self.u)
-                if node is None:
-                    top = nxt
-                else:
-                    node.children[0] = nxt
-                    nxt.parent = node
-                node = nxt
-            base = _Base([], parent=node)
-            node.children[0] = base
-        else:
-            top = base = _Base([])
-        parent.children[idx] = top
-        top.parent = parent
-        return base
 
     def _bump(self, node):
         """Propagate a +1 weight from `node` to the root, splitting any tree
@@ -231,31 +206,33 @@ class WexpTree:
             raise AssertionError("no valid splitter found; invariants broken")
 
         e = cands[chosen - 1]
-        parent = node.parent
         if isinstance(node, _Base):
             left = _Base(node.items[: chosen - 1]) if chosen > 1 else None
             right = _Base(node.items[chosen:]) if chosen < len(cands) else None
         else:
             ls, lc = node.splitters[: chosen - 1], node.children[:chosen]
             rs, rc = node.splitters[chosen:], node.children[chosen:]
-            left = (_Node(level, ls, lc, self.u)
-                    if ls or any(c is not None for c in lc) else None)
-            right = (_Node(level, rs, rc, self.u)
-                     if rs or any(c is not None for c in rc) else None)
+            left = _Node(level, ls, lc, self.u) if ls else lc[0]
+            right = _Node(level, rs, rc, self.u) if rs else rc[0]
 
-        if parent is None:
-            new_root = _Node(level + 1, [e], [left, right], self.u)
-            self.root = new_root
-        else:
+        parent = node.parent
+        if parent is not None and parent.level == level + 1:
             j = parent.children.index(node)
             parent.children[j : j + 1] = [left, right]
             parent.splitters.insert(j, e)
             e.home = parent
-            if left is not None:
-                left.parent = parent
-            if right is not None:
-                right.parent = parent
-            parent._refresh(self.u)
+            for side in (left, right):
+                if side is not None:
+                    side.parent = parent
+            parent.pred = StaticPredecessor([x.key for x in parent.splitters], self.u)
+        else:
+            # the root, or a slot of a higher-level node: the split tree
+            # takes the node's place one level up
+            top = _Node(level + 1, [e], [left, right], self.u, parent)
+            if parent is None:
+                self.root = top
+            else:
+                parent.children[parent.children.index(node)] = top
 
 
 def _floor_lg(x: int) -> int:
@@ -279,7 +256,9 @@ def audit_wexp(tree: WexpTree) -> None:
 
     Checks: weight bound (condition 1) at every level, key ordering
     (condition 3), group weights (condition 4), the splitter-set size bound
-    with explicit constant 4, levels decreasing by one per child step,
+    with explicit constant 4, at least one splitter in every inner node, the
+    static predecessor holding exactly the splitter keys, levels decreasing
+    along every child step (a slot may hold a tree of any lower level),
     recorded weights versus recomputed subtree weights, the weight threshold
     forcing heavy elements up (2*f of the home level), the depth consequence
     of the weight/level relation, handle links, and the key->element map:
@@ -338,11 +317,12 @@ def audit_wexp(tree: WexpTree) -> None:
             raise AssertionError
         if len(node.children) != len(node.splitters) + 1:
             raise AssertionError
+        if not node.splitters:
+            raise AssertionError("inner node without a splitter")
         n_elems += len(node.splitters)
         group_min, weight_cap, depth_limit = bounds(lv)
-        if node.splitters:
-            if len(node.splitters) > 2 * weight_cap // group_min:
-                raise AssertionError
+        if len(node.splitters) > 2 * weight_cap // group_min:
+            raise AssertionError
         total = 0
         prev_key = lo
         children = node.children
@@ -358,21 +338,21 @@ def audit_wexp(tree: WexpTree) -> None:
             child = children[i]
             cw = 0
             if child is not None:
-                if child.level != lv - 1:
-                    raise AssertionError("levels must decrease by one")
+                if child.level >= lv:
+                    raise AssertionError("levels must decrease")
                 cw = walk(child, node, prev_key, e.key)
             total += cw + e.weight
             prev_key = e.key
         child = children[-1]
         if child is not None:
-            if child.level != lv - 1:
-                raise AssertionError
+            if child.level >= lv:
+                raise AssertionError("levels must decrease")
             total += walk(child, node, prev_key, hi)
         if total != node.weight:
             raise AssertionError
         if node.weight >= weight_cap:
             raise AssertionError("condition 1 violated")
-        if sorted(node.slot_of) != [e.key for e in node.splitters]:
+        if node.pred.keys != [e.key for e in node.splitters]:
             raise AssertionError
         # condition 4: each group {e_i} u X_i u {e_i+1} is heavy enough
         for i in range(len(node.splitters) - 1):

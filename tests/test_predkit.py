@@ -186,11 +186,18 @@ def test_dict_mix_memo(monkeypatch):
 
 # ---------------------------------------------------------- static predecessor
 
+def _key(p, x):
+    """The key whose index p.query(x) answers, or None for -1."""
+    i = p.query(x)
+    return None if i < 0 else p.keys[i]
+
+
 def test_static_pred_examples():
     p = StaticPredecessor([2, 5, 9], u=16)
-    assert p.query(8) == 5
-    assert p.query(2) == 2
-    assert p.query(1) is None
+    assert _key(p, 8) == 5
+    assert _key(p, 2) == 2
+    assert _key(p, 1) is None
+    assert [p.query(x) for x in (1, 2, 8, 9, 15)] == [-1, 0, 1, 2, 2]
 
 
 def test_static_pred_rejects_unsorted():
@@ -207,7 +214,7 @@ def test_static_pred_exhaustive_small_universe():
         keys = sorted(rng.sample(range(u), rng.randint(1, 200)))
         p = StaticPredecessor(keys, u)
         for x in range(u):
-            assert p.query(x) == scan_pred(keys, x), (keys, x)
+            assert _key(p, x) == scan_pred(keys, x), (keys, x)
 
 
 @given(st.sets(st.integers(0, 2**32 - 1), min_size=0, max_size=300),
@@ -217,7 +224,7 @@ def test_static_pred_random_universe(keys, probes):
     keys = sorted(keys)
     p = StaticPredecessor(keys, u=2**32)
     for x in probes + keys:
-        assert p.query(x) == scan_pred(keys, x)
+        assert _key(p, x) == scan_pred(keys, x)
 
 
 @pytest.mark.parametrize("k", [0, 1, 12, 13])
@@ -231,7 +238,7 @@ def test_static_pred_single_sample_is_block_search(k):
     worst = 0
     for x in range(u):
         before = GLOBAL.static_pred_probes
-        assert p.query(x) == scan_pred(keys, x), (keys, x)
+        assert _key(p, x) == scan_pred(keys, x), (keys, x)
         worst = max(worst, GLOBAL.static_pred_probes - before)
     if k <= p.q:
         assert worst <= (p.q - 1).bit_length() + 1  # ceil(lg q) + 1
@@ -276,7 +283,7 @@ def test_static_pred_direct_exhaustive():
         assert len(p.below) == keys[-1] - keys[0] < 4 * len(keys)
         assert (p.w, p.q) == (6, 6)
         for x in range(u):
-            assert p.query(x) == scan_pred(keys, x), (keys, x)
+            assert _key(p, x) == scan_pred(keys, x), (keys, x)
 
 
 def test_static_pred_direct_one_probe():
@@ -302,7 +309,7 @@ def test_static_pred_kind_chosen_by_span():
     assert direct.q == sparse.q == 12
     for p in (direct, sparse):
         for x in range(90, 180):
-            assert p.query(x) == scan_pred(p.keys, x), x
+            assert _key(p, x) == scan_pred(p.keys, x), x
 
 
 def test_wexp_dense_splitters_against_sorted_oracle():

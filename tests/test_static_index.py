@@ -478,7 +478,7 @@ def test_tray_space_bound():
         raw = rand_text(rng, 2000, sigma)
         tray, _ = suffix_index(raw, sigma, "tray")
         n_leaves = len(tray.leaf_order)
-        assert tray.branching_heavy_count() <= max(1, 2 * n_leaves // sigma)
+        assert len(tray.child_array) <= max(1, 2 * n_leaves // sigma)
 
 
 def test_probe_accounting():

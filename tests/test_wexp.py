@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit.errors import DuplicateKeyError, InvalidHandleError
+from triekit.instrument import GLOBAL
+from triekit.predkit import StaticPredecessor
 from triekit.wexp import (
     CAPACITY,
     WexpTree,
@@ -221,3 +223,88 @@ def test_insert_sequence_pred_equals_sorted_oracle():
         expect = None if i == 0 else (keys[i - 1], 1)
         assert t.pred(x) == expect
     audit_wexp(t)
+
+
+def _mixed_workload(u, seed, steps):
+    """Acceptance-5-style stream: inserts, weight increases and searches."""
+    rng = random.Random(seed)
+    t = WexpTree(u)
+    keys = []
+    for _ in range(steps):
+        r = rng.random()
+        if r < 0.22 or not keys:
+            k = rng.randrange(u)
+            if k not in t.handles:
+                t.insert(k)
+                keys.append(k)
+        elif r < 0.72:
+            t.increase(t.handles[keys[rng.randrange(len(keys))]])
+        else:
+            t.pred(rng.randrange(u))
+    return t
+
+
+def _shape(t):
+    """Inner nodes, splitter-less inner nodes, base containers, base items
+    and the largest level drop from a node to a child in its slots."""
+    inner = empty = bases = items = drop = 0
+    stack = [t.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Base):
+            bases += 1
+            items += len(node.items)
+            continue
+        inner += 1
+        empty += not node.splitters
+        for c in node.children:
+            if c is not None:
+                drop = max(drop, node.level - c.level)
+                stack.append(c)
+    return inner, empty, bases, items, drop
+
+
+def test_slots_hold_lower_trees_and_no_level_is_empty():
+    before = GLOBAL.splits
+    t = _mixed_workload(2**16, 7, 2000)
+    audit_wexp(t)
+    inner, empty, bases, items, drop = _shape(t)
+    assert empty == 0
+    assert drop >= 2  # some slot holds a tree two or more levels down
+    # A tree that fills such slots with chains of splitter-less nodes makes
+    # the same 293 splits and 146 bases with 292 items on this stream; of
+    # its 118 inner nodes, 16 hold no splitter, so no element moves.
+    assert GLOBAL.splits - before == 293
+    assert (bases, items) == (146, 292)
+    assert inner == 118 - 16
+
+
+def test_audit_rejects_splitter_less_node():
+    t = WexpTree(u=256)
+    for k in range(1, 30):
+        t.insert(k)
+    root = t.root
+    assert isinstance(root, _Node)
+    t.root = _Node(root.level + 1, [], [root], t.u)
+    assert t.root.weight == root.weight
+    with pytest.raises(AssertionError, match="without a splitter"):
+        audit_wexp(t)
+
+
+def test_audit_checks_static_predecessor_keys():
+    t = WexpTree(u=256)
+    for k in range(1, 30):
+        t.insert(k)
+    audit_wexp(t)
+    root = t.root
+    root.pred = StaticPredecessor([e.key + 1 for e in root.splitters], t.u)
+    with pytest.raises(AssertionError):
+        audit_wexp(t)
+
+
+def test_audit_rejects_child_at_parent_level():
+    t = _mixed_workload(2**16, 7, 2000)
+    child = next(c for c in t.root.children if isinstance(c, _Node))
+    child.level = t.root.level
+    with pytest.raises(AssertionError, match="levels must decrease"):
+        audit_wexp(t)

@@ -6,14 +6,20 @@ after k prepends, position j holds the character j+1 places from the right,
 and existing edge labels never shift.  Edge labels are (hi, lo) position
 ranges read downward, with position -1 standing for the sentinel.
 
-Every node stores its a-links in a per-node map from the letter a to a
-node: W_a(u) points to the locus of a*str(u) when that string occurs.  The
-link is hard when the locus is a node, soft when it lies inside an edge
+An a-link W_a(u) points to the locus of a*str(u) when that string occurs.
+The link is hard when the locus is a node, soft when it lies inside an edge
 (then it points to the edge's lower end); which one follows from the
-target's string depth.  Soft links are stored eagerly and copied to the
-middle node whenever an edge splits.  Each node keeps the set of source
-nodes whose soft links aim at it, which makes the retargeting explicit;
-their letter is implied, since it is the first letter of the target's string.
+target's string depth.  A leaf's links are derived, not stored: leaf k
+spells the text from position k - 1 down, so for k < n its one link is the
+hard link to leaf k + 1 under letter buf[k], read from the tree's `leaves`
+list.  An inner node stores its a-links in a per-node map from the letter a
+to a node; `links_of` serves both kinds.  Soft links are stored eagerly and
+copied to the middle node whenever an edge splits.  Each node keeps the set
+of source nodes whose soft links aim at it, which makes the retargeting
+explicit; their letter is implied, since it is the first letter of the
+target's string.  Containers exist only where used: every leaf shares one
+read-only empty `children` map, and `rev_soft` is one shared empty
+frozenset until a soft link aims at the node.
 
 Checks read no label: `canonical()` is the flat form `CompactedTrie.canonical`
 gives a fresh build, and `audit_links()` tests each label and a-link in O(1);
@@ -22,9 +28,14 @@ so each costs O(nodes + links), apart from canonical()'s child sorts.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import AlphabetOverflowError, MarkOrderViolationError
 from .instrument import GLOBAL
 from .text import SENTINEL
+
+_NO_CHILDREN = MappingProxyType({})  # every leaf's: a suffix-tree leaf never gains a child
+_NO_SOFT = frozenset()               # rev_soft until a soft link aims at the node
 
 
 class _ONode:
@@ -36,10 +47,14 @@ class _ONode:
         self.hi = hi
         self.lo = lo
         self.sdepth = sdepth
-        self.children = {}
-        self.links = {}        # letter -> node; hard iff its sdepth is sdepth + 1
-        self.rev_soft = set()  # source nodes whose soft link aims here
+        self.rev_soft = _NO_SOFT  # source nodes whose soft link aims here
         self.leaf_id = leaf_id
+        if leaf_id >= 0:
+            self.children = _NO_CHILDREN
+            self.links = None     # derived, see OnlineSuffixTree.links_of
+        else:
+            self.children = {}
+            self.links = {}       # letter -> node; hard iff its sdepth is sdepth + 1
 
     @property
     def label_len(self):
@@ -61,21 +76,34 @@ class OnlineSuffixTree:
         leaf0 = _ONode(root, -1, -1, 1, leaf_id=0)  # the sentinel suffix
         root.children[SENTINEL] = leaf0
         self.root = root
+        self.leaves = [leaf0]  # leaf id -> leaf
         self.active = leaf0  # leaf of the longest suffix
 
     def char(self, pos: int) -> int:
         return self.buf[pos] if pos >= 0 else SENTINEL
+
+    def links_of(self, v) -> dict:
+        """v's a-links, letter -> node: an inner node's own map, or a new
+        map holding a leaf's derived link."""
+        if v.links is not None:
+            return v.links
+        k = v.leaf_id
+        return {self.buf[k]: self.leaves[k + 1]} if k < self.n else {}
 
     def prepend(self, a: int):
         if not 1 <= a <= self.sigma:
             raise AlphabetOverflowError(f"char {a} outside [1, {self.sigma}]")
         n = self.n
         self.buf.append(a)  # position n now holds the new front letter
+        root = self.root
+        leaf = self.active
 
-        # lowest ancestor of the active leaf with an a-link
+        # lowest ancestor of the active leaf with an a-link; the leaf itself
+        # has none until the new leaf below makes its derived one
         chain = []
-        v = self.active
-        while v is not self.root and a not in v.links:
+        v = leaf.parent
+        GLOBAL.oracle_steps += 1
+        while v is not root and a not in v.links:
             chain.append(v)
             v = v.parent
             GLOBAL.oracle_steps += 1
@@ -87,7 +115,7 @@ class OnlineSuffixTree:
             if target.sdepth == head_depth:
                 attach = target
             else:
-                on_active_path = any(target is y for y in chain)
+                on_active_path = target is leaf or target in chain
                 attach = self._split(target, head_depth)
                 if on_active_path:
                     # the middle node is itself an ancestor of the old
@@ -96,21 +124,24 @@ class OnlineSuffixTree:
         else:
             chain.append(u)  # the root gets its first a-link below
             head_depth = 0
-            attach = self.root
+            attach = root
 
         # hang the new longest suffix below the head
         first = self.char(n - head_depth)
         assert first not in attach.children, "head was not maximal"
         newleaf = _ONode(attach, n - head_depth, -1, n + 2, leaf_id=n + 1)
         attach.children[first] = newleaf
+        self.leaves.append(newleaf)
         GLOBAL.oracle_steps += 1
 
-        # every walked ancestor now has a*str(y) on the new leaf edge
+        # every walked ancestor now has a*str(y) on the new leaf edge: the
+        # old active leaf by derivation, every inner y by a soft link, since
+        # an inner node lies at most n deep
         for y in chain:
             y.links[a] = newleaf
-            if y.sdepth + 1 != newleaf.sdepth:
-                newleaf.rev_soft.add(y)
-            GLOBAL.oracle_steps += 1
+        if chain:
+            newleaf.rev_soft = set(chain)
+        GLOBAL.oracle_steps += len(chain) + 1
 
         self.active = newleaf
         self.n = n + 1
@@ -128,19 +159,27 @@ class OnlineSuffixTree:
         t.hi -= offset
         t.parent = mid
         mid.children[self.char(t.hi)] = t
-        for c, tc in t.links.items():
+        for c, tc in self.links_of(t).items():
             mid.links[c] = tc
-            tc.rev_soft.add(mid)
+            if tc.rev_soft:
+                tc.rev_soft.add(mid)
+            else:
+                tc.rev_soft = {mid}
             GLOBAL.oracle_steps += 1
+        soft_into_mid = []
         for q in list(t.rev_soft):
             locus = q.sdepth + 1
-            if locus > mid.sdepth:
+            if locus > depth:
                 continue
             t.rev_soft.discard(q)
             q.links[b] = mid
-            if locus < mid.sdepth:
-                mid.rev_soft.add(q)
+            if locus < depth:
+                soft_into_mid.append(q)
             GLOBAL.oracle_steps += 1
+        if not t.rev_soft:
+            t.rev_soft = _NO_SOFT
+        if soft_into_mid:
+            mid.rev_soft = set(soft_into_mid)
         return mid
 
     # ------------------------------------------------------------- inspection
@@ -169,7 +208,9 @@ class OnlineSuffixTree:
         lies below it.  For a leaf q below t, str(t) starts with b*str(v), as
         a link v -b-> t says, iff char(q - 1) == b and leaf q - 1 lies below
         v.  Given a canonical form equal to a fresh build's, anchored labels
-        read the same letters, so every label and link is right."""
+        read the same letters, so every label and link is right.  A leaf's
+        derived link is checked as a stored one, once `leaves` is shown to
+        list the tree's leaves by id."""
         n = self.n
         order = []                 # preorder
         pre = {}                   # id(node) -> preorder number
@@ -192,6 +233,10 @@ class OnlineSuffixTree:
                 stack.append(ch)
         if min(leaf_pre) < 0:
             raise AssertionError("a suffix has no leaf")
+        leaves = self.leaves
+        if len(leaves) != n + 1 or any(order[leaf_pre[k]] is not leaf
+                                       for k, leaf in enumerate(leaves)):
+            raise AssertionError("leaves[k] is not the tree's leaf k")
         end = list(range(len(order)))  # last preorder number below each node, a leaf
         for i in range(len(order) - 1, 0, -1):
             p = pre[id(order[i].parent)]
@@ -201,6 +246,7 @@ class OnlineSuffixTree:
             return 0 <= q <= n and i <= leaf_pre[q] <= end[i]
 
         for i, v in enumerate(order):
+            links = self.links_of(v)
             p = v.parent
             if p is None:
                 if v.rev_soft:
@@ -212,11 +258,13 @@ class OnlineSuffixTree:
                     raise AssertionError("label names no leaf below its node")
                 if p.children.get(self.char(v.hi)) is not v:
                     raise AssertionError("child key differs from its label")
-                if not (p is self.root or v.links.keys() <= p.links.keys()):
+                if not (p is self.root or links.keys() <= p.links.keys()):
                     raise AssertionError("link sets must be monotone upward")
-                if not all(q.links.get(self.char(v.hi + p.sdepth)) is v for q in v.rev_soft):
-                    raise AssertionError("reverse soft set holds a source whose link aims elsewhere")
-            for b, t in v.links.items():
+                b = self.char(v.hi + p.sdepth)
+                if not all(id(q) in pre and q.sdepth + 1 != v.sdepth
+                           and self.links_of(q).get(b) is v for q in v.rev_soft):
+                    raise AssertionError("reverse soft set holds a node that is not its soft source")
+            for b, t in links.items():
                 j = pre.get(id(t))
                 if not j:
                     raise AssertionError("an a-link aims at the root (numbered 0) or outside the tree")

@@ -1,4 +1,5 @@
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,9 +40,6 @@ def test_prepend_alphabet_bounds():
 
 
 def test_prepend_splits_edge():
-    t = OnlineSuffixTree(sigma=4)
-    for c in (1, 2):   # build "na" with n=2, a=1: prepend "a" then "n"... order:
-        pass
     t = OnlineSuffixTree(sigma=4)
     t.prepend(1)  # "a"
     t.prepend(2)  # "na"
@@ -85,7 +83,7 @@ def test_link_monotonicity_and_permanence():
     for _ in range(300):
         online.prepend(rng.randint(1, 4))
         for v in subtree_nodes(online.root):
-            for b, t in v.links.items():
+            for b, t in online.links_of(v).items():
                 hard = t.sdepth == v.sdepth + 1
                 # once hard, a link never changes target or softens
                 prev = hard_seen.get((id(v), b))
@@ -99,7 +97,7 @@ def _soft_link(online):
     """Some stored soft link (source, letter, target) whose target's
     parent is not the root."""
     for v in subtree_nodes(online.root):
-        for b, t in v.links.items():
+        for b, t in online.links_of(v).items():
             if t.sdepth != v.sdepth + 1 and t.parent is not online.root:
                 return v, b, t
     raise AssertionError("no soft link")
@@ -117,9 +115,9 @@ def _grown_tree():
 def test_audit_links_catches_link_aimed_at_parent():
     online = _grown_tree()
     v, b, t = _soft_link(online)
-    t.rev_soft.discard(v)
-    v.links[b] = t.parent
-    t.parent.rev_soft.add(v)
+    t.rev_soft -= {v}
+    online.links_of(v)[b] = t.parent
+    t.parent.rev_soft |= {v}
     with pytest.raises(AssertionError):
         online.audit_links()
 
@@ -129,10 +127,10 @@ def test_audit_links_catches_link_aimed_at_root(reverse_entry):
     # the root has no parent, so the soft-locus check cannot run on it
     online = _grown_tree()
     v, b, t = _soft_link(online)
-    t.rev_soft.discard(v)
-    v.links[b] = online.root
+    t.rev_soft -= {v}
+    online.links_of(v)[b] = online.root
     if reverse_entry:
-        online.root.rev_soft.add(v)
+        online.root.rev_soft |= {v}
     with pytest.raises(AssertionError):
         online.audit_links()
 
@@ -140,7 +138,7 @@ def test_audit_links_catches_link_aimed_at_root(reverse_entry):
 def test_audit_links_catches_missing_reverse_entry():
     online = _grown_tree()
     v, _, t = _soft_link(online)
-    t.rev_soft.discard(v)
+    t.rev_soft -= {v}
     with pytest.raises(AssertionError):
         online.audit_links()
 
@@ -178,7 +176,10 @@ def test_audit_links_catches_link_reaimed_at_same_depth():
 
     caught = 0
     for v in nodes:
-        for b, t in list(v.links.items()):
+        if v.is_leaf:
+            continue  # a leaf's one link is derived, so it cannot be re-aimed
+        links = online.links_of(v)
+        for b, t in list(links.items()):
             depth = v.sdepth + 1
             for u in nodes:
                 if (u is t or u is online.root or u.sdepth != t.sdepth
@@ -186,15 +187,15 @@ def test_audit_links_catches_link_reaimed_at_same_depth():
                     continue
                 soft = t.sdepth != depth
                 if soft:
-                    t.rev_soft.discard(v)
-                    u.rev_soft.add(v)
-                v.links[b] = u
+                    t.rev_soft -= {v}
+                    u.rev_soft |= {v}
+                links[b] = u
                 with pytest.raises(AssertionError, match="link contents"):
                     online.audit_links()
-                v.links[b] = t
+                links[b] = t
                 if soft:
-                    u.rev_soft.discard(v)
-                    t.rev_soft.add(v)
+                    u.rev_soft -= {v}
+                    t.rev_soft |= {v}
                 caught += 1
     assert caught >= 10
     online.audit_links()
@@ -227,10 +228,87 @@ def test_audit_links_catches_nodes_outside_the_tree():
     online = _grown_tree()
     v, b, t = _soft_link(online)
     stray = _ONode(t.parent, t.hi, t.lo, t.sdepth)
-    t.rev_soft.discard(v)
-    stray.rev_soft.add(v)
-    v.links[b] = stray
+    t.rev_soft -= {v}
+    stray.rev_soft |= {v}
+    online.links_of(v)[b] = stray
     with pytest.raises(AssertionError, match="outside the tree"):
+        online.audit_links()
+
+
+def test_audit_links_catches_swapped_leaves():
+    # each leaf's derived link reads leaves[leaf_id + 1]
+    online = _grown_tree()
+    leaves = online.leaves
+    for i, j in [(0, 1), (5, 6), (10, 40), (1, len(leaves) - 1), (30, 31)]:
+        leaves[i], leaves[j] = leaves[j], leaves[i]
+        with pytest.raises(AssertionError, match="leaves"):
+            online.audit_links()
+        leaves[i], leaves[j] = leaves[j], leaves[i]
+    online.audit_links()
+
+
+def test_audit_links_catches_truncated_leaves():
+    online = _grown_tree()
+    online.leaves.pop()
+    with pytest.raises(AssertionError, match="leaves"):
+        online.audit_links()
+
+
+def test_audit_links_catches_reverse_soft_entry_without_soft_link():
+    # a hard source passes every reverse-set test but the softness one,
+    # since its link does aim at the node; the root as a source fails the
+    # link test or the softness one
+    online = _grown_tree()
+    nodes = subtree_nodes(online.root)
+    caught = 0
+    for q in nodes:
+        for b, w in online.links_of(q).items():
+            if w.sdepth != q.sdepth + 1 or w.rev_soft:
+                continue
+            w.rev_soft = {q}
+            with pytest.raises(AssertionError, match="reverse soft set"):
+                online.audit_links()
+            w.rev_soft = frozenset()
+            caught += 1
+    assert caught >= 10
+    caught = 0
+    for w in nodes:
+        if w is online.root or w.rev_soft:
+            continue
+        w.rev_soft = {online.root}
+        with pytest.raises(AssertionError, match="reverse soft set"):
+            online.audit_links()
+        w.rev_soft = frozenset()
+        caught += 1
+    assert caught >= 10
+    online.audit_links()
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 26, 65536])
+def test_prepend_makes_containers_only_where_used(sigma):
+    # a leaf is one collector object: no links map, the shared read-only
+    # children map, and rev_soft a real set only once a soft link aims at it
+    rng = random.Random(sigma)
+    online = OnlineSuffixTree(sigma)
+    for step in range(1, 301):
+        online.prepend(rng.randint(1, sigma))
+        if step % 20:
+            continue
+        nodes = subtree_nodes(online.root)
+        leaf_maps, inner_maps = set(), set()
+        for v in nodes:
+            if v.is_leaf:
+                assert v.links is None
+                assert type(v.children) is MappingProxyType and not v.children
+                leaf_maps.add(id(v.children))
+            else:
+                assert type(v.children) is dict and type(v.links) is dict
+                inner_maps.add(id(v.children))
+            assert type(v.rev_soft) is (set if v.rev_soft else frozenset)
+        assert len(leaf_maps) == 1
+        assert len(inner_maps) == len(nodes) - (online.n + 1)
+        with pytest.raises(TypeError):
+            online.active.children[1] = online.root
         online.audit_links()
 
 

@@ -3,12 +3,7 @@
 from .dynamic_index import DynTrieIndex
 from .predkit import DetDictionary, DynamicPredecessor, StaticPredecessor
 from .sa import SuffixArrayIndex, build_suffix_array, build_suffix_tree
-from .static_index import (
-    StaticTrieIndex,
-    SuffixTrayIndex,
-    build_static_index,
-    build_suffix_tray,
-)
+from .static_index import StaticTrieIndex, SuffixTrayIndex
 from .suffix_oracle import FmaTree, OnlineSuffixTree
 from .text import (CompactedTrie, MatchResult, Outcome, Text, build_string_trie, check_codes,
                    encode_text)
@@ -20,7 +15,7 @@ __all__ = [
     "SuffixArrayIndex", "build_suffix_array", "build_suffix_tree",
     "DetDictionary", "StaticPredecessor", "DynamicPredecessor",
     "CAPACITY", "ElementHandle", "WexpTree",
-    "StaticTrieIndex", "SuffixTrayIndex", "build_static_index", "build_suffix_tray",
+    "StaticTrieIndex", "SuffixTrayIndex",
     "DynTrieIndex",
     "FmaTree", "OnlineSuffixTree",
 ]

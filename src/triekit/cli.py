@@ -22,7 +22,7 @@ from .errors import (AlphabetOverflowError, CorruptTrieError, DuplicateKeyError,
 from .instrument import GLOBAL
 from .sa import build_suffix_array, build_suffix_tree
 from .serialize import VersionMismatchError, check_sigma, dump_index, load_index
-from .static_index import StaticTrieIndex, build_static_index, build_suffix_tray
+from .static_index import StaticTrieIndex, SuffixTrayIndex
 from .suffix_oracle import OnlineSuffixTree
 from .text import Text, build_string_trie, check_codes, encode_text
 
@@ -84,8 +84,8 @@ def _build_index(data: bytes, sigma: int, mode: str, engine: str):
             check_codes(t.codes, sigma)
         tree, order = build_string_trie(texts)
     if engine == "static":
-        return build_static_index(tree, order, sigma, mode=mode)
-    return build_suffix_tray(tree, order, sigma, mode=mode)
+        return StaticTrieIndex(tree, order, sigma, mode=mode)
+    return SuffixTrayIndex(tree, order, sigma, mode=mode)
 
 
 def cmd_build(args) -> int:
@@ -385,9 +385,9 @@ def cmd_bench(args) -> int:
             tree = build_suffix_tree(sa_index, text)
             order = suffix_leaf_order(tree)
             if engine == "static":
-                idx = build_static_index(tree, order, args.sigma, mode="suffix")
+                idx = StaticTrieIndex(tree, order, args.sigma, mode="suffix")
             else:
-                idx = build_suffix_tray(tree, order, args.sigma, mode="suffix")
+                idx = SuffixTrayIndex(tree, order, args.sigma, mode="suffix")
             build_t = time.perf_counter() - t0
             t0 = time.perf_counter()
             for p in patterns:

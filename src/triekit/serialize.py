@@ -34,7 +34,7 @@ from itertools import islice
 from operator import gt
 
 from .errors import CorruptTrieError, InvalidInputError
-from .static_index import StaticTrieIndex, build_static_index, build_suffix_tray
+from .static_index import StaticTrieIndex, SuffixTrayIndex
 from .text import CompactedTrie, Node, Text
 
 MAGIC = b"TKIX"
@@ -199,5 +199,5 @@ def load_index(blob: bytes):
 
     mode = "suffix" if suffix else "strings"
     if engine == 0:
-        return build_static_index(trie, leaf_order, sigma, mode=mode, s=s)
-    return build_suffix_tray(trie, leaf_order, sigma, mode=mode)
+        return StaticTrieIndex(trie, leaf_order, sigma, mode=mode, s=s)
+    return SuffixTrayIndex(trie, leaf_order, sigma, mode=mode)

@@ -7,9 +7,11 @@ Two engines over the same trie + sorted-leaf-array data:
   child edge characters and one static predecessor over the same
   characters.  A walk makes one dictionary lookup per heavy node: a heavy
   child continues the walk, a light child switches to binary search of the
-  leaf array inside its interval.  Only a miss queries the predecessor: the
-  hit child's rightmost leaf (or the rank before the node's interval) is the
-  lexicographic predecessor, so a matching query makes no predecessor query.
+  leaf array inside its interval.  A miss there is one leaf-rank search; a
+  match adds one more over the ranks after the first match.  Only a miss
+  queries the predecessor: the hit child's rightmost leaf (or the rank
+  before the node's interval) is the lexicographic predecessor, so a
+  matching query makes no predecessor query.
 
 * SuffixTrayIndex: the same with threshold sigma, size-sigma child arrays at
   branching heavy nodes and plain child binary search at the rest.
@@ -22,7 +24,7 @@ import math
 from .errors import CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import SENTINEL, CompactedTrie, MatchResult, Outcome, check_codes
+from .text import CompactedTrie, MatchResult, Outcome, check_codes
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -94,90 +96,89 @@ class _IndexBase:
             raise InvalidInputError(f"interval {interval} out of range")
         return [self.leaf_order[r] for r in range(lo, hi + 1)]
 
-    def _cmp_leaf(self, r, pattern, start):
-        """(sign, lcp): sign<0 leaf<P, 0 P is a prefix of the leaf, >0 leaf>P.
-
-        Reads the stored string's code list directly, sentinel past its end."""
-        if self.mode == "suffix":
-            codes = self.trie.sources[0].codes
-            off = self.leaf_order[r]
-        else:
-            codes = self.trie.sources[self.leaf_order[r]].codes
-            off = 0
-        n = len(codes)
-        m = len(pattern)
-        d = start
-        while d < m:
-            k = off + d
-            lc = codes[k] if k < n else SENTINEL
-            if lc != pattern[d]:
-                GLOBAL.chars_compared += d - start + 1
-                return (-1 if lc < pattern[d] else 1), d
-            d += 1
-        GLOBAL.chars_compared += m - start
-        return 0, m
-
     def _first_geq(self, lo, hi, pattern, start, strict):
         """Smallest rank in [lo, hi] whose leaf is >= P (strict: > P and not
-        P-prefixed).  Returns (rank or hi+1, best lcp seen).  Comparisons
-        start at the shared matched-prefix floor, never re-reading it."""
-        best = start
-        l_lcp = r_lcp = start
+        P-prefixed).  Returns (rank or hi+1, best lcp seen).  Each probe
+        compares from the shared matched-prefix floor, never re-reading it,
+        and a stored string reads as the sentinel past its end."""
+        order = self.leaf_order
+        sources = self.trie.sources
+        suffix = self.mode == "suffix"  # suffix: ranks hold positions in one text
+        if suffix:
+            codes = sources[0].codes
+            n = len(codes)
+        off = 0
+        m = len(pattern)
+        best = l_lcp = r_lcp = start
         res = hi + 1
+        read = 0
         while lo <= hi:
             mid = (lo + hi) // 2
-            sign, lcp = self._cmp_leaf(mid, pattern, min(l_lcp, r_lcp))
-            best = max(best, lcp)
-            if sign > 0 or (sign == 0 and not strict):
+            if suffix:
+                off = order[mid]
+                stop = n - off
+            else:
+                codes = sources[order[mid]].codes
+                stop = len(codes)
+            if stop > m:
+                stop = m
+            d = d0 = l_lcp if l_lcp < r_lcp else r_lcp
+            while d < stop and codes[off + d] == pattern[d]:
+                d += 1
+            if d == m:  # P is a prefix of the leaf
+                read += m - d0
+                geq = not strict
+            else:  # mismatch at d, or the leaf's sentinel
+                read += d - d0 + 1
+                geq = d < stop and codes[off + d] > pattern[d]
+            if d > best:
+                best = d
+            if geq:
                 res = mid
                 hi = mid - 1
-                r_lcp = lcp
+                r_lcp = d
             else:
                 lo = mid + 1
-                l_lcp = lcp
+                l_lcp = d
+        GLOBAL.chars_compared += read
         return res, best
 
     def _light_search(self, w, pattern, start):
         """Resolve the query inside light child w by leaf binary search.
 
         Returns (MatchResult, insert_pos) where insert_pos is the global
-        rank P would occupy (used by predecessor queries)."""
+        rank P would occupy (used by predecessor queries).  A miss is one
+        search: the longest lcp with P sits at a neighbour of the insertion
+        point, and the search probes both.  A match adds one strict search
+        over the ranks after the first match."""
         nd = self.trie.nodes[w]
-        lo, hi = nd.low, nd.high
+        hi = nd.high
         m = len(pattern)
-        if lo == hi:
-            # one leaf: a single compare decides both the match and the rank
-            sign, lcp = self._cmp_leaf(lo, pattern, start)
-            if sign == 0:
-                return self._locus_result(w, lo, lo, m, start), lo
-            return (MatchResult(Outcome.NOT_FOUND, w, 0, None, lcp),
-                    lo if sign > 0 else lo + 1)
-        left, best_l = self._first_geq(lo, hi, pattern, start, strict=False)
-        right, best_r = self._first_geq(lo, hi, pattern, start, strict=True)
-        if left < right:
-            res = self._locus_result(w, left, right - 1, m, start)
-            return res, left
-        best = max(best_l, best_r)
-        return MatchResult(Outcome.NOT_FOUND, w, 0, None, best), left
+        left, best = self._first_geq(nd.low, hi, pattern, start, strict=False)
+        if best < m:
+            return MatchResult(Outcome.NOT_FOUND, w, 0, None, best), left
+        right, _ = self._first_geq(left + 1, hi, pattern, start, strict=True)
+        return self._locus_result(w, left, right - 1, m, start), left
 
     def _locus_result(self, w, lo, hi, m, start) -> MatchResult:
         """Locate the trie locus of a match known to span ranks [lo, hi]."""
+        nodes = self.trie.nodes
         u = w
         # start-1 is the depth where w's edge begins (its first char was
         # matched as the entry character)
         depth_above = start - 1
         while True:
-            nd = self.trie.nodes[u]
-            d_node = depth_above + nd.label_len
-            if (nd.low, nd.high) == (lo, hi):
+            nd = nodes[u]
+            length = nd.end - nd.start
+            if nd.low == lo and nd.high == hi:
                 offset = m - depth_above
-                if offset == nd.label_len:
+                if offset == length:
                     return MatchResult(Outcome.MATCHED_AT_NODE, u, 0, (lo, hi), m)
                 return MatchResult(Outcome.MATCHED_ON_EDGE, u, offset, (lo, hi), m)
             # descend into the child whose interval covers the match
-            depth_above = d_node
+            depth_above += length
             for ch in nd.children.values():
-                c = self.trie.nodes[ch]
+                c = nodes[ch]
                 if c.low <= lo and hi <= c.high:
                     u = ch
                     break
@@ -274,10 +275,6 @@ class StaticTrieIndex(_IndexBase):
         return rank if rank >= 0 else None
 
 
-def build_static_index(trie, leaf_order, sigma, mode="strings", s=None) -> StaticTrieIndex:
-    return StaticTrieIndex(trie, leaf_order, sigma, mode, s=s)
-
-
 class SuffixTrayIndex(_IndexBase):
     """Suffix-tray engine: threshold sigma, child arrays at branching heavy
     nodes, child binary search elsewhere, leaf-array search below."""
@@ -358,7 +355,3 @@ class SuffixTrayIndex(_IndexBase):
                 return MatchResult(Outcome.MATCHED_ON_EDGE, child, j, (nd.low, nd.high), m)
             i += length
             v = child
-
-
-def build_suffix_tray(trie, leaf_order, sigma, mode="suffix") -> SuffixTrayIndex:
-    return SuffixTrayIndex(trie, leaf_order, sigma, mode)

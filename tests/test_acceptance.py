@@ -18,7 +18,7 @@ from triekit.errors import MarkOrderViolationError
 from triekit.instrument import GLOBAL
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.serialize import dump_index, load_index
-from triekit.static_index import build_static_index, build_suffix_tray
+from triekit.static_index import StaticTrieIndex, SuffixTrayIndex
 from triekit.suffix_oracle import FmaTree, OnlineSuffixTree
 from triekit.text import Text
 from triekit.wexp import WexpTree, audit_wexp
@@ -96,8 +96,8 @@ def test_acceptance_2_static_search_correctness():
         sa = build_suffix_array(text)
         tree = build_suffix_tree(sa, text)
         order = suffix_leaf_order(tree)
-        static = build_static_index(tree, order, sigma, mode="suffix")
-        tray = build_suffix_tray(tree, order, sigma, mode="suffix")
+        static = StaticTrieIndex(tree, order, sigma, mode="suffix")
+        tray = SuffixTrayIndex(tree, order, sigma, mode="suffix")
         full = bytes(c % 256 for c in codes) + b"\x00" if sigma <= 255 else None
         for _ in range(100):
             pat = _mk_pattern(rng, codes, sigma)
@@ -134,7 +134,7 @@ def test_acceptance_3_predecessor_correctness():
         from triekit.text import build_string_trie
 
         trie, order = build_string_trie(texts)
-        idx = build_static_index(trie, order, sigma, mode="strings")
+        idx = StaticTrieIndex(trie, order, sigma, mode="strings")
         keys = sorted(tuple(w) + (0,) for w in words)
         for _ in range(200):
             pat = _rand_codes(rng, rng.randrange(0, 11), sigma)
@@ -155,7 +155,7 @@ def test_acceptance_4_probe_bounds():
     codes = _rand_codes(rng, n, sigma)
     text = Text(codes)
     tree = build_suffix_tree(build_suffix_array(text), text)
-    idx = build_static_index(tree, suffix_leaf_order(tree), sigma, mode="suffix")
+    idx = StaticTrieIndex(tree, suffix_leaf_order(tree), sigma, mode="suffix")
     lglg = math.log2(math.log2(sigma))  # = 4
     soft_budget = 8 * lglg + 8          # documented constant C = 8
     worst_elem = 0
@@ -402,7 +402,7 @@ def test_acceptance_10_determinism_and_round_trip(run_in_checkout):
     codes = _rand_codes(rng, 3000, 26)
     text = Text(codes)
     tree = build_suffix_tree(build_suffix_array(text), text)
-    idx = build_static_index(tree, suffix_leaf_order(tree), 26, mode="suffix")
+    idx = StaticTrieIndex(tree, suffix_leaf_order(tree), 26, mode="suffix")
     blob = dump_index(idx)
     loaded = load_index(blob)
     for _ in range(500):

@@ -11,7 +11,7 @@ from triekit import cli
 from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex
 from triekit.serialize import dump_index, load_index
-from triekit.static_index import build_static_index
+from triekit.static_index import StaticTrieIndex
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.text import encode_text
 from triekit.cli import suffix_leaf_order
@@ -187,7 +187,7 @@ def test_strings_mode_build_and_predecessor(tmp_path, capsys):
 def test_round_trip_identical_answers(tmp_path):
     text = encode_text(b"abracadabra", 256)
     tree = build_suffix_tree(build_suffix_array(text), text)
-    idx = build_static_index(tree, suffix_leaf_order(tree), 256, mode="suffix")
+    idx = StaticTrieIndex(tree, suffix_leaf_order(tree), 256, mode="suffix")
     blob = dump_index(idx)
     loaded = load_index(blob)
     for pat in (b"ab", b"bra", b"xyz", b"a", b""):

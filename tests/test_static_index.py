@@ -16,8 +16,6 @@ from triekit.serialize import MAGIC, VersionMismatchError, dump_index, load_inde
 from triekit.static_index import (
     StaticTrieIndex,
     SuffixTrayIndex,
-    build_static_index,
-    build_suffix_tray,
     heavy_threshold,
 )
 from triekit.text import Node, Text, build_string_trie, encode_text
@@ -33,8 +31,8 @@ def suffix_index(raw: bytes, sigma=256, engine="static"):
                   for v in sorted((v for v, nd in enumerate(tree.nodes) if nd.is_leaf),
                                   key=lambda v: tree.nodes[v].low)]
     if engine == "static":
-        return build_static_index(tree, leaf_order, sigma, mode="suffix"), text
-    return build_suffix_tray(tree, leaf_order, sigma, mode="suffix"), text
+        return StaticTrieIndex(tree, leaf_order, sigma, mode="suffix"), text
+    return SuffixTrayIndex(tree, leaf_order, sigma, mode="suffix"), text
 
 
 def enc(raw: bytes):
@@ -71,7 +69,7 @@ def test_star_trie_heavy_root():
     sigma = 1000
     texts = [Text([c]) for c in range(1, sigma + 1)]
     trie, order = build_string_trie(texts)
-    idx = build_static_index(trie, order, sigma, mode="strings")
+    idx = StaticTrieIndex(trie, order, sigma, mode="strings")
     root = trie.ROOT
     assert idx.heavy[root]
     for ch in trie.nodes[root].children.values():
@@ -106,7 +104,7 @@ def test_corrupt_trie_rejected():
     order = [tree.nodes[v].leaf_id for v in leaves]
     tree.nodes[leaves[3]].low = tree.nodes[leaves[3]].high = 99
     with pytest.raises(CorruptTrieError):
-        build_static_index(tree, order, 256, mode="suffix")
+        StaticTrieIndex(tree, order, 256, mode="suffix")
 
 
 @contextlib.contextmanager
@@ -260,7 +258,7 @@ FIELD_CORRUPTIONS = {
 def _words_index():
     texts = [Text(enc(w)) for w in (b"abra", b"cad", b"abracadabra", b"bra", b"a")]
     trie, order = build_string_trie(texts)
-    return build_static_index(trie, order, 256, mode="strings")
+    return StaticTrieIndex(trie, order, 256, mode="strings")
 
 
 @pytest.mark.parametrize("case", sorted(FIELD_CORRUPTIONS))
@@ -370,7 +368,7 @@ def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, 
 def test_predecessor_examples():
     texts = [Text(enc(w)) for w in (b"ant", b"bee", b"cow")]
     trie, order = build_string_trie(texts)
-    idx = build_static_index(trie, order, 256, mode="strings")
+    idx = StaticTrieIndex(trie, order, 256, mode="strings")
 
     def pred_word(wb):
         r = idx.predecessor_query(enc(wb))
@@ -446,7 +444,7 @@ def test_predecessor_matches_sort_scan_oracle(seed):
             words.append(list(w))
     texts = [Text(w) for w in words]
     trie, order = build_string_trie(texts)
-    idx = build_static_index(trie, order, sigma, mode="strings")
+    idx = StaticTrieIndex(trie, order, sigma, mode="strings")
     for _ in range(30):
         pat = [rng.randint(1, sigma) for _ in range(rng.randrange(0, 10))]
         want = string_predecessor(words, pat)
@@ -570,7 +568,7 @@ def test_one_static_pred_query_strings_mode():
                     for _ in range(400)})
     texts = [Text(list(w)) for w in words]
     trie, order = build_string_trie(texts)
-    idx = build_static_index(trie, order, sigma, mode="strings")
+    idx = StaticTrieIndex(trie, order, sigma, mode="strings")
     assert sum(idx.heavy) > 1
     keys = [texts[sid].codes + [0] for sid in order]
     patterns = [list(w[:rng.randrange(0, len(w) + 1)]) + [rng.randint(1, sigma)]
@@ -582,8 +580,8 @@ def test_one_static_pred_query_strings_mode():
 
 def _prefix_engines(trie, order, sigma, mode):
     """Static, tray and both loaded from their files, as prefix-query callables."""
-    static = build_static_index(trie, order, sigma, mode=mode)
-    tray = build_suffix_tray(trie, order, sigma, mode=mode)
+    static = StaticTrieIndex(trie, order, sigma, mode=mode)
+    tray = SuffixTrayIndex(trie, order, sigma, mode=mode)
     loaded_static = load_index(dump_index(static))
     loaded_tray = load_index(dump_index(tray))
     return static, loaded_static, [static.prefix_query, tray.tray_query,
@@ -673,6 +671,68 @@ def test_boundary_patterns_strings_mode():
     assert len(trie.nodes[trie.ROOT].children) == 1
 
 
+def _light_top(idx, v):
+    """The light child of a heavy node whose subtree holds node v."""
+    nodes = idx.trie.nodes
+    while not idx.heavy[nodes[v].parent]:
+        v = nodes[v].parent
+    return v
+
+
+def test_multi_leaf_light_subtrees_match_sorted_leaf_oracle():
+    rng = random.Random(2021)
+    cases = []
+    for sigma in (4, 26):
+        codes = [rng.randint(1, sigma) for _ in range(2000)]
+        text = Text(codes)
+        full = codes + [0]
+        order = brute_suffix_array(codes)
+        cases.append((build_suffix_tree(build_suffix_array(text), text), order, sigma,
+                      "suffix", [full[i:] for i in order]))
+    words = sorted({tuple(rng.randint(1, 26) for _ in range(rng.randrange(1, 9)))
+                    for _ in range(1500)})
+    texts = [Text(list(w)) for w in words]
+    trie, order = build_string_trie(texts)
+    cases.append((trie, order, 26, "strings", [texts[sid].codes + [0] for sid in order]))
+    for trie, order, sigma, mode, keys in cases:
+        # patterns from sampled leaves: a prefix (a hit), the prefix with its
+        # last character replaced, and the prefix extended by one character
+        patterns = []
+        for key in rng.sample(keys, 150):
+            cut = rng.randrange(1, len(key))
+            c = rng.randint(1, sigma)
+            patterns += [key[:cut], key[:cut - 1] + [c], key[:cut] + [c]]
+        for idx in (StaticTrieIndex(trie, order, sigma, mode, s=8),
+                    StaticTrieIndex(trie, order, sigma, mode, s=64),
+                    SuffixTrayIndex(trie, order, sigma, mode)):
+            query = idx.tray_query if isinstance(idx, SuffixTrayIndex) else idx.prefix_query
+            seen = {"hit": 0, "miss inside": 0, "miss past an end": 0}
+            for p in patterns:
+                lo = bisect.bisect_left(keys, p)
+                hi = bisect.bisect_left(keys, p + [sigma + 1]) - 1
+                res = query(p)
+                assert res.matched == (lo <= hi), (p, idx.s)
+                if res.matched:
+                    assert res.interval == (lo, hi) and res.matched_len == len(p), (p, idx.s)
+                else:
+                    assert res.matched_len == longest_matchable_prefix(keys, p), (p, idx.s)
+                if isinstance(idx, StaticTrieIndex):
+                    want = bisect.bisect_right(keys, p + [0]) - 1
+                    assert idx.predecessor_query(p) == (want if want >= 0 else None), (p, idx.s)
+                if idx.heavy[res.node]:
+                    continue
+                w = trie.nodes[_light_top(idx, res.node)]
+                if w.low == w.high:
+                    continue
+                if res.matched:
+                    seen["hit"] += 1
+                elif w.low < lo <= w.high:
+                    seen["miss inside"] += 1
+                else:
+                    seen["miss past an end"] += 1
+            assert all(seen.values()), (mode, sigma, idx.s, seen)
+
+
 def _compares(stored, pattern, start):
     """Characters a left-to-right compare of `stored` (sentinel padded) with
     `pattern` reads from position `start`, up to and including the first
@@ -692,15 +752,15 @@ def test_chars_compared_counts_each_character_once():
     # light child holding one leaf
     words = [enc(w) for w in (b"abcdx", b"abcdy", b"abcdz", b"b")]
     trie, order = build_string_trie([Text(w) for w in words])
-    idx = build_static_index(trie, order, 256, mode="strings", s=2)
+    idx = StaticTrieIndex(trie, order, 256, mode="strings", s=2)
     abcd = trie.nodes[trie.ROOT].children[enc(b"a")[0]]
     assert idx.heavy[abcd] and trie.nodes[abcd].label_len == 4
     leaf_x = trie.nodes[abcd].children[enc(b"x")[0]]
     assert not idx.heavy[leaf_x] and trie.nodes[leaf_x].low == trie.nodes[leaf_x].high
 
-    def counted(pattern):
+    def counted(pattern, index=idx):
         before = GLOBAL.chars_compared
-        res = idx.prefix_query(pattern)
+        res = index.prefix_query(pattern)
         return res, GLOBAL.chars_compared - before
 
     # mismatch on the last character of the heavy edge
@@ -718,3 +778,25 @@ def test_chars_compared_counts_each_character_once():
     res, count = counted(p)
     assert res.matched and res.interval == (1, 1)
     assert count == _compares(words[1][:4], p[:4], 1) + _compares(words[1], p, 5) == 3
+
+    # s = 8: the root's child "p" is light with six leaves, ranks 0-5, and
+    # every probe of its leaf binary search compares from the floor
+    # min(lcp at lo - 1, lcp at hi + 1), which starts at 1
+    pa, pba, pbb, pbc, pbd, pc = (enc(w) for w in (b"pa", b"pba", b"pbb", b"pbc", b"pbd", b"pc"))
+    trie, order = build_string_trie([Text(w) for w in (pa, pba, pbb, pbc, pbd, pc, enc(b"q"))])
+    light = StaticTrieIndex(trie, order, 256, mode="strings", s=8)
+    p_id = trie.nodes[trie.ROOT].children[enc(b"p")[0]]
+    assert not light.heavy[p_id] and (trie.nodes[p_id].low, trie.nodes[p_id].high) == (0, 5)
+    # a miss is one search: probes pbb (lo = 3), pbd (hi = 3) and pbc, which
+    # starts at the floor min(3, 2) = 2
+    p = enc(b"pbbz")
+    res, count = counted(p, light)
+    assert not res.matched and res.matched_len == 3 and light.predecessor_query(p) == 2
+    assert count == _compares(pbb, p, 1) + _compares(pbd, p, 1) + _compares(pbc, p, 2) == 6
+    # a match: the first search probes pbb, pa and pba (left = 1), then the
+    # strict search over ranks [2, 5] probes pbc, pbd and pc (right = 5)
+    p = enc(b"pb")
+    res, count = counted(p, light)
+    assert res.matched and res.interval == (1, 4)
+    assert count == (_compares(pbb, p, 1) + _compares(pa, p, 1) + _compares(pba, p, 1)
+                     + _compares(pbc, p, 1) + _compares(pbd, p, 1) + _compares(pc, p, 1)) == 6

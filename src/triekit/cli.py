@@ -398,6 +398,11 @@ def cmd_bench(args) -> int:
         probes[engine] = snap
         counters = " ".join(f"{k}={v}" for k, v in sorted(snap.items()) if v)
         print(f"engine={engine} checksum={checksum} {counters}".rstrip())
+        if engine == "static":  # a prefix query makes no static-predecessor query
+            before = GLOBAL.snapshot()
+            for p in patterns:
+                idx.predecessor_query(p)
+            pred_probes = GLOBAL.diff(before)["static_pred_probes"]
         if engine == "dynamic":
             steps = snap["promote_steps"] + snap["rebalance_steps"]
             denom = max(1, inserted) * lglg
@@ -406,8 +411,9 @@ def cmd_bench(args) -> int:
         print(f"engine={engine} build_time={build_t:.3f}s query_time={query_t:.3f}s",
               file=sys.stderr)
     if "static" in probes and "tray" in probes:
-        ok = probes["static"]["static_pred_probes"] <= probes["tray"]["tray_bsearch_steps"]
-        print(f"static_pred_probes<=tray_bsearch_steps: {'pass' if ok else 'FAIL'}")
+        tray_steps = probes["tray"]["tray_bsearch_steps"]
+        print(f"static_pred_probes<=tray_bsearch_steps: {pred_probes}<={tray_steps} "
+              f"{'pass' if pred_probes <= tray_steps else 'FAIL'}")
     return 0
 
 

@@ -1,20 +1,18 @@
 """Static compacted-trie search structures.
 
-Two engines over the same trie + sorted-leaf-array data:
+Two engines over the same trie + sorted-leaf-array data share one descent
+and differ only in the child step taken at a heavy node.  A heavy child
+continues the walk past its edge label; a light child switches to binary
+search of the leaf array inside its interval, where a miss is one
+leaf-rank search and a match adds one more over the ranks after the first.
 
-* StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); every
-  heavy node with children holds one deterministic dictionary over all its
-  child edge characters and one static predecessor over the same
-  characters.  A walk makes one dictionary lookup per heavy node: a heavy
-  child continues the walk, a light child switches to binary search of the
-  leaf array inside its interval.  A miss there is one leaf-rank search; a
-  match adds one more over the ranks after the first match.  Only a miss
-  queries the predecessor: the hit child's rightmost leaf (or the rank
-  before the node's interval) is the lexicographic predecessor, so a
-  matching query makes no predecessor query.
+* StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); the step
+  is one lookup in a deterministic dictionary over the node's child
+  characters.  Only a predecessor query whose lookup missed asks the node's
+  static predecessor; every other rank is read off where the walk stopped.
 
-* SuffixTrayIndex: the same with threshold sigma, size-sigma child arrays at
-  branching heavy nodes and plain child binary search at the rest.
+* SuffixTrayIndex: threshold sigma; a size-sigma child array at branching
+  heavy nodes, a heavy pointer and child binary search at the rest.
 """
 
 from __future__ import annotations
@@ -74,14 +72,21 @@ def validate_intervals(trie: CompactedTrie, n_leaves: int):
 
 
 class _IndexBase:
-    """Shared machinery: leaf access, light-subtree search, locus walk."""
+    """Shared machinery: heavy set, the descent, leaf access, light-subtree
+    search and locus walk.  An engine fills `child_step`, indexed by node id:
+    at each heavy node an object whose `lookup(c)` returns the child on the
+    edge starting with character c, or None; light nodes hold None."""
 
-    def __init__(self, trie: CompactedTrie, leaf_order: list[int], sigma: int, mode: str):
+    def __init__(self, trie: CompactedTrie, leaf_order: list[int], sigma: int, mode: str,
+                 s: int):
         self.trie = trie
         self.leaf_order = leaf_order
         self.sigma = sigma
         self.mode = mode  # "suffix": leaf_order holds positions; "strings": string ids
         validate_intervals(trie, len(leaf_order))
+        self.s = s
+        self.heavy = [nd.high - nd.low + 1 >= s or v == trie.ROOT
+                      for v, nd in enumerate(trie.nodes)]
 
     def leaf_len(self, r: int) -> int:
         """Length of the stored string at rank r, sentinel excluded."""
@@ -95,6 +100,46 @@ class _IndexBase:
         if not (0 <= lo <= hi < len(self.leaf_order)):
             raise InvalidInputError(f"interval {interval} out of range")
         return [self.leaf_order[r] for r in range(lo, hi + 1)]
+
+    def _walk(self, pattern):
+        """The descent both engines run.  Returns (MatchResult, pos, steps):
+        `pos` is the rank the pattern would take among a light child's
+        leaves when the walk ended in one (None otherwise), and `steps` the
+        number of child steps taken."""
+        trie = self.trie
+        nodes = trie.nodes
+        child_step = self.child_step
+        heavy = self.heavy
+        m = len(pattern)
+        if not self.leaf_order:
+            return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), None, 0
+        v = trie.ROOT
+        i = 0
+        steps = 0
+        while True:
+            if i == m:
+                nd = nodes[v]
+                return (MatchResult(Outcome.MATCHED_AT_NODE, v, 0, (nd.low, nd.high), m),
+                        None, steps)
+            child = child_step[v].lookup(pattern[i])
+            steps += 1
+            if child is None:
+                return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), None, steps
+            if not heavy[child]:
+                res, pos = self._light_search(child, pattern, i + 1)
+                return res, pos, steps
+            # heavy child: match the remainder of its edge label
+            nd = nodes[child]
+            length = nd.end - nd.start
+            stop = length if length < m - i else m - i
+            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
+            if j < stop:
+                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j), None, steps
+            if j < length:  # the pattern ends inside the label
+                return (MatchResult(Outcome.MATCHED_ON_EDGE, child, j, (nd.low, nd.high), m),
+                        None, steps)
+            i += length
+            v = child
 
     def _first_geq(self, lo, hi, pattern, start, strict):
         """Smallest rank in [lo, hi] whose leaf is >= P (strict: > P and not
@@ -190,89 +235,91 @@ class StaticTrieIndex(_IndexBase):
     """Heavy/light static index with deterministic dictionaries."""
 
     def __init__(self, trie, leaf_order, sigma, mode, s=None):
-        super().__init__(trie, leaf_order, sigma, mode)
-        self.s = s if s is not None else heavy_threshold(sigma)
-        n_nodes = len(trie.nodes)
-        self.heavy = [nd.high - nd.low + 1 >= self.s or v == trie.ROOT
-                      for v, nd in enumerate(trie.nodes)]
+        super().__init__(trie, leaf_order, sigma, mode,
+                         heavy_threshold(sigma) if s is None else s)
         u = sigma + 1  # edge characters live in [0, sigma]
-        self.child_dict: dict[int, DetDictionary] = {}
+        self.child_step = [None] * len(trie.nodes)
         self.child_pred: dict[int, StaticPredecessor] = {}
-        for v in range(n_nodes):
-            kids = trie.nodes[v].children
+        for v, nd in enumerate(trie.nodes):
+            kids = nd.children
             if self.heavy[v] and kids:
-                self.child_dict[v] = DetDictionary(kids.items())
+                self.child_step[v] = DetDictionary(kids.items())
                 self.child_pred[v] = StaticPredecessor(sorted(kids), u)
 
     def prefix_query(self, pattern: list[int]) -> MatchResult:
         check_codes(pattern, self.sigma)
-        res, _ = self._descend(pattern)
+        res, _, steps = self._walk(pattern)
+        GLOBAL.dict_probes += steps
         return res
-
-    def _descend(self, pattern):
-        """Shared walk; returns (MatchResult, rank).
-
-        `rank` is None for a match.  Otherwise it is the rank of the
-        pattern's predecessor (-1 for none), read off where the walk
-        stopped, so a predecessor query needs no second descent."""
-        trie = self.trie
-        nodes = trie.nodes
-        child_dict = self.child_dict
-        heavy = self.heavy
-        m = len(pattern)
-        if not self.leaf_order:
-            return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), -1
-        v = trie.ROOT
-        i = 0
-        while True:
-            if i == m:
-                nd = nodes[v]
-                return MatchResult(Outcome.MATCHED_AT_NODE, v, 0, (nd.low, nd.high), m), None
-            c = pattern[i]
-            GLOBAL.dict_probes += 1
-            child = child_dict[v].lookup(c)
-            if child is None:
-                # no edge with character c leaves v: the predecessor is the
-                # rightmost leaf below the child with the largest char < c
-                pred = self.child_pred[v]
-                k = pred.query(c)
-                nd = nodes[v]
-                rank = nd.low - 1 if k < 0 else nodes[nd.children[pred.keys[k]]].high
-                return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), rank
-            if not heavy[child]:
-                res, pos = self._light_search(child, pattern, i + 1)
-                return res, (None if res.matched else pos - 1)
-            # heavy child: match the remainder of its edge label
-            nd = nodes[child]
-            length = nd.end - nd.start
-            stop = length if length < m - i else m - i
-            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
-            if j < stop:
-                rank = nd.low - 1 if pattern[i + j] < trie.label_char(child, j) else nd.high
-                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j), rank
-            if i + j == m:
-                if j == length:
-                    return MatchResult(Outcome.MATCHED_AT_NODE, child, 0,
-                                       (nd.low, nd.high), m), None
-                return MatchResult(Outcome.MATCHED_ON_EDGE, child, j,
-                                   (nd.low, nd.high), m), None
-            i += length
-            v = child
 
     def predecessor_query(self, pattern: list[int]):
         """Rank of the largest stored string <= pattern, or None.
 
         Stored strings are sentinel-terminated, so a stored proper prefix of
         the pattern sorts below it; a stored string equal to the pattern is
-        returned itself."""
+        returned itself.  The rank is read off where the walk stopped; only
+        a miss at a heavy node's child edges queries its predecessor."""
         check_codes(pattern, self.sigma)
-        res, rank = self._descend(pattern)
+        res, pos, steps = self._walk(pattern)
+        GLOBAL.dict_probes += steps
+        nodes = self.trie.nodes
         if res.matched:
             lo = res.interval[0]
             if self.leaf_len(lo) == len(pattern):
                 return lo  # the pattern itself is stored
-            return lo - 1 if lo > 0 else None
+            rank = lo - 1
+        elif pos is not None:  # a miss among a light child's leaves
+            rank = pos - 1
+        elif res.edge_offset:  # a mismatch inside a heavy child's edge label
+            nd = nodes[res.node]
+            below = pattern[res.matched_len] < self.trie.label_char(res.node, res.edge_offset)
+            rank = nd.low - 1 if below else nd.high
+        elif not self.leaf_order:
+            return None
+        else:
+            # no child edge starts with c = pattern[matched_len]: the predecessor
+            # is the rightmost leaf below the child with the largest char < c
+            pred = self.child_pred[res.node]
+            k = pred.query(pattern[res.matched_len])
+            nd = nodes[res.node]
+            rank = nd.low - 1 if k < 0 else nodes[nd.children[pred.keys[k]]].high
         return rank if rank >= 0 else None
+
+
+class _ChildArray(list):
+    """Size-(sigma + 1) child array of a branching heavy tray node."""
+
+    __slots__ = ()
+    lookup = list.__getitem__
+
+
+class _ChildSearch:
+    """Tray child step at a heavy node without an array: the heavy pointer
+    (its one heavy child, if any), then binary search of the sorted
+    children, one `tray_bsearch_steps` per probe."""
+
+    __slots__ = ("heavy_kid", "kids")
+
+    def __init__(self, heavy_kid, children):
+        self.heavy_kid = heavy_kid
+        self.kids = sorted(children.items())
+
+    def lookup(self, c):
+        if self.heavy_kid[0] == c:
+            return self.heavy_kid[1]
+        kids = self.kids
+        lo, hi = 0, len(kids) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            GLOBAL.tray_bsearch_steps += 1
+            key, child = kids[mid]
+            if key == c:
+                return child
+            if key < c:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        return None
 
 
 class SuffixTrayIndex(_IndexBase):
@@ -280,78 +327,23 @@ class SuffixTrayIndex(_IndexBase):
     nodes, child binary search elsewhere, leaf-array search below."""
 
     def __init__(self, trie, leaf_order, sigma, mode):
-        super().__init__(trie, leaf_order, sigma, mode)
-        self.s = sigma
-        n_nodes = len(trie.nodes)
-        self.heavy = [nd.high - nd.low + 1 >= self.s or v == trie.ROOT
-                      for v, nd in enumerate(trie.nodes)]
-        self.child_array: dict[int, list] = {}
-        self.heavy_ptr: dict[int, tuple[int, int]] = {}
-        self.sorted_children: dict[int, list] = {}
-        for v in range(n_nodes):
-            if not self.heavy[v]:
+        super().__init__(trie, leaf_order, sigma, mode, sigma)
+        heavy = self.heavy
+        self.child_step = [None] * len(trie.nodes)
+        for v, nd in enumerate(trie.nodes):
+            if not heavy[v]:
                 continue
-            nd = trie.nodes[v]
-            heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
+            kids = nd.children
+            heavy_kids = [(c, ch) for c, ch in kids.items() if heavy[ch]]
             if len(heavy_kids) >= 2:
-                arr = [None] * (sigma + 1)
-                for c, ch in nd.children.items():
+                arr = _ChildArray([None] * (sigma + 1))
+                for c, ch in kids.items():
                     arr[c] = ch
-                self.child_array[v] = arr
+                self.child_step[v] = arr
             else:
-                if len(heavy_kids) == 1:
-                    self.heavy_ptr[v] = heavy_kids[0]
-                self.sorted_children[v] = sorted(nd.children.items())
+                self.child_step[v] = _ChildSearch(
+                    heavy_kids[0] if heavy_kids else (-1, None), kids)
 
     def tray_query(self, pattern: list[int]) -> MatchResult:
         check_codes(pattern, self.sigma)
-        trie = self.trie
-        nodes = trie.nodes
-        m = len(pattern)
-        if not self.leaf_order:
-            return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0)
-        v = trie.ROOT
-        i = 0
-        while True:
-            if i == m:
-                nd = nodes[v]
-                return MatchResult(Outcome.MATCHED_AT_NODE, v, 0, (nd.low, nd.high), m)
-            c = pattern[i]
-            child = None
-            arr = self.child_array.get(v)
-            if arr is not None:
-                child = arr[c]
-            else:
-                hp = self.heavy_ptr.get(v)
-                if hp is not None and hp[0] == c:
-                    child = hp[1]
-                else:
-                    kids = self.sorted_children[v]
-                    lo, hi = 0, len(kids) - 1
-                    while lo <= hi:
-                        mid = (lo + hi) // 2
-                        GLOBAL.tray_bsearch_steps += 1
-                        if kids[mid][0] == c:
-                            child = kids[mid][1]
-                            break
-                        if kids[mid][0] < c:
-                            lo = mid + 1
-                        else:
-                            hi = mid - 1
-            if child is None:
-                return MatchResult(Outcome.NOT_FOUND, v, 0, None, i)
-            if not self.heavy[child]:
-                res, _ = self._light_search(child, pattern, i + 1)
-                return res
-            nd = nodes[child]
-            length = nd.end - nd.start
-            stop = length if length < m - i else m - i
-            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
-            if j < stop:
-                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j)
-            if i + j == m:
-                if j == length:
-                    return MatchResult(Outcome.MATCHED_AT_NODE, child, 0, (nd.low, nd.high), m)
-                return MatchResult(Outcome.MATCHED_ON_EDGE, child, j, (nd.low, nd.high), m)
-            i += length
-            v = child
+        return self._walk(pattern)[0]

@@ -173,6 +173,9 @@ def test_acceptance_4_probe_bounds():
         d = GLOBAL.diff(before)
         assert d["static_pred_queries"] <= 2, "hard probe bound violated"
         assert d["dict_probes"] <= len(pat) + 1
+        if d["static_pred_queries"]:
+            worst_elem = max(worst_elem, d["static_pred_probes"] / d["static_pred_queries"])
+    assert worst_elem > 0, "no static-predecessor query was measured"
     ok = worst_elem <= soft_budget
     _report("4 probe bounds",
             f"(hard <=2 pred queries, <=m+1 dict probes; soft per-query elementary "

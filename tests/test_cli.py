@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import struct
 import sys
 import time
@@ -369,7 +370,9 @@ def test_bench_deterministic(run_in_checkout):
     b = run_in_checkout(cmd)
     assert a.returncode == 0, a.stderr.decode()
     assert a.stdout == b.stdout  # byte-identical deterministic report
-    assert b"static_pred_probes<=tray_bsearch_steps: pass" in a.stdout
+    compared = re.search(rb"static_pred_probes<=tray_bsearch_steps: (\d+)<=(\d+) pass",
+                         a.stdout)
+    assert compared and int(compared[1]) > 0  # the static side measured something
 
 
 def test_bench_unknown_engine(capsys):

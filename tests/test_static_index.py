@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import functools
 import random
 import signal
 import struct
@@ -299,30 +300,34 @@ def _answers(idx):
     return [(idx.prefix_query(p), idx.predecessor_query(p)) for p in ABRA_PATTERNS]
 
 
-_ABRA_BLOB = dump_index(suffix_index(b"abracadabra")[0])
-_ABRA_ANSWERS = _answers(load_index(_ABRA_BLOB))
+@functools.cache
+def _abra_blob():
+    return dump_index(suffix_index(b"abracadabra")[0])
 
 
-@given(st.one_of(
-    st.tuples(st.just("splice"), st.integers(0, len(_ABRA_BLOB)), st.integers(0, 8),
-              st.binary(max_size=8)),
-    st.tuples(st.just("truncate"), st.integers(0, len(_ABRA_BLOB) - 1)),
-    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16))))
+@functools.cache
+def _abra_answers():
+    return _answers(load_index(_abra_blob()))
+
+
+@given(st.sampled_from(["splice", "truncate", "extend"]), st.data())
 @settings(derandomize=True, max_examples=300, deadline=None)
-def test_raw_byte_damage_raises_or_answers_identically(damage):
-    if damage[0] == "splice":
-        _, pos, cut, new = damage
-        bad = _ABRA_BLOB[:pos] + new + _ABRA_BLOB[pos + cut:]
-    elif damage[0] == "truncate":
-        bad = _ABRA_BLOB[:damage[1]]
+def test_raw_byte_damage_raises_or_answers_identically(kind, data):
+    blob = _abra_blob()
+    if kind == "splice":
+        pos = data.draw(st.integers(0, len(blob)))
+        cut = data.draw(st.integers(0, 8))
+        bad = blob[:pos] + data.draw(st.binary(max_size=8)) + blob[pos + cut:]
+    elif kind == "truncate":
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1))]
     else:
-        bad = _ABRA_BLOB + damage[1]
+        bad = blob + data.draw(st.binary(min_size=1, max_size=16))
     with time_limit(2):
         try:
             idx = load_index(bad)
         except TriekitError:
             return
-        assert _answers(idx) == _ABRA_ANSWERS
+        assert _answers(idx) == _abra_answers()
 
 
 NODE_FIELDS = ["parent", "sid", "start", "end", "low", "high", "leaf_id"]
@@ -334,7 +339,7 @@ NODE_FIELDS = ["parent", "sid", "start", "end", "low", "high", "leaf_id"]
        st.one_of(st.integers(-3, 30), st.sampled_from([2**15, 2**31 - 1, 2**40])))
 @settings(derandomize=True, max_examples=400, deadline=None)
 def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, value):
-    idx = load_index(_ABRA_BLOB)
+    idx = load_index(_abra_blob())
     trie = idx.trie
     nd = trie.nodes[pick % len(trie.nodes)]
     if where == "node":
@@ -476,7 +481,8 @@ def test_tray_space_bound():
         raw = rand_text(rng, 2000, sigma)
         tray, _ = suffix_index(raw, sigma, "tray")
         n_leaves = len(tray.leaf_order)
-        assert len(tray.child_array) <= max(1, 2 * n_leaves // sigma)
+        arrays = sum(isinstance(step, list) for step in tray.child_step)
+        assert arrays <= max(1, 2 * n_leaves // sigma)
 
 
 def test_probe_accounting():
@@ -488,7 +494,7 @@ def test_probe_accounting():
         before = GLOBAL.snapshot()
         res = idx.prefix_query(pat)
         d = GLOBAL.diff(before)
-        assert d["static_pred_queries"] <= 1
+        assert d["static_pred_queries"] == 0
         assert d["dict_probes"] <= res.matched_len + 1
         before = GLOBAL.snapshot()
         idx.predecessor_query(pat)
@@ -498,15 +504,15 @@ def test_probe_accounting():
 
 
 def _one_static_pred_query_each(idx, keys, patterns):
-    """Every prefix and predecessor query makes at most one static-predecessor
-    query, a prefix query that matched makes none, and the predecessor rank
-    agrees with a bisection of the sorted sentinel-terminated keys.  Returns
-    how many predecessor queries made one."""
+    """A prefix query makes no static-predecessor query, a predecessor query
+    at most one, and the predecessor rank agrees with a bisection of the
+    sorted sentinel-terminated keys.  Returns how many predecessor queries
+    made one."""
     made_one = 0
     for pat in patterns:
         before = GLOBAL.snapshot()
-        res = idx.prefix_query(pat)
-        assert GLOBAL.diff(before)["static_pred_queries"] <= (0 if res.matched else 1), pat
+        idx.prefix_query(pat)
+        assert GLOBAL.diff(before)["static_pred_queries"] == 0, pat
         before = GLOBAL.snapshot()
         got = idx.predecessor_query(pat)
         queries = GLOBAL.diff(before)["static_pred_queries"]

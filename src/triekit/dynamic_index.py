@@ -1,35 +1,37 @@
 """Amortized dynamic compacted-trie search structure.
 
 The trie is split into a heavy top (nodes with more than sigma/2 leaves,
-always containing the root) and light small trees hanging off it.
-Heavy nodes carry either a size-(sigma + 1) array over all children or a
-single heavy-child pointer.  A heavy node has the array when sigma + 1 <= 64
-(then every heavy node has one: at most 2n nodes, so at most 128n cells),
-when it has two or more heavy children (at most 2n/sigma nodes), and at the
-root once 64 * occ[root] >= sigma + 1, occ[root] being the number of stored
-strings; above 64 cells the arrays hold at most
-64n + 1 + (sigma + 1) * 2n/sigma cells, so O(n) for every sigma.
-Each heavy node has one predecessor slot over its children's first
-characters, asked only by `predecessor`'s ascent at a node with 8 or more
-children (the ascent scans the children of every other node) and by the
-`search` step at a node without an array.  A node without an array keeps a
-heavy-child pointer and a wexponential-tree predecessor
-(`DynamicPredecessor`), as in the paper.  An array node keeps a tree of
-64-bit words (`BitPredecessor`, at most (sigma + 1)/63 + 6 more cells; a
-query reads at most two words on each of its ceil(log_64 (sigma + 1))
-levels, at most 6 levels for sigma < 2^32) when sigma + 1 >= 8, and nothing
-below that, where no node has 8 children.
+always containing the root) and light small trees hanging off it.  Each node
+keeps one child step, the lookup `search` makes at it in the shared walk
+`CompactedTrie.descend`.  A heavy node steps by a size-(sigma + 1)
+`ChildArray` over all children when sigma + 1 <= 64 (then every heavy node
+has one: at most 2n nodes, so at most 128n cells), when it has two or more
+heavy children (at most 2n/sigma nodes), and at the root once
+64 * occ[root] >= sigma + 1, occ[root] being the number of stored strings;
+above 64 cells the arrays hold at most 64n + 1 + (sigma + 1) * 2n/sigma
+cells, so O(n) for every sigma.  Any other heavy node steps by a
+`_HeavyPointer`: a heavy-child pointer, then a wexponential-tree predecessor
+(`DynamicPredecessor`), as in the paper.  The step's `pred` is the node's
+one predecessor slot over its children's first characters: that
+`DynamicPredecessor`, or at an array node a tree of 64-bit words
+(`BitPredecessor`, at most (sigma + 1)/63 + 6 more cells; a query reads at
+most two words on each of its ceil(log_64 (sigma + 1)) levels, at most 6
+levels for sigma < 2^32) when sigma + 1 >= 8, and nothing below that, where
+no node has 8 children.  Besides the pointer step only `predecessor` asks
+it, ascending from where `CompactedTrie.locate` (the walk `insert` takes)
+left the trie, at a node with 8 or more children; it scans the others.
 
 Light nodes carry the per-small-tree machinery: a level in the capacity
 hierarchy, fragments (maximal same-level connected subtrees) weighed by the
-leaf count of their roots, a deterministic dictionary over same-level child
-edges and a wexponential search tree over lower-level child edges whose
-stored weights track the true weights within [ceil(sqrt(w)), w].  The
-dictionary exists only while a node at level 1 or above has a same-level
-child, and the tree only from its first lower-level child on, so leaves hold
-neither.  A level-0 node keeps no dictionary: its level window (fewer than
-2*f(1) = 4 leaves) leaves it at most 3 children, all same-level, and a search
-step reads its children map, charging each entry as a cell.
+leaf count of their roots, and a `_LightStep` holding a deterministic
+dictionary over same-level child edges and a wexponential search tree over
+lower-level child edges whose stored weights track the true weights within
+[ceil(sqrt(w)), w].  The dictionary exists only while a node at level 1 or
+above has a same-level child, and the tree only from its first lower-level
+child on.  A level-0 node keeps neither: its level window (fewer than
+2*f(1) = 4 leaves) leaves it at most 3 children, all same-level, and its
+step reads its children map, charging each entry as a cell.  All leaves
+share one step.
 
 No state is stored that the rest determines: every weight that promotions
 and rebalances read is the leaf count `occ` that match reporting keeps
@@ -49,7 +51,7 @@ from math import isqrt
 from .errors import DuplicateKeyError
 from .instrument import GLOBAL
 from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor
-from .text import SENTINEL, CompactedTrie, MatchResult, Outcome, Text, check_codes
+from .text import SENTINEL, ChildArray, CompactedTrie, MatchResult, Outcome, Text, check_codes
 from .wexp import WexpTree, audit_wexp, capacity
 
 
@@ -79,13 +81,66 @@ def canonical_level(weight: int) -> int:
 class _Fragment:
     """Maximal connected same-level subtree, named by its root; its weight
     is the root's `occ`.  Below a light parent p the root's edge is
-    registered in `wexp[p]` under `handle`."""
+    registered in p's wexp tree (`child_step[p].tree`) under `handle`."""
 
     __slots__ = ("root", "handle")
 
     def __init__(self, root):
         self.root = root
         self.handle = None
+
+
+class _HeavyPointer:
+    """Child step at a heavy node without an array: the heavy-child pointer
+    (c, child), then the DynamicPredecessor, whose hit reads the children."""
+
+    __slots__ = ("heavy_kid", "pred", "kids")
+
+    def __init__(self, heavy_kid, pred, kids):
+        self.heavy_kid = heavy_kid
+        self.pred = pred
+        self.kids = kids
+
+    def lookup(self, c):
+        if self.heavy_kid[0] == c:
+            return self.heavy_kid[1]
+        if self.pred.query(c) == c:
+            return self.kids[c]
+        return None
+
+
+class _LightStep:
+    """Child step at a light node: the same-level dictionary, then the wexp
+    tree, whose hit reads the children.  A node with neither (level 0)
+    reads its children map and charges each entry as a cell."""
+
+    __slots__ = ("kids", "same", "tree")
+
+    def __init__(self, kids):
+        self.kids = kids
+        self.same = None
+        self.tree = None
+
+    def lookup(self, c):
+        same = self.same
+        tree = self.tree
+        if same is None and tree is None:
+            kids = self.kids  # at most 3, all same-level
+            if kids:
+                GLOBAL.dict_probes += 1
+                GLOBAL.dict_cell_probes += len(kids)
+            return kids.get(c)
+        if same is not None:
+            GLOBAL.dict_probes += 1
+            child = same.lookup(c)
+            if child is not None or tree is None:
+                return child
+        hit = tree.pred(c)
+        return self.kids[c] if hit is not None and hit[0] == c else None
+
+
+# A leaf never gains a child, so every light leaf shares one step.
+_LEAF_STEP = _LightStep({})
 
 
 class DynTrieIndex:
@@ -97,13 +152,8 @@ class DynTrieIndex:
         self.heavy = [True]  # the root is permanently heavy
         self.level = [0]
         self.frag: list[_Fragment | None] = [None]
-        self.same_dict: list[DetDictionary | None] = [None]
-        self.wexp: list[WexpTree | None] = [None]
-        # heavy-node predecessor: a DynamicPredecessor without an array, bit
-        # words with one at sigma + 1 >= _PRED_MIN_KIDS, else none
-        self.pred: list[DynamicPredecessor | BitPredecessor | None] = [None]
-        self.arr: list[list | None] = [None]
-        self.hptr: list[tuple | None] = [None]
+        # a ChildArray or _HeavyPointer per heavy node, a _LightStep per light one
+        self.child_step: list[ChildArray | _HeavyPointer | _LightStep | None] = [None]
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
         self.audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
         self._make_heavy(self.trie.ROOT)
@@ -116,11 +166,7 @@ class DynTrieIndex:
             self.heavy.append(False)
             self.level.append(0)
             self.frag.append(None)
-            self.same_dict.append(None)
-            self.wexp.append(None)
-            self.pred.append(None)
-            self.arr.append(None)
-            self.hptr.append(None)
+            self.child_step.append(None)
             self.occ.append(0)
 
     def _edge_char(self, v) -> int:
@@ -131,16 +177,17 @@ class DynTrieIndex:
         lv = self.level[v]
         pairs = [(c, ch) for c, ch in self.trie.nodes[v].children.items()
                  if lv and not self.heavy[ch] and self.level[ch] == lv]
-        self.same_dict[v] = DetDictionary(pairs) if pairs else None
+        self.child_step[v].same = DetDictionary(pairs) if pairs else None
 
     def _register_child(self, v, child, weight) -> int:
         """Register lower-level child's fragment root in v's wexp tree with
         stored weight ceil(sqrt(weight)); returns the raises made.  Reuses a
         stale handle when its edge character was registered (no deletions)."""
         c = self._edge_char(child)
-        tree = self.wexp[v]
+        step = self.child_step[v]
+        tree = step.tree
         if tree is None:
-            tree = self.wexp[v] = WexpTree(self.sigma + 1)
+            tree = step.tree = WexpTree(self.sigma + 1)
         h = tree.handles.get(c)
         if h is None:
             h = tree.insert(c)
@@ -156,18 +203,13 @@ class DynTrieIndex:
         self.heavy[v] = False
         self.level[v] = level
         self.frag[v] = fragment
-        self.same_dict[v] = None
-        self.wexp[v] = None
-        self.pred[v] = None
-        self.arr[v] = None
-        self.hptr[v] = None
+        kids = self.trie.nodes[v].children
+        self.child_step[v] = _LightStep(kids) if kids else _LEAF_STEP
 
     def _make_heavy(self, v):
         """Mark v heavy; `_set_heavy_child_links` then builds its links."""
         self.heavy[v] = True
         self.frag[v] = None
-        self.same_dict[v] = None
-        self.wexp[v] = None
 
     def _has_array(self, v, n_heavy_kids) -> bool:
         """Whether heavy node v keeps a sigma+1 array over all its children."""
@@ -183,26 +225,22 @@ class DynTrieIndex:
         kids = [(c, ch) for c, ch in children.items() if self.heavy[ch]]
         cells = self.sigma + 1
         if self._has_array(v, len(kids)):
-            arr = self.arr[v] = [None] * cells
-            for c, ch in children.items():
-                arr[c] = ch
-            self.hptr[v] = None
             pred = BitPredecessor(cells) if cells >= _PRED_MIN_KIDS else None
+            self.child_step[v] = ChildArray(cells, children, pred)
         else:
-            self.arr[v] = None
-            self.hptr[v] = kids[0] if kids else None
             pred = DynamicPredecessor(cells)
+            self.child_step[v] = _HeavyPointer(kids[0] if kids else (-1, None), pred, children)
         if pred is not None:
             for c in children:
                 pred.insert(c)
-        self.pred[v] = pred
 
     def _note_new_heavy_child(self, u, child):
         """Child of heavy node u has just become heavy; update u's links."""
-        if self.arr[u] is not None:
+        step = self.child_step[u]
+        if type(step) is ChildArray:
             return  # the array already holds every child
-        if self.hptr[u] is None:
-            self.hptr[u] = (self._edge_char(child), child)
+        if step.heavy_kid[1] is None:
+            step.heavy_kid = (self._edge_char(child), child)
         else:
             self._set_heavy_child_links(u)  # a second heavy child
 
@@ -223,7 +261,7 @@ class DynTrieIndex:
             self.occ[v] += 1
             v = self.trie.nodes[v].parent
         root = self.trie.ROOT
-        if self.arr[root] is None and self._has_array(root, 0):
+        if type(self.child_step[root]) is not ChildArray and self._has_array(root, 0):
             self._set_heavy_child_links(root)
 
         if mid is not None:
@@ -239,10 +277,11 @@ class DynTrieIndex:
         if self.heavy[u]:
             self._make_light(leaf, 0, _Fragment(leaf))
             c = self._edge_char(leaf)
-            if self.arr[u] is not None:
-                self.arr[u][c] = leaf
-            if self.pred[u] is not None:
-                self.pred[u].insert(c)
+            step = self.child_step[u]
+            if type(step) is ChildArray:
+                step[c] = leaf
+            if step.pred is not None:
+                step.pred.insert(c)
         elif self.level[u] == 0:
             self._make_light(leaf, 0, self.frag[u])
         else:
@@ -255,14 +294,15 @@ class DynTrieIndex:
         w = next(ch for ch in trie.nodes[mid].children.values() if ch != leaf)
         self.occ[mid] += self.occ[w]  # the new leaf, counted already, and w's
         c_mid = self._edge_char(mid)
-        if self.arr[u] is not None:  # only a heavy node has an array
-            self.arr[u][c_mid] = mid
+        step = self.child_step[u]
+        if type(step) is ChildArray:
+            step[c_mid] = mid
         if self.heavy[w]:
             # mid has all of w's leaves plus one: keep the heavy top connected
             self._make_heavy(mid)
             self._set_heavy_child_links(mid)
-            if self.hptr[u] is not None and self.hptr[u][0] == c_mid:
-                self.hptr[u] = (c_mid, mid)
+            if type(step) is _HeavyPointer and step.heavy_kid[0] == c_mid:
+                step.heavy_kid = (c_mid, mid)
             self._wire_leaf(mid, leaf)
             return
         # light w: mid adopts w's level and fragment
@@ -276,7 +316,7 @@ class DynTrieIndex:
             self._rebuild_same_dict(mid)
             if not was_root:
                 # u is light and same level as w: its entry for c_mid now leads to mid
-                self.same_dict[u].repoint(c_mid, mid)
+                step.same.repoint(c_mid, mid)
         self._wire_leaf(mid, leaf)
 
     def _reweigh_and_trigger(self, leaf):
@@ -289,7 +329,7 @@ class DynTrieIndex:
         for f in reversed(frags):
             h = f.handle
             if h is not None and h.weight < _ceil_sqrt(occ[f.root]):
-                self.wexp[nodes[f.root].parent].increase(h)
+                self.child_step[nodes[f.root].parent].tree.increase(h)
         if frags and occ[frags[-1].root] >= self.sigma:
             # the topmost fragment's root hangs off the heavy top: it is
             # the root of the small tree
@@ -411,7 +451,7 @@ class DynTrieIndex:
                 fragment = self.frag[p]
             self._make_light(v, lv, fragment)
         for v in order:
-            if self.heavy[v]:
+            if self.heavy[v] or not trie.nodes[v].children:
                 continue
             self._rebuild_same_dict(v)
             for ch in trie.nodes[v].children.values():
@@ -429,58 +469,13 @@ class DynTrieIndex:
         predecessor, for a character that is not its heavy child's."""
         check_codes(pattern, self.sigma)
         trie = self.trie
-        m = len(pattern)
         if self.occ[trie.ROOT] == 0:
             return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0)
-        v = trie.ROOT
-        i = 0
-        while True:
-            if i == m:
-                return self._match_at(v, 0, m)
-            c = pattern[i]
-            child = None
-            if self.heavy[v]:
-                arr = self.arr[v]
-                if arr is not None:
-                    child = arr[c]
-                else:
-                    hptr = self.hptr[v]
-                    if hptr is not None and hptr[0] == c:
-                        child = hptr[1]
-                    elif self.pred[v].query(c) == c:
-                        child = trie.nodes[v].children[c]
-            elif self.level[v] == 0:
-                kids = trie.nodes[v].children  # at most 3, all same-level
-                if kids:
-                    GLOBAL.dict_probes += 1
-                    GLOBAL.dict_cell_probes += len(kids)
-                    child = kids.get(c)
-            else:
-                same = self.same_dict[v]
-                if same is not None:
-                    GLOBAL.dict_probes += 1
-                    child = same.lookup(c)
-                tree = self.wexp[v]
-                if child is None and tree is not None:
-                    hit = tree.pred(c)
-                    if hit is not None and hit[0] == c:
-                        child = trie.nodes[v].children[c]
-            if child is None:
-                return MatchResult(Outcome.NOT_FOUND, v, 0, None, i)
-            nd = trie.nodes[child]
-            length = nd.end - nd.start
-            stop = length if length < m - i else m - i
-            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
-            if j < stop:
-                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j)
-            if i + j == m:
-                return self._match_at(child, 0 if j == length else j, m)
-            i += length
-            v = child
-
-    def _match_at(self, v, offset, m) -> MatchResult:
-        out = Outcome.MATCHED_AT_NODE if offset == 0 else Outcome.MATCHED_ON_EDGE
-        return MatchResult(out, v, offset, (0, self.occ[v] - 1), m)
+        v, offset, matched, _ = trie.descend(self.child_step, pattern)
+        if matched < len(pattern):
+            return MatchResult(Outcome.NOT_FOUND, v, offset, None, matched)
+        out = Outcome.MATCHED_ON_EDGE if offset else Outcome.MATCHED_AT_NODE
+        return MatchResult(out, v, offset, (0, self.occ[v] - 1), matched)
 
     def enumerate_match(self, res: MatchResult) -> list[int]:
         """String ids under the match locus, in lexicographic order."""
@@ -505,44 +500,16 @@ class DynTrieIndex:
         """String id of the largest stored string <= pattern, or None."""
         check_codes(pattern, self.sigma)
         trie = self.trie
-        nodes = trie.nodes
+        v, child, k, depth = trie.locate(pattern)
         m = len(pattern)
-        v = trie.ROOT
-        i = 0
-        while True:
-            if i == m:
-                leaf = nodes[v].children.get(SENTINEL)
-                if leaf is not None:
-                    return nodes[leaf].leaf_id  # the pattern is stored
-                return self._ascend(v, SENTINEL)
-            c = pattern[i]
-            child = nodes[v].children.get(c)
-            if child is None:
-                return self._ascend(v, c)
-            # compare the rest of the label on the source's code list, with
-            # the sentinel past its end
-            nd = nodes[child]
-            codes = trie.sources[nd.sid].codes
-            n = len(codes)
-            length = nd.end - nd.start
-            stop = length if length < m - i else m - i
-            j = 1
-            k = nd.start + 1
-            while j < stop:
-                lc = codes[k] if k < n else SENTINEL
-                if lc != pattern[i + j]:
-                    if pattern[i + j] > lc:
-                        return self._rightmost(child)
-                    return self._ascend(v, c)
-                j += 1
-                k += 1
-            if j < length:
-                # the pattern ends inside the label
-                if k >= n:
-                    return nd.leaf_id  # at the sentinel: stored == pattern
-                return self._ascend(v, c)
-            i += length
-            v = child
+        if child is None:
+            return self._ascend(v, pattern[depth] if depth < m else SENTINEL)
+        d = depth + k
+        if d > m:
+            return trie.nodes[child].leaf_id  # the pattern is stored
+        if (pattern[d] if d < m else SENTINEL) > trie.label_char(child, k):
+            return self._rightmost(child)
+        return self._ascend(v, pattern[depth])
 
     def _ascend(self, v, below_char):
         """Rightmost leaf preceding the subtrees at or above (v, below_char)."""
@@ -550,7 +517,7 @@ class DynTrieIndex:
         while True:
             kids = trie.nodes[v].children
             if self.heavy[v] and len(kids) >= _PRED_MIN_KIDS:
-                c = self.pred[v].query(below_char - 1) if below_char else None
+                c = self.child_step[v].pred.query(below_char - 1) if below_char else None
             else:
                 cands = [k for k in kids if k < below_char]
                 c = max(cands) if cands else None
@@ -602,7 +569,11 @@ class DynTrieIndex:
                 if not (p == -1 or self.heavy[p]):
                     raise AssertionError("heavy set must be connected")
                 heavy_kids = [(c, ch) for c, ch in nd.children.items() if self.heavy[ch]]
-                arr, pred = self.arr[v], self.pred[v]
+                step = self.child_step[v]
+                arr = step if type(step) is ChildArray else None
+                if arr is None and type(step) is not _HeavyPointer:
+                    raise AssertionError("a heavy node steps by an array or a heavy pointer")
+                pred = step.pred
                 kind = (DynamicPredecessor if arr is None else BitPredecessor
                         if self.sigma + 1 >= _PRED_MIN_KIDS else type(None))
                 if type(pred) is not kind:
@@ -620,13 +591,13 @@ class DynTrieIndex:
                             raise AssertionError("array cell differs from the child")
                     if len(arr) - arr.count(None) != len(nd.children):
                         raise AssertionError("array holds a cell for a non-child character")
-                    if self.hptr[v] is not None:
-                        raise AssertionError
                 else:
                     if arr is not None:
                         raise AssertionError("array at a heavy node the rule gives none")
-                    if self.hptr[v] != (heavy_kids[0] if heavy_kids else None):
+                    if step.heavy_kid != (heavy_kids[0] if heavy_kids else (-1, None)):
                         raise AssertionError
+                    if step.kids is not nd.children:
+                        raise AssertionError("heavy pointer reads another children map")
                 continue
             # light node checks
             if counts[v] >= self.sigma:
@@ -641,7 +612,7 @@ class DynTrieIndex:
                     raise AssertionError("fragment not maximal")
                 if not self.heavy[p]:
                     h = f.handle
-                    ptree = self.wexp[p]
+                    ptree = self.child_step[p].tree
                     if h is None or ptree is None or h is not ptree.handles.get(self._edge_char(v)):
                         raise AssertionError("fragment root not registered in its parent's wexp")
                     if not (_ceil_sqrt(counts[v]) <= h.weight <= counts[v]):
@@ -659,7 +630,11 @@ class DynTrieIndex:
             # them; each lower-level child sits in the wexp tree made on first use
             same = {c for c, ch in nd.children.items()
                     if not self.heavy[ch] and self.level[ch] == lv}
-            sd, tree = self.same_dict[v], self.wexp[v]
+            step = self.child_step[v]
+            kids = _LEAF_STEP.kids if nd.is_leaf else nd.children
+            if type(step) is not _LightStep or step.kids is not kids:
+                raise AssertionError("light step reads another children map")
+            sd, tree = step.same, step.tree
             if lv == 0:
                 if sd is not None or len(nd.children) > 3:
                     raise AssertionError("a level-0 node keeps no dict and at most 3 children")

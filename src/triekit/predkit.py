@@ -272,9 +272,6 @@ class DynamicPredecessor:
     def keys(self) -> list[int]:
         return sorted(self._tree.handles)
 
-    def __len__(self):
-        return len(self._tree.handles)
-
 
 class BitPredecessor:
     """Insert-only predecessor over [0, u), a 64-ary tree of 64-bit words.

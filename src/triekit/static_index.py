@@ -1,10 +1,12 @@
 """Static compacted-trie search structures.
 
-Two engines over the same trie + sorted-leaf-array data share one descent
-and differ only in the child step taken at a heavy node.  A heavy child
-continues the walk past its edge label; a light child switches to binary
-search of the leaf array inside its interval, where a miss is one
-leaf-rank search and a match adds one more over the ranks after the first.
+Two engines over the same trie + sorted-leaf-array data run
+`CompactedTrie.descend`, the walk the dynamic engine's search runs too, and
+differ only in the child step they give each heavy node.  A heavy child
+continues the walk past its edge label; a light child, whose step is None,
+ends it, and the engine switches to binary search of the leaf array inside
+its interval, where a miss is one leaf-rank search and a match adds one more
+over the ranks after the first.
 
 * StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); the step
   is one lookup in a deterministic dictionary over the node's child
@@ -22,7 +24,7 @@ import math
 from .errors import CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import CompactedTrie, MatchResult, Outcome, check_codes
+from .text import ChildArray, CompactedTrie, MatchResult, Outcome, check_codes
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -102,44 +104,22 @@ class _IndexBase:
         return [self.leaf_order[r] for r in range(lo, hi + 1)]
 
     def _walk(self, pattern):
-        """The descent both engines run.  Returns (MatchResult, pos, steps):
-        `pos` is the rank the pattern would take among a light child's
-        leaves when the walk ended in one (None otherwise), and `steps` the
-        number of child steps taken."""
+        """The descent both engines run, finished in a light child by leaf
+        search.  Returns (MatchResult, pos, steps): `pos` is the rank the
+        pattern would take among a light child's leaves when the walk ended
+        in one (None otherwise), and `steps` the number of child steps."""
         trie = self.trie
-        nodes = trie.nodes
-        child_step = self.child_step
-        heavy = self.heavy
-        m = len(pattern)
         if not self.leaf_order:
             return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), None, 0
-        v = trie.ROOT
-        i = 0
-        steps = 0
-        while True:
-            if i == m:
-                nd = nodes[v]
-                return (MatchResult(Outcome.MATCHED_AT_NODE, v, 0, (nd.low, nd.high), m),
-                        None, steps)
-            child = child_step[v].lookup(pattern[i])
-            steps += 1
-            if child is None:
-                return MatchResult(Outcome.NOT_FOUND, v, 0, None, i), None, steps
-            if not heavy[child]:
-                res, pos = self._light_search(child, pattern, i + 1)
-                return res, pos, steps
-            # heavy child: match the remainder of its edge label
-            nd = nodes[child]
-            length = nd.end - nd.start
-            stop = length if length < m - i else m - i
-            j = trie.label_mismatch(nd, pattern, i, stop) if stop > 1 else 1
-            if j < stop:
-                return MatchResult(Outcome.NOT_FOUND, child, j, None, i + j), None, steps
-            if j < length:  # the pattern ends inside the label
-                return (MatchResult(Outcome.MATCHED_ON_EDGE, child, j, (nd.low, nd.high), m),
-                        None, steps)
-            i += length
-            v = child
+        v, offset, matched, steps = trie.descend(self.child_step, pattern)
+        if matched == len(pattern):
+            nd = trie.nodes[v]
+            out = Outcome.MATCHED_ON_EDGE if offset else Outcome.MATCHED_AT_NODE
+            return MatchResult(out, v, offset, (nd.low, nd.high), matched), None, steps
+        if offset or self.child_step[v] is not None:
+            return MatchResult(Outcome.NOT_FOUND, v, offset, None, matched), None, steps
+        res, pos = self._light_search(v, pattern, matched + 1)
+        return res, pos, steps
 
     def _first_geq(self, lo, hi, pattern, start, strict):
         """Smallest rank in [lo, hi] whose leaf is >= P (strict: > P and not
@@ -242,7 +222,7 @@ class StaticTrieIndex(_IndexBase):
         self.child_pred: dict[int, StaticPredecessor] = {}
         for v, nd in enumerate(trie.nodes):
             kids = nd.children
-            if self.heavy[v] and kids:
+            if self.heavy[v]:
                 self.child_step[v] = DetDictionary(kids.items())
                 self.child_pred[v] = StaticPredecessor(sorted(kids), u)
 
@@ -284,13 +264,6 @@ class StaticTrieIndex(_IndexBase):
             nd = nodes[res.node]
             rank = nd.low - 1 if k < 0 else nodes[nd.children[pred.keys[k]]].high
         return rank if rank >= 0 else None
-
-
-class _ChildArray(list):
-    """Size-(sigma + 1) child array of a branching heavy tray node."""
-
-    __slots__ = ()
-    lookup = list.__getitem__
 
 
 class _ChildSearch:
@@ -336,10 +309,7 @@ class SuffixTrayIndex(_IndexBase):
             kids = nd.children
             heavy_kids = [(c, ch) for c, ch in kids.items() if heavy[ch]]
             if len(heavy_kids) >= 2:
-                arr = _ChildArray([None] * (sigma + 1))
-                for c, ch in kids.items():
-                    arr[c] = ch
-                self.child_step[v] = arr
+                self.child_step[v] = ChildArray(sigma + 1, kids)
             else:
                 self.child_step[v] = _ChildSearch(
                     heavy_kids[0] if heavy_kids else (-1, None), kids)

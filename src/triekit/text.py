@@ -4,6 +4,11 @@ Character codes are unsigned integers in [1, sigma]; code 0 is the sentinel,
 which sorts below every real code and terminates every stored string.  Edge
 labels are (source id, start, end) ranges into stored texts and are never
 copied.  All indexing is 0-based.
+
+`CompactedTrie.descend` is the one descent of all three query engines, each
+giving it a child step per node and building its result where the walk
+stops; `CompactedTrie.locate`, where a string leaves the children maps, is
+the walk of insertion and of the dynamic predecessor query.
 """
 
 from __future__ import annotations
@@ -114,6 +119,21 @@ class Node:
         return self.end - self.start
 
 
+class ChildArray(list):
+    """Size-(sigma + 1) child array, a child step of `CompactedTrie.descend`:
+    cell c holds the child on the edge starting with c, or None.  `pred` is
+    the owner's predecessor over the child characters, or None."""
+
+    __slots__ = ("pred",)
+    lookup = list.__getitem__
+
+    def __init__(self, cells: int, children: dict, pred=None):
+        super().__init__([None] * cells)
+        for c, ch in children.items():
+            self[c] = ch
+        self.pred = pred
+
+
 class CompactedTrie:
     """Arena-backed compacted trie over sentinel-terminated strings.
 
@@ -135,26 +155,85 @@ class CompactedTrie:
         nd = self.nodes[node_id]
         return self.sources[nd.sid].at(nd.start + offset)
 
-    def label_mismatch(self, nd: Node, pattern: list[int], i: int, stop: int) -> int:
-        """Smallest j in [1, stop) where label char j of `nd` differs from
-        pattern[i + j], or `stop` when there is none.  Reads the source's code
-        list directly; each character compared adds one to chars_compared."""
-        codes = self.sources[nd.sid].codes
-        n = len(codes)
-        p = nd.start
-        j = 1
-        while j < stop:
-            k = p + j
-            if (codes[k] if k < n else SENTINEL) != pattern[i + j]:
-                GLOBAL.chars_compared += j
-                return j
-            j += 1
-        GLOBAL.chars_compared += stop - 1
-        return stop
-
     def new_node(self, parent, sid, start, end, leaf_id=-1) -> int:
         self.nodes.append(Node(parent=parent, sid=sid, start=start, end=end, leaf_id=leaf_id))
         return len(self.nodes) - 1
+
+    def descend(self, child_step, pattern):
+        """Walk `pattern` down from the root, the one descent of every query
+        engine.  `child_step[v].lookup(c)` gives v's child on the edge
+        starting with c, or None; entering a node whose entry is None (a
+        light node) ends the walk.  The rest of each edge label is compared
+        as read, one chars_compared per character, the sentinel past a text.
+
+        Returns (node, offset, matched, steps): `matched` pattern characters
+        lead `offset` characters down node's incoming edge; `steps` counts
+        lookups.  matched == len(pattern) is a match; otherwise offset > 0
+        is a label mismatch, and offset 0 a miss at node or its light entry."""
+        nodes = self.nodes
+        m = len(pattern)
+        v = i = steps = 0  # v = ROOT
+        step = child_step[v]
+        while i < m:
+            child = step.lookup(pattern[i])
+            steps += 1
+            if child is None:
+                return v, 0, i, steps
+            step = child_step[child]
+            if step is None:
+                return child, 0, i, steps
+            nd = nodes[child]
+            p = nd.start
+            length = nd.end - p
+            stop = length if length < m - i else m - i
+            j = 1
+            if stop > 1:
+                codes = self.sources[nd.sid].codes
+                n = len(codes)
+                while j < stop and (codes[p + j] if p + j < n else SENTINEL) == pattern[i + j]:
+                    j += 1
+                GLOBAL.chars_compared += j if j < stop else j - 1
+            if j < length:  # a mismatch, or the pattern ends inside the label
+                return child, j, i + j, steps
+            i += length
+            v = child
+        return v, 0, m, steps
+
+    def locate(self, codes):
+        """Where the sentinel-terminated string `codes` leaves the trie.
+
+        Returns (v, child, k, depth): `v` is the deepest node whose path the
+        string spells, `depth` its string depth.  `child` is None when v has
+        no edge for the string's next character; otherwise the string agrees
+        with the first k characters of child's label and differs at offset
+        k, or depth + k == len(codes) + 1 when child is the string's own
+        leaf.  Counts nothing."""
+        n = len(codes)
+        nodes = self.nodes
+        v = depth = 0  # v = ROOT
+        while True:
+            child = nodes[v].children.get(codes[depth] if depth < n else SENTINEL)
+            if child is None:
+                return v, None, 0, depth
+            nd = nodes[child]
+            src = self.sources[nd.sid].codes
+            sn = len(src)
+            start = nd.start
+            # the first label character matched; the sentinel ends both strings
+            lim = nd.end - start
+            if lim > n + 1 - depth:
+                lim = n + 1 - depth
+            k = 1
+            while k < lim:
+                a = start + k
+                b = depth + k
+                if (src[a] if a < sn else SENTINEL) != (codes[b] if b < n else SENTINEL):
+                    return v, child, k, depth
+                k += 1
+            if depth + k > n:
+                return v, child, k, depth
+            depth += k
+            v = child
 
     def insert_path(self, sid: int):
         """Insert the sentinel-terminated string `sources[sid]` as a leaf.
@@ -166,50 +245,22 @@ class CompactedTrie:
         """
         codes = self.sources[sid].codes
         n = len(codes)
-        total = n + 1  # sentinel included
+        attach, child, k, depth = self.locate(codes)
+        if depth + k > n:
+            raise DuplicateKeyError("string already stored")
         nodes = self.nodes
-        v = self.ROOT
-        depth = 0
-        while True:
-            c = codes[depth] if depth < n else SENTINEL
-            child = nodes[v].children.get(c)
-            if child is None:
-                leaf = self.new_node(v, sid, depth, total, leaf_id=sid)
-                nodes[v].children[c] = leaf
-                return leaf, None, v
+        v, mid = attach, None
+        if child is not None:  # split the edge at offset k; the leaf hangs off mid
             nd = nodes[child]
-            src = self.sources[nd.sid].codes
-            sn = len(src)
-            start = nd.start
-            length = nd.end - start
-            # the first label character is c; the sentinel ends both strings
-            lim = min(length, total - depth)
-            k = 1
-            while k < lim:
-                a = start + k
-                b = depth + k
-                if (src[a] if a < sn else SENTINEL) != (codes[b] if b < n else SENTINEL):
-                    break
-                k += 1
-            if k == length:
-                depth += k
-                if depth == total:
-                    raise DuplicateKeyError("string already stored")
-                v = child
-                continue
-            if depth + k == total:
-                # can only happen on the sentinel, which is unique per string
-                raise DuplicateKeyError("string already stored")
-            # split the edge at offset k, then hang the new leaf off the middle
-            mid = self.new_node(v, nd.sid, start, start + k)
-            mid_nd = nodes[mid]
-            nodes[v].children[c] = mid
+            v = mid = self.new_node(attach, nd.sid, nd.start, nd.start + k)
+            nodes[attach].children[codes[depth] if depth < n else SENTINEL] = mid
             nd.parent = mid
             nd.start += k
-            mid_nd.children[src[nd.start] if nd.start < sn else SENTINEL] = child
-            leaf = self.new_node(mid, sid, depth + k, total, leaf_id=sid)
-            mid_nd.children[codes[depth + k] if depth + k < n else SENTINEL] = leaf
-            return leaf, mid, v
+            nodes[mid].children[self.label_char(child, 0)] = child
+            depth += k
+        leaf = self.new_node(v, sid, depth, n + 1, leaf_id=sid)
+        nodes[v].children[codes[depth] if depth < n else SENTINEL] = leaf
+        return leaf, mid, attach
 
     def compute_intervals(self):
         """Set [low, high] of every node from the leaf ranks below it."""

@@ -9,7 +9,7 @@ from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
 from triekit.instrument import GLOBAL
 from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor
-from triekit.text import SENTINEL
+from triekit.text import SENTINEL, ChildArray
 from triekit.wexp import WexpTree, capacity
 
 from oracles import longest_matchable_prefix, string_predecessor
@@ -346,7 +346,7 @@ def test_array_search_makes_no_predecessor_query():
         idx.insert(list(w))
         if step % 100 != 99:
             continue
-        assert idx.arr[idx.trie.ROOT] is not None
+        assert type(idx.child_step[idx.trie.ROOT]) is ChildArray
         oracle = sorted(stored)
         pats = [list(p[:rng.randrange(len(p) + 1)]) for p in rng.sample(oracle, 50)]
         pats += [list(p) + [rng.randint(1, sigma)] for p in rng.sample(oracle, 50)]
@@ -373,14 +373,14 @@ def test_root_array_rule():
     idx = DynTrieIndex(sigma=2**32 - 1)
     for w in ([5], [5, 9], [2**32 - 1], [7, 7, 7]):
         idx.insert(w)
-    assert idx.arr[idx.trie.ROOT] is None
+    assert type(idx.child_step[idx.trie.ROOT]) is not ChildArray
     assert idx.search([5]).occ == 2 and not idx.search([6]).matched
     idx.audit()
     # at sigma = 300 it appears at the 5th string: 64 * 4 < 301 <= 64 * 5
     idx = DynTrieIndex(sigma=300)
     for n, w in enumerate(([1], [2, 3], [300], [2, 4], [9, 9], [10]), start=1):
         idx.insert(w)
-        assert (idx.arr[idx.trie.ROOT] is not None) == (n >= 5), n
+        assert (type(idx.child_step[idx.trie.ROOT]) is ChildArray) == (n >= 5), n
         idx.audit()
 
 
@@ -400,7 +400,7 @@ def test_audit_catches_cleared_array_cell():
     idx = _array_index()
     root = idx.trie.ROOT
     c, ch = next((c, ch) for c, ch in idx.trie.nodes[root].children.items() if not idx.heavy[ch])
-    idx.arr[root][c] = None
+    idx.child_step[root][c] = None
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -410,7 +410,7 @@ def test_audit_catches_extra_array_cell():
     root = idx.trie.ROOT
     kids = idx.trie.nodes[root].children
     c = next(c for c in range(1, 301) if c not in kids)
-    idx.arr[root][c] = next(iter(kids.values()))
+    idx.child_step[root][c] = next(iter(kids.values()))
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -490,9 +490,11 @@ def test_small_sigma_stream_reads_arrays_only():
         if idx.occ[idx.trie.ROOT] % 100 == 0:
             idx.audit()
             for v in _heavy_nodes(idx):
-                assert len(idx.arr[v]) == sigma + 1 and idx.pred[v] is None
-                assert idx.hptr[v] is None
-            assert all(d is None for d in idx.same_dict)
+                step = idx.child_step[v]
+                assert len(step) == sigma + 1 and step.pred is None
+                assert type(step) is ChildArray  # no heavy pointer
+            assert all(idx.child_step[v].same is None
+                       for v in range(len(idx.trie.nodes)) if not idx.heavy[v])
     assert len(_heavy_nodes(idx)) > 100
     assert any(len(_heavy_kids(idx, v)) < 2 for v in _heavy_nodes(idx))
 
@@ -525,7 +527,7 @@ def _search_probes(idx, pat):
 
 def test_sigma_63_non_branching_heavy_node_has_array():
     idx, oracle, v = _chain_index(63)
-    assert len(idx.arr[v]) == 64 and idx.hptr[v] is None
+    assert len(idx.child_step[v]) == 64 and type(idx.child_step[v]) is ChildArray
     c = next(c for c, ch in idx.trie.nodes[v].children.items() if not idx.heavy[ch])
     res, probes = _search_probes(idx, [1, c])
     assert res.matched and probes == 0
@@ -535,8 +537,9 @@ def test_sigma_63_non_branching_heavy_node_has_array():
 def test_sigma_64_non_branching_heavy_node_keeps_pointer():
     idx, oracle, v = _chain_index(64)
     kids = idx.trie.nodes[v].children
-    assert idx.arr[v] is None and idx.hptr[v] == (2, kids[2])
-    assert idx.arr[idx.trie.ROOT] is not None  # 64 * n >= 65 from the 2nd string
+    step = idx.child_step[v]
+    assert type(step) is not ChildArray and step.heavy_kid == (2, kids[2])
+    assert type(idx.child_step[idx.trie.ROOT]) is ChildArray  # 64 * n >= 65 from the 2nd string
     res, probes = _search_probes(idx, [1, 2])
     assert res.matched and probes == 0  # the heavy-child pointer
     c = next(c for c, ch in kids.items() if c and not idx.heavy[ch])
@@ -547,8 +550,8 @@ def test_sigma_64_non_branching_heavy_node_keeps_pointer():
 
 def test_sigma_6_heavy_nodes_keep_no_dynamic_predecessor():
     idx, oracle, v = _chain_index(6)
-    assert len(idx.arr[v]) == 7
-    assert all(idx.pred[u] is None for u in _heavy_nodes(idx))
+    assert len(idx.child_step[v]) == 7
+    assert all(idx.child_step[u].pred is None for u in _heavy_nodes(idx))
     pats = [list(w[:k]) + [c] for w in oracle for k in range(len(w) + 1) for c in range(1, 7)]
     before = GLOBAL.snapshot()
     _check_against_oracle(idx, oracle, pats, 6)
@@ -560,10 +563,10 @@ def test_sigma_7_heavy_nodes_keep_dynamic_predecessor():
     # _PRED_MIN_KIDS, so a predecessor ascent through it asks the bit
     # words that every array node keeps at sigma + 1 >= 8
     idx, oracle, v = _chain_index(7)
-    assert len(idx.arr[v]) == 8 and len(idx.trie.nodes[v].children) == 8
+    assert len(idx.child_step[v]) == 8 and len(idx.trie.nodes[v].children) == 8
     for u in _heavy_nodes(idx):
-        assert isinstance(idx.pred[u], BitPredecessor)
-        assert idx.pred[u].keys() == sorted(idx.trie.nodes[u].children)
+        assert isinstance(idx.child_step[u].pred, BitPredecessor)
+        assert idx.child_step[u].pred.keys() == sorted(idx.trie.nodes[u].children)
     pats = [list(w[:k]) + [c] for w in oracle for k in range(len(w) + 1) for c in range(1, 8)]
     before = GLOBAL.snapshot()
     _check_against_oracle(idx, oracle, pats, 7)
@@ -573,7 +576,7 @@ def test_sigma_7_heavy_nodes_keep_dynamic_predecessor():
 def test_audit_catches_cleared_cell_at_non_branching_heavy_node():
     idx, _, v = _chain_index(4)
     c = next(c for c, ch in idx.trie.nodes[v].children.items() if not idx.heavy[ch])
-    idx.arr[v][c] = None
+    idx.child_step[v][c] = None
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -585,7 +588,7 @@ def _plant_predecessor(kind):
     pred = kind(5)
     for c in idx.trie.nodes[v].children:
         pred.insert(c)
-    idx.pred[v] = pred
+    idx.child_step[v].pred = pred
     return idx
 
 
@@ -617,23 +620,24 @@ def _sigma_256_index():
         idx.insert(list(w))
     idx.audit()
     v = idx.trie.nodes[idx.trie.ROOT].children[1]
-    assert len(_heavy_kids(idx, v)) == 2 and idx.arr[v] is not None
+    assert len(_heavy_kids(idx, v)) == 2 and type(idx.child_step[v]) is ChildArray
     return idx, v
 
 
 def test_sigma_256_array_nodes_keep_bit_words_only():
     idx, v = _sigma_256_index()
     for u in _heavy_nodes(idx):
-        has_array = idx.arr[u] is not None
-        assert isinstance(idx.pred[u], BitPredecessor if has_array else DynamicPredecessor)
-    assert idx.pred[v].keys() == sorted(idx.trie.nodes[v].children)
-    assert len(idx.pred[v].levels) == 2  # 257 cells: 5 words and 1 above
+        has_array = type(idx.child_step[u]) is ChildArray
+        assert isinstance(idx.child_step[u].pred,
+                          BitPredecessor if has_array else DynamicPredecessor)
+    assert idx.child_step[v].pred.keys() == sorted(idx.trie.nodes[v].children)
+    assert len(idx.child_step[v].pred.levels) == 2  # 257 cells: 5 words and 1 above
 
 
 def test_audit_catches_bit_for_non_child_character():
     idx, v = _sigma_256_index()
     kids = idx.trie.nodes[v].children
-    idx.pred[v].insert(next(c for c in range(1, 257) if c not in kids))
+    idx.child_step[v].pred.insert(next(c for c in range(1, 257) if c not in kids))
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -641,7 +645,7 @@ def test_audit_catches_bit_for_non_child_character():
 def test_audit_catches_cleared_bit():
     idx, v = _sigma_256_index()
     c = max(idx.trie.nodes[v].children)
-    idx.pred[v].levels[0][c >> 6] &= ~(1 << (c & 63))
+    idx.child_step[v].pred.levels[0][c >> 6] &= ~(1 << (c & 63))
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -652,14 +656,14 @@ def test_audit_catches_dynamic_predecessor_beside_array():
     dynp = DynamicPredecessor(257)
     for c in idx.trie.nodes[v].children:
         dynp.insert(c)
-    idx.pred[v] = dynp
+    idx.child_step[v].pred = dynp
     with pytest.raises(AssertionError):
         idx.audit()
 
 
 def test_audit_catches_unmarked_bit_word():
     idx, v = _sigma_256_index()
-    levels = idx.pred[v].levels
+    levels = idx.child_step[v].pred.levels
     levels[1][0] = 0  # the summary no longer marks the nonzero words below
     with pytest.raises(AssertionError):
         idx.audit()
@@ -686,9 +690,9 @@ def _check_same_dicts(idx):
             continue
         kids = idx.trie.nodes[v].children.values()
         if idx.level[v] == 0:
-            assert idx.same_dict[v] is None and len(kids) <= 3
+            assert idx.child_step[v].same is None and len(kids) <= 3
         elif any(idx.level[ch] == idx.level[v] for ch in kids):
-            assert idx.same_dict[v] is not None
+            assert idx.child_step[v].same is not None
             kept += 1
     return kept
 
@@ -716,7 +720,7 @@ def test_audit_catches_dict_at_level_0_node():
     idx = _sigma_256_stream()
     v = next(v for v in range(len(idx.trie.nodes))
              if not idx.heavy[v] and idx.level[v] == 0 and idx.trie.nodes[v].children)
-    idx.same_dict[v] = DetDictionary(idx.trie.nodes[v].children.items())
+    idx.child_step[v].same = DetDictionary(idx.trie.nodes[v].children.items())
     with pytest.raises(AssertionError):
         idx.audit()
 
@@ -724,8 +728,8 @@ def test_audit_catches_dict_at_level_0_node():
 def test_audit_catches_missing_dict_above_level_0():
     idx = _sigma_256_stream()
     v = next(v for v in range(len(idx.trie.nodes))
-             if not idx.heavy[v] and idx.level[v] >= 1 and idx.same_dict[v] is not None)
-    idx.same_dict[v] = None
+             if not idx.heavy[v] and idx.level[v] >= 1 and idx.child_step[v].same is not None)
+    idx.child_step[v].same = None
     with pytest.raises(AssertionError):
         idx.audit()
 

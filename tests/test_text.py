@@ -1,8 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triekit.dynamic_index import DynTrieIndex
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError
-from triekit.text import CompactedTrie, Text, build_string_trie, encode_text
+from triekit.instrument import GLOBAL
+from triekit.static_index import StaticTrieIndex, SuffixTrayIndex
+from triekit.text import (SENTINEL, CompactedTrie, Outcome, Text, build_string_trie,
+                          encode_text)
 
 from oracles import compress_canonical, expanded_canonical, label_codes
 
@@ -114,3 +120,85 @@ def test_compactedness():
     for v, nd in enumerate(trie.nodes):
         if v != trie.ROOT and not nd.is_leaf:
             assert len(nd.children) >= 2
+
+
+# ------------------------------------------------- the one descent and locate
+
+def test_locate_reports_where_a_string_leaves_the_trie():
+    trie, _ = build_string_trie([Text([1, 2, 3, 3, 3]), Text([1, 2, 4]), Text([1])])
+    root = trie.ROOT
+    n1 = trie.nodes[root].children[1]            # label [1]
+    n12 = trie.nodes[n1].children[2]             # label [2]
+    leaf_a = trie.nodes[n12].children[3]         # label [3, 3, 3, $]
+    leaf_b = trie.nodes[n12].children[4]         # label [4, $]
+    leaf_c = trie.nodes[n1].children[SENTINEL]   # label [$]
+    # at a node with no edge for the next character (the sentinel too)
+    assert trie.locate([2]) == (root, None, 0, 0)
+    assert trie.locate([1, 2, 5]) == (n12, None, 0, 2)
+    assert trie.locate([1, 2]) == (n12, None, 0, 2)
+    # inside an edge, on a real character
+    assert trie.locate([1, 2, 3, 4]) == (n12, leaf_a, 1, 2)
+    # inside an edge, where the string ends and the label goes on
+    assert trie.locate([1, 2, 3, 3]) == (n12, leaf_a, 2, 2)
+    # at a stored string: depth + k == len + 1
+    assert trie.locate([1, 2, 4]) == (n12, leaf_b, 2, 2)
+    assert trie.locate([1]) == (n1, leaf_c, 1, 1)
+    # at a label that ends in the sentinel before the string ends
+    assert trie.locate([1, 2, 4, 4]) == (n12, leaf_b, 1, 2)
+    assert trie.label_char(leaf_b, 1) == SENTINEL
+
+
+def test_queries_on_empty_indexes():
+    # at sigma = 256 the empty dynamic root steps by its heavy pointer and
+    # dynamic predecessor, so a step taken would count a probe
+    trie, order = build_string_trie([])
+    static = StaticTrieIndex(trie, order, 256, "strings")
+    tray = SuffixTrayIndex(trie, order, 256, "strings")
+    dyn = DynTrieIndex(256)
+    for pat in ([], [1]):
+        for query in (static.prefix_query, tray.tray_query, dyn.search):
+            before = GLOBAL.snapshot()
+            res = query(pat)
+            assert res.outcome is Outcome.NOT_FOUND and res.matched_len == 0
+            assert not any(GLOBAL.diff(before).values()), query
+        for query in (static.predecessor_query, dyn.predecessor):
+            before = GLOBAL.snapshot()
+            assert query(pat) is None
+            assert not any(GLOBAL.diff(before).values()), query
+
+
+def test_each_query_runs_one_descent(monkeypatch):
+    calls = {}
+    for name in ("descend", "locate"):
+        original = getattr(CompactedTrie, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(CompactedTrie, name, counted)
+
+    def once(call, arg, name):
+        calls.update(descend=0, locate=0)
+        call(arg)
+        assert calls == {"descend": int(name == "descend"), "locate": int(name == "locate")}
+
+    rng = random.Random(23)
+    sigma = 4
+    words = sorted({tuple(rng.randint(1, sigma) for _ in range(rng.randrange(10)))
+                    for _ in range(300)})
+    dyn = DynTrieIndex(sigma)
+    bare = CompactedTrie(sources=[Text(w) for w in words])
+    for sid, w in enumerate(words):
+        once(dyn.insert, list(w), "locate")
+        once(bare.insert_path, sid, "locate")
+    trie, order = build_string_trie([Text(w) for w in words])
+    static = StaticTrieIndex(trie, order, sigma, "strings")
+    tray = SuffixTrayIndex(trie, order, sigma, "strings")
+    pats = [list(w[:rng.randrange(len(w) + 1)]) + [rng.randint(1, sigma)] * rng.randrange(3)
+            for w in words]
+    for pat in pats:
+        for query in (static.prefix_query, static.predecessor_query, tray.tray_query,
+                      dyn.search):
+            once(query, pat, "descend")
+        once(dyn.predecessor, pat, "locate")

@@ -2,14 +2,18 @@
 
 The suffix array covers positions 0..n of the sentinel-terminated text
 (position n is the lone sentinel).  Construction is SA-IS (linear time);
-the contract is the sortedness invariant, not the recipe.
+the contract is the sortedness invariant, not the recipe.  The suffix tree
+is built from the SA and LCP arrays with an lcp stack, which also sets each
+node's leaf-rank interval: `low` when the node is made, `high` when the
+stack pops it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .text import SENTINEL, CompactedTrie, Text
+from .text import SENTINEL, CompactedTrie, Node, Text
 
 S_TYPE = 0
 L_TYPE = 1
@@ -21,80 +25,79 @@ def _sais(codes: list[int], sigma: int) -> list[int]:
     if n == 1:
         return [0]
     types = bytearray(n)  # S_TYPE = 0
+    t = S_TYPE
+    nxt = codes[-1]
     for i in range(n - 2, -1, -1):
-        if codes[i] > codes[i + 1] or (codes[i] == codes[i + 1] and types[i + 1] == L_TYPE):
-            types[i] = L_TYPE
-
-    def is_lms(i):
-        return i > 0 and types[i] == S_TYPE and types[i - 1] == L_TYPE
+        c = codes[i]
+        t = L_TYPE if c > nxt or (c == nxt and t == L_TYPE) else S_TYPE
+        types[i] = t
+        nxt = c
+    # an LMS position is an S position right after an L position
+    lms = [i for i in range(1, n) if types[i] < types[i - 1]]
+    is_lms = bytearray(n)
+    for i in lms:
+        is_lms[i] = 1
 
     bucket_sizes = [0] * sigma
     for c in codes:
         bucket_sizes[c] += 1
+    heads = []
+    tails = []
+    acc = 0
+    for size in bucket_sizes:
+        heads.append(acc)
+        acc += size
+        tails.append(acc - 1)
 
-    def bucket_tails():
-        tails = []
-        acc = 0
-        for size in bucket_sizes:
-            acc += size
-            tails.append(acc - 1)
-        return tails
+    def seed(order):
+        """An SA with the LMS positions of `order` at their bucket tails."""
+        sa = [-1] * n
+        tail = tails[:]
+        for i in reversed(order):
+            c = codes[i]
+            sa[tail[c]] = i
+            tail[c] -= 1
+        return sa
 
     def induce(sa):
-        heads = []
-        acc = 0
-        for size in bucket_sizes:
-            heads.append(acc)
-            acc += size
-        for i in range(n):
-            j = sa[i] - 1
+        # the iterators read sa as it is written, as an index loop would
+        head = heads[:]
+        for p in sa:
+            j = p - 1
             if j >= 0 and types[j] == L_TYPE:
                 c = codes[j]
-                sa[heads[c]] = j
-                heads[c] += 1
-        tails = bucket_tails()
-        for i in range(n - 1, -1, -1):
-            j = sa[i] - 1
+                sa[head[c]] = j
+                head[c] += 1
+        tail = tails[:]
+        for p in reversed(sa):
+            j = p - 1
             if j >= 0 and types[j] == S_TYPE:
                 c = codes[j]
-                sa[tails[c]] = j
-                tails[c] -= 1
-
-    def lms_equal(a, b):
-        if a == n - 1 or b == n - 1:
-            return False  # the sentinel substring is unique
-        k = 0
-        while True:
-            a_end = k > 0 and is_lms(a + k)
-            b_end = k > 0 and is_lms(b + k)
-            if a_end and b_end:
-                return True
-            if a_end != b_end or codes[a + k] != codes[b + k]:
-                return False
-            k += 1
-
-    lms = [i for i in range(1, n) if is_lms(i)]
+                sa[tail[c]] = j
+                tail[c] -= 1
 
     # first pass: approximate order of LMS suffixes
-    sa = [-1] * n
-    tails = bucket_tails()
-    for i in reversed(lms):
-        c = codes[i]
-        sa[tails[c]] = i
-        tails[c] -= 1
+    sa = seed(lms)
     induce(sa)
 
-    # name LMS substrings in their induced order
-    name_of = {}
+    # name LMS substrings in their induced order.  Two are equal when they
+    # reach the next LMS position together and agree before it: the
+    # character there starts the next LMS substring, which compares it.
+    # LMS positions lie at least 2 apart, so the sentinel's span of 0 makes
+    # its substring unique.
+    span = [0] * n
+    for a, b in zip(lms, lms[1:]):
+        span[a] = b - a
+    name_of = [0] * n
     current = 0
-    prev = None
-    for p in sa:
-        if not is_lms(p):
-            continue
-        if prev is not None and not lms_equal(prev, p):
-            current += 1
-        name_of[p] = current
-        prev = p
+    prev = n - 1  # the sentinel, first in SA order, is named 0
+    for p in islice(sa, 1, None):
+        if is_lms[p]:
+            k = span[p]
+            if k != span[prev] or codes[p:p + k] != codes[prev:prev + k]:
+                current += 1
+            name_of[p] = current
+            prev = p
 
     summary = [name_of[p] for p in lms]  # ends with the unique smallest name 0
     if current + 1 == len(lms):
@@ -103,15 +106,9 @@ def _sais(codes: list[int], sigma: int) -> list[int]:
             summary_sa[name] = idx
     else:
         summary_sa = _sais(summary, current + 1)
-    order = [lms[i] for i in summary_sa]
 
     # second pass: exact order
-    sa = [-1] * n
-    tails = bucket_tails()
-    for i in reversed(order):
-        c = codes[i]
-        sa[tails[c]] = i
-        tails[c] -= 1
+    sa = seed([lms[i] for i in summary_sa])
     induce(sa)
     return sa
 
@@ -136,6 +133,8 @@ def build_suffix_array(text: Text) -> SuffixArrayIndex:
 
 
 def _kasai(codes: list[int], sa: list[int]) -> list[int]:
+    # codes[-1] is a unique smallest sentinel: two distinct suffixes differ
+    # at or before it, so every compare stops inside the text
     n = len(codes)
     rank = [0] * n
     for i, p in enumerate(sa):
@@ -148,7 +147,7 @@ def _kasai(codes: list[int], sa: list[int]) -> list[int]:
             h = 0
             continue
         q = sa[r - 1]
-        while p + h < n and q + h < n and codes[p + h] == codes[q + h]:
+        while codes[p + h] == codes[q + h]:
             h += 1
         lcp[r] = h
         if h:
@@ -160,42 +159,45 @@ def build_suffix_tree(sa_index: SuffixArrayIndex, text: Text) -> CompactedTrie:
     """Suffix tree with suffix array intervals, by lcp-stack insertion.
 
     Leaves appear in SA order left to right; each leaf's payload is its
-    suffix start position and its interval is its SA rank.
+    suffix start position and its interval is its SA rank.  The stack holds
+    the rightmost path, so each node's interval is set on it: `low` when
+    the node is made and `high` when the stack pops it, or at the end.
     """
     sa, lcp = sa_index.sa, sa_index.lcp
     total = text.n + 1
+    codes = text.codes + [SENTINEL]
     trie = CompactedTrie(sources=[text])
-    root = trie.ROOT
-
-    def add_leaf(parent, rank, depth):
-        pos = sa[rank]
-        leaf = trie.new_node(parent, 0, pos + depth, total, leaf_id=pos)
-        trie.nodes[leaf].low = trie.nodes[leaf].high = rank
-        trie.nodes[parent].children[text.at(pos + depth)] = leaf
-        return leaf
-
-    # rightmost path as a stack of (node id, string depth), leaves included
-    stack = [(root, 0), (add_leaf(root, 0, 0), total - sa[0])]
-    for r in range(1, len(sa)):
+    nodes = trie.nodes
+    root = nodes[trie.ROOT]
+    root.low = 0
+    # the rightmost path as (node, node id, string depth), leaves included
+    stack = [(root, trie.ROOT, 0)]
+    last = 0  # the rank of the latest leaf, where every node popped next ends
+    for r, pos in enumerate(sa):
         d = lcp[r]
-        last_popped = None
-        while stack[-1][1] > d:
-            last_popped = stack.pop()
-        top, top_depth = stack[-1]
-        if top_depth == d:
-            leaf = add_leaf(top, r, d)
-        else:
-            # split the edge to last_popped at string depth d
-            child, _ = last_popped
-            nd = trie.nodes[child]
-            first = trie.label_char(child, 0)
-            mid = trie.new_node(top, nd.sid, nd.start, nd.start + (d - top_depth))
-            trie.nodes[top].children[first] = mid
-            nd.parent = mid
-            nd.start += d - top_depth
-            trie.nodes[mid].children[trie.label_char(child, 0)] = child
-            stack.append((mid, d))
-            leaf = add_leaf(mid, r, d)
-        stack.append((leaf, total - sa[r]))
-    trie.compute_intervals()
+        while stack[-1][2] > d:
+            popped = stack.pop()
+            popped[0].high = last
+        top, top_id, top_depth = stack[-1]
+        if top_depth < d:
+            # split the edge to the last popped node at string depth d
+            child, child_id, _ = popped
+            k = d - top_depth
+            mid_id = len(nodes)
+            mid = Node(top_id, 0, child.start, child.start + k, {}, child.low)
+            nodes.append(mid)
+            top.children[codes[child.start]] = mid_id
+            child.parent = mid_id
+            child.start += k
+            mid.children[codes[child.start]] = child_id
+            stack.append((mid, mid_id, d))
+            top, top_id = mid, mid_id
+        leaf_id = len(nodes)
+        leaf = Node(top_id, 0, pos + d, total, {}, r, r, pos)
+        nodes.append(leaf)
+        top.children[codes[pos + d]] = leaf_id
+        stack.append((leaf, leaf_id, total - pos))
+        last = r
+    for nd, _, _ in stack:
+        nd.high = last
     return trie

@@ -220,11 +220,18 @@ class StaticTrieIndex(_IndexBase):
         u = sigma + 1  # edge characters live in [0, sigma]
         self.child_step = [None] * len(trie.nodes)
         self.child_pred: dict[int, StaticPredecessor] = {}
+        # a StaticPredecessor is immutable and a function of its keys and u
+        # alone, so heavy nodes with equal child characters share one
+        shared: dict[tuple, StaticPredecessor] = {}
         for v, nd in enumerate(trie.nodes):
             kids = nd.children
             if self.heavy[v]:
                 self.child_step[v] = DetDictionary(kids.items())
-                self.child_pred[v] = StaticPredecessor(sorted(kids), u)
+                keys = tuple(sorted(kids))
+                pred = shared.get(keys)
+                if pred is None:
+                    pred = shared[keys] = StaticPredecessor(keys, u)
+                self.child_pred[v] = pred
 
     def prefix_query(self, pattern: list[int]) -> MatchResult:
         check_codes(pattern, self.sigma)

@@ -13,7 +13,7 @@ the walk of insertion and of the dynamic predecessor query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import AlphabetOverflowError, CorruptTrieError, DuplicateKeyError
@@ -97,18 +97,21 @@ class MatchResult:
         return 0 if self.interval is None else self.interval[1] - self.interval[0] + 1
 
 
-@dataclass
 class Node:
-    """Arena record for one compacted-trie node."""
+    """Arena record for one compacted-trie node, slotted: eight fields and
+    no per-node __dict__."""
 
-    parent: int
-    sid: int        # source string id of the incoming edge label
-    start: int      # label = source[start:end), position len(source) = sentinel
-    end: int
-    children: dict = field(default_factory=dict)   # first char -> node id
-    low: int = -1   # leaf-rank interval [low, high]
-    high: int = -1
-    leaf_id: int = -1   # payload for leaves (suffix position / string id)
+    __slots__ = ("parent", "sid", "start", "end", "children", "low", "high", "leaf_id")
+
+    def __init__(self, parent, sid, start, end, children=None, low=-1, high=-1, leaf_id=-1):
+        self.parent = parent
+        self.sid = sid          # source string id of the incoming edge label
+        self.start = start      # label = source[start:end), position len(source) = sentinel
+        self.end = end
+        self.children = {} if children is None else children  # first char -> node id
+        self.low = low          # leaf-rank interval [low, high]
+        self.high = high
+        self.leaf_id = leaf_id  # payload for leaves (suffix position / string id)
 
     @property
     def is_leaf(self) -> bool:

@@ -4,8 +4,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triekit import sa as sa_module
 from triekit.sa import build_suffix_array, build_suffix_tree
-from triekit.text import Text, encode_text
+from triekit.static_index import validate_intervals
+from triekit.text import Text, build_string_trie, encode_text
 
 from oracles import (brute_lcp, brute_suffix_array, compress_canonical,
                      expanded_canonical, label_codes)
@@ -39,6 +41,35 @@ def test_sa_matches_brute_force(seed):
     n = rng.randrange(0, 160)
     codes = [rng.randint(1, sigma) for _ in range(n)]
     idx = build_suffix_array(Text(codes))
+    assert idx.sa == brute_suffix_array(codes)
+    assert idx.lcp == brute_lcp(codes, idx.sa)
+
+
+def _fibonacci_word(n):
+    a, b = [1], [1, 2]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+@pytest.mark.parametrize("codes, recurses", [
+    (_fibonacci_word(1500), True),
+    ([2, 3, 4] * 400, True),
+    (random.Random(2000).choices([1, 2], k=2000), True),
+    # one LMS position, the sentinel's: the names are unique at once
+    ([1] * 1000, False),
+], ids=["fibonacci-1500", "abc^400", "sigma2-2000", "a^1000"])
+def test_sais_recursion_matches_brute_force(monkeypatch, codes, recurses):
+    calls = []
+    sais = sa_module._sais
+
+    def counting_sais(summary, sigma):
+        calls.append(len(summary))
+        return sais(summary, sigma)
+
+    monkeypatch.setattr(sa_module, "_sais", counting_sais)
+    idx = build_suffix_array(Text(codes))
+    assert (len(calls) > 1) == recurses, calls
     assert idx.sa == brute_suffix_array(codes)
     assert idx.lcp == brute_lcp(codes, idx.sa)
 
@@ -95,6 +126,30 @@ def test_empty_suffix_tree():
     assert len(tree.nodes) == 2
     (leaf,) = tree.nodes[tree.ROOT].children.values()
     assert tree.nodes[leaf].is_leaf
+
+
+def _interval_texts():
+    rng = random.Random(24)
+    texts = [[1] * 500, [1, 2] * 300]
+    for sigma in (1, 2, 4, 26, 65536):
+        for n in (0, 1, 2, rng.randrange(3, 300), rng.randrange(3, 300)):
+            texts.append([rng.randint(1, sigma) for _ in range(n)])
+    return texts
+
+
+@pytest.mark.parametrize("codes", _interval_texts())
+def test_suffix_tree_intervals_equal_recomputed_ones(codes):
+    text = Text(codes)
+    tree = build_suffix_tree(build_suffix_array(text), text)
+    shape = tree.canonical()
+    built = [(nd.low, nd.high) for nd in tree.nodes]
+    validate_intervals(tree, len(codes) + 1)
+    tree.compute_intervals()
+    assert [(nd.low, nd.high) for nd in tree.nodes] == built
+    assert tree.canonical() == shape
+    # the string trie of the suffixes, in position order, has the same shape
+    suffixes = [Text(codes[i:]) for i in range(len(codes) + 1)]
+    assert shape == build_string_trie(suffixes)[0].canonical()
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from triekit.errors import (AlphabetOverflowError, CorruptTrieError, InvalidInputError,
                             TriekitError)
 from triekit.instrument import GLOBAL
+from triekit.predkit import StaticPredecessor
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.serialize import MAGIC, VersionMismatchError, dump_index, load_index
 from triekit.static_index import (
@@ -342,7 +343,7 @@ def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, 
     idx = load_index(_abra_blob())
     trie = idx.trie
     nd = trie.nodes[pick % len(trie.nodes)]
-    if where == "node":
+    if where == "node" and field in NODE_FIELDS:
         setattr(nd, field, value)
     elif where == "child_char" and nd.children:
         kids = nd.children
@@ -564,6 +565,48 @@ def test_one_static_pred_query_suffix_sigma_4():
                 for i in (rng.randrange(len(codes)) for _ in range(600))]
     patterns += [[rng.randint(1, sigma) for _ in range(rng.randrange(0, 10))]
                  for _ in range(200)]
+    assert _one_static_pred_query_each(idx, keys, patterns) > 0
+
+
+class _SortedSuffixes:
+    """The sentinel-terminated suffixes in rank order, sliced when read, so a
+    bisection holds one at a time."""
+
+    def __init__(self, codes, order):
+        self.full = codes + [0]
+        self.order = order
+
+    def __len__(self):
+        return len(self.order)
+
+    def __getitem__(self, r):
+        return self.full[self.order[r]:]
+
+
+def test_heavy_nodes_with_equal_child_sets_share_one_predecessor(monkeypatch):
+    # sigma = 4: every child set is a non-empty subset of the five edge
+    # characters 0..4, so no more than 2^5 - 1 = 31 predecessors are built
+    built = []
+    init = StaticPredecessor.__init__
+
+    def counting_init(self, keys, u):
+        built.append(tuple(keys))
+        init(self, keys, u)
+
+    monkeypatch.setattr(StaticPredecessor, "__init__", counting_init)
+    rng = random.Random(3000)
+    codes = [rng.randint(1, 4) for _ in range(3000)]
+    idx, _ = suffix_index(codes, 4, "static")
+    heavy = [v for v, h in enumerate(idx.heavy) if h]
+    assert len(heavy) > 31
+    assert len(built) <= 31 and len(set(built)) == len(built)
+    for v in heavy:
+        assert idx.child_pred[v].keys == sorted(idx.trie.nodes[v].children), v
+    patterns = [codes[i:i + rng.randrange(0, 16)] + [rng.randint(1, 4)]
+                for i in (rng.randrange(len(codes)) for _ in range(600))]
+    patterns += [[rng.randint(1, 4) for _ in range(rng.randrange(0, 12))]
+                 for _ in range(200)]
+    keys = _SortedSuffixes(codes, idx.leaf_order)
     assert _one_static_pred_query_each(idx, keys, patterns) > 0
 
 

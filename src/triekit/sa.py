@@ -3,17 +3,17 @@
 The suffix array covers positions 0..n of the sentinel-terminated text
 (position n is the lone sentinel).  Construction is SA-IS (linear time);
 the contract is the sortedness invariant, not the recipe.  The suffix tree
-is built from the SA and LCP arrays with an lcp stack, which also sets each
-node's leaf-rank interval: `low` when the node is made, `high` when the
-stack pops it.
+is the compacted trie of the suffixes in SA order: `text.build_sorted_trie`
+builds it from the SA and LCP arrays with the lcp stack that also builds
+every string-set trie, setting each node's leaf-rank interval as it goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
-from .text import SENTINEL, CompactedTrie, Node, Text
+from .text import SENTINEL, CompactedTrie, Text, build_sorted_trie
 
 S_TYPE = 0
 L_TYPE = 1
@@ -156,48 +156,11 @@ def _kasai(codes: list[int], sa: list[int]) -> list[int]:
 
 
 def build_suffix_tree(sa_index: SuffixArrayIndex, text: Text) -> CompactedTrie:
-    """Suffix tree with suffix array intervals, by lcp-stack insertion.
+    """Suffix tree with suffix array intervals: the compacted trie of the
+    suffixes in SA order with the Kasai LCP.
 
     Leaves appear in SA order left to right; each leaf's payload is its
-    suffix start position and its interval is its SA rank.  The stack holds
-    the rightmost path, so each node's interval is set on it: `low` when
-    the node is made and `high` when the stack pops it, or at the end.
+    suffix start position and its interval is its SA rank.
     """
-    sa, lcp = sa_index.sa, sa_index.lcp
-    total = text.n + 1
-    codes = text.codes + [SENTINEL]
-    trie = CompactedTrie(sources=[text])
-    nodes = trie.nodes
-    root = nodes[trie.ROOT]
-    root.low = 0
-    # the rightmost path as (node, node id, string depth), leaves included
-    stack = [(root, trie.ROOT, 0)]
-    last = 0  # the rank of the latest leaf, where every node popped next ends
-    for r, pos in enumerate(sa):
-        d = lcp[r]
-        while stack[-1][2] > d:
-            popped = stack.pop()
-            popped[0].high = last
-        top, top_id, top_depth = stack[-1]
-        if top_depth < d:
-            # split the edge to the last popped node at string depth d
-            child, child_id, _ = popped
-            k = d - top_depth
-            mid_id = len(nodes)
-            mid = Node(top_id, 0, child.start, child.start + k, {}, child.low)
-            nodes.append(mid)
-            top.children[codes[child.start]] = mid_id
-            child.parent = mid_id
-            child.start += k
-            mid.children[codes[child.start]] = child_id
-            stack.append((mid, mid_id, d))
-            top, top_id = mid, mid_id
-        leaf_id = len(nodes)
-        leaf = Node(top_id, 0, pos + d, total, {}, r, r, pos)
-        nodes.append(leaf)
-        top.children[codes[pos + d]] = leaf_id
-        stack.append((leaf, leaf_id, total - pos))
-        last = r
-    for nd, _, _ in stack:
-        nd.high = last
-    return trie
+    sa = sa_index.sa
+    return build_sorted_trie([text], zip(repeat(0), sa, sa), sa_index.lcp)

@@ -3,7 +3,10 @@
 Character codes are unsigned integers in [1, sigma]; code 0 is the sentinel,
 which sorts below every real code and terminates every stored string.  Edge
 labels are (source id, start, end) ranges into stored texts and are never
-copied.  All indexing is 0-based.
+copied.  All indexing is 0-based.  `build_sorted_trie` builds every static
+trie, suffix tree or string-set trie, and its leaf-rank intervals in one
+lcp-stack pass over sorted strings; `CompactedTrie.insert_path` adds one
+string at a time to the dynamic trie.
 
 `CompactedTrie.descend` is the one descent of all three query engines, each
 giving it a child step per node and building its result where the walk
@@ -265,21 +268,6 @@ class CompactedTrie:
         nodes[v].children[codes[depth] if depth < n else SENTINEL] = leaf
         return leaf, mid, attach
 
-    def compute_intervals(self):
-        """Set [low, high] of every node from the leaf ranks below it."""
-        order = self.topo_order()
-        for v in reversed(order):
-            nd = self.nodes[v]
-            if nd.is_leaf:
-                continue
-            lows = []
-            highs = []
-            for ch in nd.children.values():
-                lows.append(self.nodes[ch].low)
-                highs.append(self.nodes[ch].high)
-            nd.low = min(lows) if lows else 0
-            nd.high = max(highs) if highs else -1
-
     def leaf_order(self, n_leaves: int) -> list[int]:
         """Leaf ids by rank: order[nd.low] = nd.leaf_id over the leaves.
         Raises CorruptTrieError if a leaf's rank lies outside [0, n_leaves)
@@ -329,27 +317,71 @@ class CompactedTrie:
         return out
 
 
-def sorted_string_ranks(texts: list[Text]) -> list[int]:
-    """Ranks of `texts` under sentinel-terminated lexicographic order."""
-    keyed = sorted(range(len(texts)), key=lambda i: texts[i].codes)
-    rank = [0] * len(texts)
-    for r, i in enumerate(keyed):
-        rank[i] = r
-    return rank
+def build_sorted_trie(sources: list[Text], ranked, lcp: list[int]) -> CompactedTrie:
+    """Compacted trie of distinct sentinel-terminated strings in sorted
+    order, by lcp-stack insertion.  `ranked` yields each rank's (sid, start,
+    leaf id): the string sources[sid][start:], whose leaf carries leaf id;
+    lcp[r] is its LCP with rank r - 1.  Leaves lie in rank order, each with
+    its rank as interval.  The stack holds the rightmost path, so a node's
+    `low` is set when it is made and `high` when the stack pops it, or at
+    the end; with no strings the root keeps (0, -1)."""
+    trie = CompactedTrie(sources=sources)
+    codes_of = [s.codes + [SENTINEL] for s in sources]
+    nodes = trie.nodes
+    root = nodes[trie.ROOT]
+    root.low = 0
+    # the rightmost path as (node, node id, string depth), leaves included
+    stack = [(root, trie.ROOT, 0)]
+    last = -1  # the rank of the latest leaf, where every node popped next ends
+    for r, (sid, start, leaf_id) in enumerate(ranked):
+        d = lcp[r]
+        while stack[-1][2] > d:
+            popped = stack.pop()
+            popped[0].high = last
+        top, top_id, top_depth = stack[-1]
+        if top_depth < d:
+            # split the edge to the last popped node at string depth d
+            child, child_id, _ = popped
+            k = d - top_depth
+            mid_id = len(nodes)
+            mid = Node(top_id, child.sid, child.start, child.start + k, {}, child.low)
+            nodes.append(mid)
+            split = codes_of[child.sid]  # the middle node shares child's label
+            top.children[split[child.start]] = mid_id
+            child.parent = mid_id
+            child.start += k
+            mid.children[split[child.start]] = child_id
+            stack.append((mid, mid_id, d))
+            top, top_id = mid, mid_id
+        codes = codes_of[sid]
+        total = len(codes)
+        leaf = Node(top_id, sid, start + d, total, {}, r, r, leaf_id)
+        top.children[codes[start + d]] = len(nodes)
+        stack.append((leaf, len(nodes), total - start))
+        nodes.append(leaf)
+        last = r
+    for nd, _, _ in stack:
+        nd.high = last
+    return trie
 
 
 def build_string_trie(texts: list[Text]) -> tuple[CompactedTrie, list[int]]:
     """Compacted trie over a set of distinct strings.
 
-    Returns (trie, leaf_order) where leaf_order[rank] = original string id.
-    Leaf-rank intervals are filled in.
+    Returns (trie, leaf_order) where leaf_order[rank] = original string id,
+    ranks in sentinel-terminated lexicographic order.  Leaf-rank intervals
+    are filled in.  Raises DuplicateKeyError if two strings are equal.
     """
-    trie = CompactedTrie(sources=list(texts))
-    ranks = sorted_string_ranks(texts)
-    leaf_order = [0] * len(texts)
-    for sid, rank in enumerate(ranks):
-        nd = trie.nodes[trie.insert_path(sid)[0]]
-        nd.low = nd.high = rank
-        leaf_order[rank] = sid
-    trie.compute_intervals()
-    return trie, leaf_order
+    order = sorted(range(len(texts)), key=lambda i: texts[i].codes)
+    lcp = [0] * len(order)
+    for r in range(1, len(order)):
+        a = texts[order[r - 1]].codes
+        b = texts[order[r]].codes
+        m = min(len(a), len(b))
+        h = 0
+        while h < m and a[h] == b[h]:
+            h += 1
+        if h == len(a) == len(b):
+            raise DuplicateKeyError("string stored twice")
+        lcp[r] = h
+    return build_sorted_trie(list(texts), [(sid, 0, sid) for sid in order], lcp), order

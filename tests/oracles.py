@@ -87,6 +87,18 @@ def expanded_canonical(trie: CompactedTrie):
     return done[trie.ROOT]
 
 
+def recompute_intervals(trie: CompactedTrie):
+    """Set [low, high] of every internal node from the leaf ranks below it,
+    bottom-up; an empty root gets (0, -1)."""
+    for v in reversed(trie.topo_order()):
+        nd = trie.nodes[v]
+        if nd.is_leaf:
+            continue
+        kids = [trie.nodes[ch] for ch in nd.children.values()]
+        nd.low = min((c.low for c in kids), default=0)
+        nd.high = max((c.high for c in kids), default=-1)
+
+
 def compress_canonical(strings: list[Text]):
     t = UncompactedTrie()
     for sid, s in enumerate(strings):

@@ -14,7 +14,7 @@ from triekit.dynamic_index import DynTrieIndex
 from triekit.serialize import dump_index, load_index
 from triekit.static_index import StaticTrieIndex
 from triekit.sa import build_suffix_array, build_suffix_tree
-from triekit.text import encode_text
+from triekit.text import build_string_trie, encode_text
 from triekit.cli import suffix_leaf_order
 
 
@@ -185,12 +185,25 @@ def test_strings_mode_build_and_predecessor(tmp_path, capsys):
     assert row[1] == "PRED_FOUND" and row[2] == "0"  # "ant" has rank 0
 
 
-def test_round_trip_identical_answers(tmp_path):
-    text = encode_text(b"abracadabra", 256)
-    tree = build_suffix_tree(build_suffix_array(text), text)
-    idx = StaticTrieIndex(tree, suffix_leaf_order(tree), 256, mode="suffix")
+@pytest.mark.parametrize("mode, source", [
+    ("suffix", b"abracadabra"),
+    ("strings", [b"abra", b"", b"cad", b"ab", b"abracadabra", b"bra", b"c"]),
+    ("strings", []),
+], ids=["suffix", "strings", "strings-no-string"])
+def test_round_trip_identical_answers(mode, source):
+    if mode == "suffix":
+        text = encode_text(source, 256)
+        tree = build_suffix_tree(build_suffix_array(text), text)
+        order = suffix_leaf_order(tree)
+    else:
+        tree, order = build_string_trie([encode_text(w, 256) for w in source])
+    idx = StaticTrieIndex(tree, order, 256, mode=mode)
     blob = dump_index(idx)
     loaded = load_index(blob)
+    if not source:
+        for trie in (tree, loaded.trie):
+            root = trie.nodes[trie.ROOT]
+            assert (root.low, root.high) == (0, -1)
     for pat in (b"ab", b"bra", b"xyz", b"a", b""):
         codes = [b + 1 for b in pat]
         a = idx.prefix_query(codes)

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from triekit import sa as sa_module
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.static_index import validate_intervals
-from triekit.text import Text, build_string_trie, encode_text
+from triekit.text import CompactedTrie, Text, encode_text
 
 from oracles import (brute_lcp, brute_suffix_array, compress_canonical,
-                     expanded_canonical, label_codes)
+                     expanded_canonical, label_codes, recompute_intervals)
 
 
 def test_banana_table():
@@ -144,12 +144,15 @@ def test_suffix_tree_intervals_equal_recomputed_ones(codes):
     shape = tree.canonical()
     built = [(nd.low, nd.high) for nd in tree.nodes]
     validate_intervals(tree, len(codes) + 1)
-    tree.compute_intervals()
+    recompute_intervals(tree)
     assert [(nd.low, nd.high) for nd in tree.nodes] == built
     assert tree.canonical() == shape
-    # the string trie of the suffixes, in position order, has the same shape
-    suffixes = [Text(codes[i:]) for i in range(len(codes) + 1)]
-    assert shape == build_string_trie(suffixes)[0].canonical()
+    # the trie of the suffixes, inserted one at a time in position order,
+    # has the same shape
+    trie = CompactedTrie(sources=[Text(codes[i:]) for i in range(len(codes) + 1)])
+    for sid in range(len(codes) + 1):
+        trie.insert_path(sid)
+    assert shape == trie.canonical()
 
 
 @given(st.integers(0, 2**32 - 1))

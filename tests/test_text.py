@@ -59,6 +59,16 @@ def test_duplicate_insert_rejected():
         trie.insert_path(1)
 
 
+@pytest.mark.parametrize("strings", [
+    [[1, 2], [1, 2], [3]],   # adjacent in input order
+    [[], [2], []],           # the empty string twice
+    [[1, 2], [3], [1, 2]],   # not adjacent in input order
+])
+def test_build_string_trie_rejects_duplicates(strings):
+    with pytest.raises(DuplicateKeyError):
+        build_string_trie([Text(s) for s in strings])
+
+
 @st.composite
 def distinct_string_sets(draw):
     sigma = draw(st.sampled_from([2, 4, 26]))
@@ -82,7 +92,9 @@ def test_trie_isomorphic_to_compressed_naive(strings, rng):
     trie = CompactedTrie(sources=list(texts))
     for sid in shuffled:
         trie.insert_path(sid)
-    assert expanded_canonical(trie) == compress_canonical(texts)
+    expected = compress_canonical(texts)
+    assert expanded_canonical(trie) == expected
+    assert expanded_canonical(build_string_trie(texts)[0]) == expected
 
 
 @given(distinct_string_sets())

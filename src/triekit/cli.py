@@ -62,7 +62,11 @@ def _read_file(path: str) -> bytes:
 
 def suffix_leaf_order(tree) -> list[int]:
     """Suffix positions by rank; a suffix tree has one leaf per position."""
-    return tree.leaf_order(tree.sources[0].n + 1)
+    order = [0] * (tree.sources[0].n + 1)
+    for nd in tree.nodes:
+        if nd.leaf_id >= 0:
+            order[nd.low] = nd.leaf_id
+    return order
 
 
 def _build_index(data: bytes, sigma: int, mode: str, engine: str):
@@ -423,7 +427,10 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build and serialize a static index")
-    b.add_argument("--input", required=True)
+    b.add_argument("--input", required=True,
+                   help="the text (suffix mode), or one string per line (strings mode, "
+                        "which drops blank and repeated lines, so it cannot index the "
+                        "empty string)")
     b.add_argument("--sigma", type=int, default=256)
     b.add_argument("--mode", choices=["suffix", "strings"], default="suffix")
     b.add_argument("--engine", choices=["static", "tray"], default="static")

@@ -6,6 +6,8 @@ the contract is the sortedness invariant, not the recipe.  The suffix tree
 is the compacted trie of the suffixes in SA order: `text.build_sorted_trie`
 builds it from the SA and LCP arrays with the lcp stack that also builds
 every string-set trie, setting each node's leaf-rank interval as it goes.
+`check_suffix_array` proves in linear time that a given order is the suffix
+array, so an index file can store it and load can rebuild the tree.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, repeat
 
+from .errors import InvalidInputError
 from .text import SENTINEL, CompactedTrie, Text, build_sorted_trie
 
 S_TYPE = 0
@@ -153,6 +156,28 @@ def _kasai(codes: list[int], sa: list[int]) -> list[int]:
         if h:
             h -= 1
     return lcp
+
+
+def check_suffix_array(codes: list[int], sa: list[int]):
+    """Raise InvalidInputError unless `sa` is the suffix array of `codes`,
+    whose last entry is a unique smallest sentinel.  It is when `sa` is a
+    permutation of the positions in which every two adjacent ranks p, q have
+    codes[p] < codes[q], or equal codes and rank[p + 1] < rank[q + 1]
+    (Burkhardt and Kärkkäinen, CPM 2003); equal codes are not the sentinel,
+    so p + 1 and q + 1 are positions.  Linear time."""
+    n = len(codes)
+    if len(sa) != n or min(sa) < 0 or max(sa) >= n:
+        raise InvalidInputError("suffix array entry outside [0, n]")
+    rank = [-1] * n
+    for i, p in enumerate(sa):
+        rank[p] = i
+    if -1 in rank:  # n entries in range leave a rank unset iff two are equal
+        raise InvalidInputError("the suffix array is not a permutation")
+    for p, q in zip(sa, islice(sa, 1, None)):
+        a = codes[p]
+        b = codes[q]
+        if a > b or (a == b and rank[p + 1] > rank[q + 1]):
+            raise InvalidInputError(f"the suffix array puts suffix {p} before {q}")
 
 
 def build_suffix_tree(sa_index: SuffixArrayIndex, text: Text) -> CompactedTrie:

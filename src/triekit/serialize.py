@@ -1,29 +1,30 @@
-"""Versioned binary index files, format 2.
+"""Versioned binary index files, format 3.
 
-Layout, little-endian throughout:
+A static index is a deterministic function of its text: the suffix tree is
+the lcp-interval tree of the suffix array and its LCPs, and a string-set
+trie that of its sorted strings.  So a file stores the text and, in suffix
+mode, its suffix array, and load rebuilds the trie from them.  Layout,
+little-endian throughout:
 
 * a fixed header: magic, format version, engine tag, mode tag, sigma, n, s
   and the node count;
-* one column per node field, in node order: parent, sid, start, end, low,
-  high, leaf_id and the child count;
-* the children as two columns, characters then node ids, node by node and
-  sorted by character within a node;
-* the text lengths and the concatenated text codes;
+* the text lengths, then the concatenated text codes, each stored as c - 1
+  so that codes up to sigma = 2^16 fit two bytes;
+* in suffix mode, the suffix array: the leaf order, suffix positions by rank;
 * a CRC32 of every byte before it.
 
 A column is one code byte from `bBhHiIqQ` followed by its values packed
 with that struct code: the narrowest one that holds them.  Column lengths
-follow from the header and from earlier columns.  The leaf order is not
-stored: each leaf's rank is its `low`, so load derives it.  The per-node
-search payloads (dictionaries, predecessor structures) are deterministic
-functions of the stored fields and are rebuilt on load, so a round trip
-gives identical answers and identical bytes.
+follow from the header and from earlier columns.
 
 `load_index` checks the magic, then the version (VersionMismatchError),
-then the CRC, then every field's range before it builds anything; all of
-these raise InvalidInputError.  A child id out of range and two leaves on
-one rank raise CorruptTrieError, as `validate_intervals` does for the rest
-of the topology.
+then the CRC, the header fields, the columns' framing and every text
+code's range.  In suffix mode `sa.check_suffix_array` then proves the
+stored order is the text's suffix array, so no file can describe a wrong
+trie; in strings mode `text.build_string_trie` re-sorts the strings and
+rejects a repeated one.  All of these raise InvalidInputError.  The trie,
+its leaf-rank intervals and the per-node search payloads are rebuilt, so a
+round trip gives identical answers and identical bytes.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from __future__ import annotations
 import struct
 import zlib
 from itertools import islice
-from operator import gt
 
-from .errors import CorruptTrieError, InvalidInputError
+from . import sa, text
+from .errors import DuplicateKeyError, InvalidInputError
 from .static_index import StaticTrieIndex, SuffixTrayIndex
-from .text import CompactedTrie, Node, Text
 
 MAGIC = b"TKIX"
-VERSION = 2
+VERSION = 3
 SIGMA_LIMIT = 1 << 32  # an index file holds a sigma in [1, SIGMA_LIMIT)
 
 # magic, version, engine, mode, sigma, n, s, node count
@@ -55,17 +55,14 @@ class VersionMismatchError(InvalidInputError):
     pass
 
 
-def _column(values, lo: int, hi: int) -> list[bytes]:
-    """The code byte and the values packed with the narrowest code that holds
-    [lo, hi].  A value outside [lo, hi] moves them to the next code that
-    holds it."""
-    k = len(values)
+def _column(values: list[int]) -> list[bytes]:
+    """The code byte and the values packed with the narrowest code that
+    holds them all."""
+    lo = min(values, default=0)
+    hi = max(values, default=0)
     for code, (c_lo, c_hi) in _CODES.items():
         if c_lo <= lo and hi <= c_hi:
-            try:
-                return [code.encode(), struct.pack(f"<{k}{code}", *values)]
-            except struct.error:
-                continue
+            return [code.encode(), struct.pack(f"<{len(values)}{code}", *values)]
     raise InvalidInputError("index value outside 64 bits")
 
 
@@ -80,43 +77,15 @@ def dump_index(index) -> bytes:
     check_sigma(index.sigma)
     engine = 0 if isinstance(index, StaticTrieIndex) else 1
     suffix = index.mode == "suffix"
-    trie = index.trie
-    nodes = trie.nodes
-    sources = trie.sources
-    n = sources[0].n if suffix else len(sources)
-    n_nodes = len(nodes)
-    n_leaves = n + 1 if suffix else n
+    sources = index.trie.sources
     lens = [len(t.codes) for t in sources]
-    top = max(lens, default=0) + 1
-    codes = sources[0].codes if suffix else [c for t in sources for c in t.codes]
-
-    # one comprehension per field: no per-node tuple for the collector to track
-    counts = [len(nd.children) for nd in nodes]
-    chars = []
-    ids = []
-    for nd in nodes:
-        kids = nd.children
-        if kids:
-            keys = sorted(kids)
-            chars += keys
-            ids += map(kids.__getitem__, keys)
-
-    parts = [_HEAD.pack(MAGIC, VERSION, engine, 0 if suffix else 1,
-                        index.sigma, n, index.s, n_nodes)]
-    for values, lo, hi in (
-            ([nd.parent for nd in nodes], -1, n_nodes - 1),
-            ([nd.sid for nd in nodes], -1, len(sources) - 1),
-            ([nd.start for nd in nodes], 0, top),
-            ([nd.end for nd in nodes], 0, top),
-            ([nd.low for nd in nodes], 0, n_leaves - 1),
-            ([nd.high for nd in nodes], min(0, n_leaves - 1), n_leaves - 1),
-            ([nd.leaf_id for nd in nodes], -1, n_leaves - 1),
-            (counts, 0, max(counts)),
-            (chars, 0, max(chars, default=0)),
-            (ids, 1, n_nodes - 1),
-            (lens, 0, top - 1),
-            (codes, 1, max(codes, default=1))):
-        parts += _column(values, lo, hi)
+    parts = [_HEAD.pack(MAGIC, VERSION, engine, 0 if suffix else 1, index.sigma,
+                        sources[0].n if suffix else len(sources), index.s,
+                        len(index.trie.nodes))]
+    parts += _column(lens)
+    parts += _column([c - 1 for t in sources for c in t.codes])
+    if suffix:
+        parts += _column(index.leaf_order)
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -161,43 +130,33 @@ def load_index(blob: bytes):
     _, _, engine, mode_tag, sigma, n, s, n_nodes = _HEAD.unpack_from(blob)
     _check(engine <= 1 and mode_tag <= 1, "unknown engine or mode tag")
     _check(1 <= sigma < SIGMA_LIMIT and s >= 1, f"sigma {sigma} or s {s} out of range")
-    _check(n_nodes >= 1, "no root node")
     suffix = mode_tag == 0
-    n_texts = 1 if suffix else n
-    n_leaves = n + 1 if suffix else n
 
     r = _Reader(blob, end)
-    parent, sid, start, stop, low, high, leaf_id, counts = (r.column(n_nodes) for _ in range(8))
-    chars = r.column(sum(counts))
-    ids = r.column(len(chars))
-    lens = r.column(n_texts)
-    codes = r.column(sum(lens))
-    _check(r.off == end, f"trailing bytes after byte {r.off}")
-
+    lens = r.column(1 if suffix else n)
     _check(not suffix or lens == (n,), "n disagrees with the text")
-    _check(not codes or (min(codes) >= 1 and max(codes) <= sigma),
+    stored = r.column(sum(lens))
+    order = list(r.column(n + 1)) if suffix else None
+    _check(r.off == end, f"trailing bytes after byte {r.off}")
+    _check(not stored or (min(stored) >= 0 and max(stored) < sigma),
            f"text code outside [1, {sigma}]")
-    _check(not chars or (min(chars) >= 0 and max(chars) <= sigma),
-           f"child character outside [0, {sigma}]")
-    if ids and (min(ids) < 1 or max(ids) >= n_nodes):
-        raise CorruptTrieError("child id out of range")  # as validate_intervals
-    sids = sid[1:]
-    _check(not sids or (min(sids) >= 0 and max(sids) < n_texts), "source id out of range")
-    _check(min(start) >= 0 and not any(map(gt, start, stop)), "a label starts after its end")
-    limit = [ln + 1 for ln in lens]
-    _check(not any(map(gt, stop[1:], map(limit.__getitem__, sids))),
-           "a label ends past its text")
-    _check(min(leaf_id) >= -1 and max(leaf_id) < n_leaves and leaf_id[0] == -1,
-           "leaf id out of range, or the root is a leaf")
 
-    it = iter(codes)
-    trie = CompactedTrie(sources=[Text(islice(it, ln)) for ln in lens])
-    pairs = zip(chars, ids)
-    kids = [dict(islice(pairs, k)) if k else {} for k in counts]
-    trie.nodes = list(map(Node, parent, sid, start, stop, kids, low, high, leaf_id))
-    leaf_order = trie.leaf_order(n_leaves)
+    codes = [c + 1 for c in stored]
+    if suffix:
+        codes.append(text.SENTINEL)
+        sa.check_suffix_array(codes, order)
+        trie = sa.build_suffix_tree(sa.SuffixArrayIndex(order, sa._kasai(codes, order)),
+                                    text.Text(codes[:n]))
+    else:
+        it = iter(codes)
+        try:
+            trie, order = text.build_string_trie([text.Text(islice(it, ln)) for ln in lens])
+        except DuplicateKeyError as e:
+            raise InvalidInputError(f"corrupt index file: {e}") from None
+    # with this, every file that loads dumps back to the same bytes
+    _check(len(trie.nodes) == n_nodes, "node count disagrees with the rebuilt trie")
 
     mode = "suffix" if suffix else "strings"
     if engine == 0:
-        return StaticTrieIndex(trie, leaf_order, sigma, mode=mode, s=s)
-    return SuffixTrayIndex(trie, leaf_order, sigma, mode=mode)
+        return StaticTrieIndex(trie, order, sigma, mode=mode, s=s)
+    return SuffixTrayIndex(trie, order, sigma, mode=mode)

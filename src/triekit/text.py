@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AlphabetOverflowError, CorruptTrieError, DuplicateKeyError
+from .errors import AlphabetOverflowError, DuplicateKeyError
 from .instrument import GLOBAL
 
 SENTINEL = 0
@@ -267,20 +267,6 @@ class CompactedTrie:
         leaf = self.new_node(v, sid, depth, n + 1, leaf_id=sid)
         nodes[v].children[codes[depth] if depth < n else SENTINEL] = leaf
         return leaf, mid, attach
-
-    def leaf_order(self, n_leaves: int) -> list[int]:
-        """Leaf ids by rank: order[nd.low] = nd.leaf_id over the leaves.
-        Raises CorruptTrieError if a leaf's rank lies outside [0, n_leaves)
-        or two leaves share a rank, so no leaf, not even one unreachable
-        from the root, overwrites another's entry."""
-        order = [-1] * n_leaves
-        for nd in self.nodes:
-            if nd.leaf_id >= 0:
-                r = nd.low
-                if not 0 <= r < n_leaves or order[r] >= 0:
-                    raise CorruptTrieError(f"leaf rank {r} outside [0, {n_leaves}) or taken")
-                order[r] = nd.leaf_id
-        return order
 
     def topo_order(self) -> list[int]:
         """Node ids, parents before children."""

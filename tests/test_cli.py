@@ -9,6 +9,7 @@ import time
 import pytest
 
 from triekit import cli
+from triekit.errors import CorruptTrieError, InvalidInputError
 from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex
 from triekit.serialize import dump_index, load_index
@@ -103,49 +104,116 @@ def test_truncated_index_exits_5(banana_index, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (cut, err)
 
 
-@pytest.mark.parametrize("corrupt", ["leaf_interval", "child_id"])
-def test_corrupted_index_exits_5(corrupt, banana_index, tmp_path, capsys):
-    idx = load_index(banana_index.read_bytes())
-    nodes = idx.trie.nodes
-    leaf = next(v for v, nd in enumerate(nodes) if nd.leaf_id >= 0)
-    if corrupt == "leaf_interval":
-        nodes[leaf].low = nodes[leaf].high = 99
-    else:
-        c = next(c for c, ch in nodes[nodes[leaf].parent].children.items() if ch == leaf)
-        nodes[nodes[leaf].parent].children[c] = len(nodes)
+def _query_fails_cleanly(blob, tmp_path, capsys, patterns=b"a\n"):
+    """Query a damaged index file: exit 5, one error line, no report."""
     bad = tmp_path / "bad.tkix"
-    bad.write_bytes(dump_index(idx))
+    bad.write_bytes(blob)
     pats = tmp_path / "p.txt"
-    pats.write_bytes(b"a\n")
+    pats.write_bytes(patterns)
     code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)], capsys)
     assert (code, out) == (5, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("corrupt", ["leaf_interval", "text_code"])
+def test_corrupted_index_exits_5(corrupt, banana_index, tmp_path, capsys):
+    # dump_index seals the file with a valid CRC; the suffix-array check rejects it
+    idx = load_index(banana_index.read_bytes())
+    if corrupt == "leaf_interval":  # two leaves on each other's rank
+        order = idx.leaf_order
+        order[2], order[3] = order[3], order[2]
+    else:  # "banana" stored as "bananb"
+        idx.trie.sources[0].codes[-1] += 1
+    err = _query_fails_cleanly(dump_index(idx), tmp_path, capsys)
+    assert "suffix array puts" in err
 
 
 def test_negative_leaf_id_exits_5(banana_index, tmp_path, capsys):
+    # a suffix-mode file stores its leaf ids in rank order: the suffix array
     idx = load_index(banana_index.read_bytes())
-    leaf = next(nd for nd in idx.trie.nodes if nd.leaf_id >= 0)
-    leaf.leaf_id = -5
-    bad = tmp_path / "bad.tkix"
-    bad.write_bytes(dump_index(idx))
-    pats = tmp_path / "p.txt"
-    pats.write_bytes(b"a\nan\nnab\n")
-    code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)], capsys)
-    assert (code, out) == (5, "")
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "leaf id" in err
+    idx.leaf_order[0] = -5
+    err = _query_fails_cleanly(dump_index(idx), tmp_path, capsys, b"a\nan\nnab\n")
+    assert "suffix array entry outside" in err
 
 
-def test_format_1_index_exits_4(tmp_path, capsys):
-    # a format-1 header (magic, version, engine, mode, sigma, n, s) and one empty section
-    v1 = b"TKIX" + struct.pack("<IBBQQQ", 1, 0, 0, 256, 6, 2) + struct.pack("<BQ", 1, 0)
-    bad = tmp_path / "v1.tkix"
-    bad.write_bytes(v1)
+def test_string_stored_twice_exits_5(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"ant\nbee\ncow\n")
+    path = tmp_path / "w.tkix"
+    code, _, _ = run_cli(["build", "--input", str(words), "--mode", "strings",
+                          "--output", str(path)], capsys)
+    assert code == 0
+    idx = load_index(path.read_bytes())
+    idx.trie.sources[2].codes = list(idx.trie.sources[0].codes)  # "ant" twice
+    err = _query_fails_cleanly(dump_index(idx), tmp_path, capsys)
+    assert "stored twice" in err
+
+
+def _suffix_static(codes, sigma):
+    text = encode_text(codes, sigma)
+    tree = build_suffix_tree(build_suffix_array(text), text)
+    return StaticTrieIndex(tree, suffix_leaf_order(tree), sigma, mode="suffix")
+
+
+@pytest.mark.parametrize("sigma", [4, 2**16])
+def test_resealed_suffix_array_and_code_mutations(sigma, tmp_path, capsys):
+    # 200 files per text, each sealed with a valid CRC: 100 with two
+    # suffix-array entries swapped, which never load, and 100 with one text
+    # code changed, which load only as the index of the text they store
+    rng = random.Random(sigma)
+    codes = [rng.randint(1, sigma) for _ in range(300)]
+    blob = dump_index(_suffix_static(codes, sigma))
+    patterns = b"\x00\x01\n" if sigma <= 256 else b"1 2\n"
+    loaded_codes = 0
+    for kind in ["swap", "code"] * 100:
+        idx = load_index(blob)
+        if kind == "swap":
+            i, j = rng.sample(range(len(idx.leaf_order)), 2)
+            idx.leaf_order[i], idx.leaf_order[j] = idx.leaf_order[j], idx.leaf_order[i]
+        else:
+            stored = idx.trie.sources[0].codes
+            i = rng.randrange(len(stored))
+            c = rng.randint(1, sigma - 1)  # any code but the stored one
+            stored[i] = c if c < stored[i] else c + 1
+        bad = dump_index(idx)
+        try:
+            loaded = load_index(bad)
+        except (InvalidInputError, CorruptTrieError):
+            _query_fails_cleanly(bad, tmp_path, capsys, patterns)
+            continue
+        assert kind == "code"
+        loaded_codes += 1
+        stored = idx.trie.sources[0].codes  # the text the file stores
+        fresh = _suffix_static(stored, sigma)
+        pats = [stored[k:k + rng.randrange(0, 8)] + [rng.randint(1, sigma)]
+                for k in (rng.randrange(len(stored)) for _ in range(50))]
+        for p in pats + [stored[k:k + 6] for k in range(0, len(stored), 20)]:
+            assert loaded.prefix_query(p) == fresh.prefix_query(p), p
+            assert loaded.predecessor_query(p) == fresh.predecessor_query(p), p
+    assert loaded_codes < 100
+
+
+def _old_format_exits_4(version, tmp_path, capsys):
+    # a format-1 header (magic, version, engine, mode, sigma, n, s) and one
+    # empty section, or a format-2 header (the same and a node count)
+    head = struct.pack("<IBBQQQ", version, 0, 0, 256, 6, 2)
+    old = b"TKIX" + head + (struct.pack("<BQ", 1, 0) if version == 1 else struct.pack("<Q", 1))
+    bad = tmp_path / "old.tkix"
+    bad.write_bytes(old)
     pats = tmp_path / "p.txt"
     pats.write_bytes(b"a\n")
     code, out, err = run_cli(["query", "--index", str(bad), "--patterns", str(pats)], capsys)
     assert (code, out) == (4, "")
-    assert "version 1" in err and "rebuild" in err
+    assert f"version {version}" in err and "rebuild" in err
+
+
+def test_format_1_index_exits_4(tmp_path, capsys):
+    _old_format_exits_4(1, tmp_path, capsys)
+
+
+def test_format_2_index_exits_4(tmp_path, capsys):
+    _old_format_exits_4(2, tmp_path, capsys)
 
 
 def test_build_missing_input_is_io_error(tmp_path, capsys):
@@ -183,6 +251,26 @@ def test_strings_mode_build_and_predecessor(tmp_path, capsys):
                             "--mode", "predecessor"], capsys)
     row = out.strip().split("\n")[1].split("\t")
     assert row[1] == "PRED_FOUND" and row[2] == "0"  # "ant" has rank 0
+
+
+def test_strings_mode_drops_blank_and_repeated_lines(tmp_path, capsys):
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"\nb\nbe\nco\ncow\nx\n")
+    reports = []
+    for name, data in (("messy", b"bee\nant\n\ncow\nbee\nbat\n"),
+                       ("clean", b"bee\nant\ncow\nbat\n")):
+        words = tmp_path / f"{name}.txt"
+        words.write_bytes(data)
+        path = tmp_path / f"{name}.tkix"
+        code, out, _ = run_cli(["build", "--input", str(words), "--mode", "strings",
+                                "--output", str(path)], capsys)
+        assert code == 0 and "leaves=4" in out  # the distinct non-empty lines
+        for mode in ("prefix", "predecessor", "enumerate"):
+            code, out, _ = run_cli(["query", "--index", str(path), "--patterns", str(pats),
+                                    "--mode", mode], capsys)
+            assert code == 0
+            reports.append(out)
+    assert reports[:3] == reports[3:]
 
 
 @pytest.mark.parametrize("mode, source", [

@@ -20,7 +20,7 @@ from triekit.static_index import (
     SuffixTrayIndex,
     heavy_threshold,
 )
-from triekit.text import Node, Text, build_string_trie, encode_text
+from triekit.text import Text, build_string_trie, encode_text
 
 from oracles import (brute_suffix_array, label_codes, occurrences,
                      longest_matchable_prefix, string_predecessor)
@@ -124,17 +124,19 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def _blob_with_child(raw: bytes, target):
-    """Index blob of `raw` whose first non-root internal node has one child
-    pointer replaced by target(trie)."""
+def _trie_with_child(raw: bytes, target):
+    """Suffix tree of `raw` and its leaf order, the tree's first non-root
+    internal node having one child pointer replaced by target(trie)."""
     idx, _ = suffix_index(raw)
     nodes = idx.trie.nodes
     v = next(v for v, nd in enumerate(nodes) if v and nd.children)
     c = next(iter(nodes[v].children))
     nodes[v].children[c] = target(idx.trie)
-    return dump_index(idx)
+    return idx.trie, idx.leaf_order
 
 
+# an index file stores no node or child field: the engine constructors'
+# validate_intervals is what rejects a damaged in-memory trie
 @pytest.mark.parametrize("target", [
     lambda trie: trie.ROOT,                                   # a cycle
     lambda trie: len(trie.nodes),                             # one past the end
@@ -142,9 +144,10 @@ def _blob_with_child(raw: bytes, target):
     lambda trie: next(iter(trie.nodes[trie.ROOT].children.values())),  # shared
 ], ids=["root", "n_nodes", "far", "shared"])
 def test_bad_child_id_rejected(target):
-    blob = _blob_with_child(b"banana", target)
-    with time_limit(2), pytest.raises(CorruptTrieError):
-        load_index(blob)
+    trie, order = _trie_with_child(b"banana", target)
+    for engine in (StaticTrieIndex, SuffixTrayIndex):
+        with time_limit(2), pytest.raises(CorruptTrieError):
+            engine(trie, order, 256, mode="suffix")
 
 
 def test_bad_parent_field_rejected():
@@ -153,15 +156,7 @@ def test_bad_parent_field_rejected():
     leaf = next(v for v, nd in enumerate(nodes) if nd.leaf_id >= 0 and nd.parent != 0)
     nodes[leaf].parent = 0
     with pytest.raises(CorruptTrieError):
-        load_index(dump_index(idx))
-
-
-def test_unreachable_leaf_rejected():
-    # a leaf no child pointer reaches, on the rank of a reachable leaf
-    idx, _ = suffix_index(b"abracadabra")
-    idx.trie.nodes.append(Node(parent=0, sid=0, start=11, end=12, low=0, high=0, leaf_id=5))
-    with pytest.raises(CorruptTrieError):
-        load_index(dump_index(idx))
+        StaticTrieIndex(idx.trie, idx.leaf_order, 256, mode="suffix")
 
 
 def test_single_byte_corruptions_load_or_raise_triekit_error():
@@ -213,18 +208,13 @@ def _dump_sealed(idx) -> bytes:
     return _reseal(blob[:at] + struct.pack("<Q", sigma) + blob[at + 8:-4])
 
 
-def _inner(idx):
-    """The first non-root internal node."""
-    return next(nd for v, nd in enumerate(idx.trie.nodes) if v and nd.children)
+def _swap(order, i, j):
+    order[i], order[j] = order[j], order[i]
 
 
-def _leaf(idx):
-    return next(nd for nd in idx.trie.nodes if nd.leaf_id >= 0)
-
-
-def _move_child(idx, c):
-    kids = _inner(idx).children
-    kids[c] = kids.pop(max(kids))
+def _repeat_string(idx):
+    """Store string 0 a second time, in place of string 1."""
+    idx.trie.sources[1].codes = list(idx.trie.sources[0].codes)
 
 
 # name -> (mode, in-memory mutation, the message of the check that rejects it)
@@ -238,22 +228,18 @@ FIELD_CORRUPTIONS = {
                   "text code"),
     "code_above_sigma": ("strings", lambda idx: idx.trie.sources[0].codes.__setitem__(
         0, idx.sigma + 1), "text code"),
-    "char_negative": ("suffix", lambda idx: _move_child(idx, -1), "child character"),
-    "char_above_sigma": ("strings", lambda idx: _move_child(idx, idx.sigma + 1),
-                         "child character"),
-    "sid_negative": ("strings", lambda idx: setattr(_inner(idx), "sid", -1), "source id"),
-    "sid_past_texts": ("strings", lambda idx: setattr(_inner(idx), "sid",
-                                                      len(idx.trie.sources)), "source id"),
-    "start_after_end": ("suffix", lambda idx: setattr(_inner(idx), "start",
-                                                      _inner(idx).end + 1), "starts"),
-    "start_negative": ("suffix", lambda idx: setattr(_inner(idx), "start", -3), "starts"),
-    "end_past_text": ("suffix", lambda idx: setattr(_inner(idx), "end",
-                                                    idx.trie.sources[0].n + 2), "ends past"),
-    "leaf_id_minus_5": ("suffix", lambda idx: setattr(_leaf(idx), "leaf_id", -5), "leaf id"),
-    "leaf_id_past_n": ("suffix", lambda idx: setattr(_leaf(idx), "leaf_id",
-                                                     idx.trie.sources[0].n + 1), "leaf id"),
-    "leaf_id_past_texts": ("strings", lambda idx: setattr(_leaf(idx), "leaf_id",
-                                                          len(idx.trie.sources)), "leaf id"),
+    # a suffix-mode file stores the leaf ids in rank order: the suffix array
+    "leaf_id_minus_5": ("suffix", lambda idx: idx.leaf_order.__setitem__(0, -5),
+                        "outside"),
+    "leaf_id_past_n": ("suffix", lambda idx: idx.leaf_order.__setitem__(
+        3, idx.trie.sources[0].n + 1), "outside"),
+    "leaf_id_twice": ("suffix", lambda idx: idx.leaf_order.__setitem__(
+        4, idx.leaf_order[5]), "not a permutation"),
+    "leaves_swapped": ("suffix", lambda idx: _swap(idx.leaf_order, 4, 5), "puts suffix"),
+    "sentinel_not_first": ("suffix", lambda idx: _swap(idx.leaf_order, 0, 11),
+                           "puts suffix"),
+    "string_twice": ("strings", _repeat_string, "stored twice"),
+    "node_count": ("suffix", lambda idx: idx.trie.nodes.pop(), "node count"),
 }
 
 
@@ -278,7 +264,7 @@ def test_field_out_of_range_rejected(case):
 def test_column_framing_rejected(case):
     blob = dump_index(suffix_index(b"abracadabra")[0])
     body = blob[:-4]
-    first = len(MAGIC) + 4 + 2 + 4 * 8   # the header; the parent column's code byte follows
+    first = len(MAGIC) + 4 + 2 + 4 * 8   # the header; the lengths column's code byte follows
     if case == "unknown_code":
         body = body[:first] + b"x" + body[first + 1:]
         message = "column code"
@@ -331,30 +317,22 @@ def test_raw_byte_damage_raises_or_answers_identically(kind, data):
         assert _answers(idx) == _abra_answers()
 
 
-NODE_FIELDS = ["parent", "sid", "start", "end", "low", "high", "leaf_id"]
-
-
-@given(st.sampled_from(["node", "child_char", "child_id", "code", "header"]),
+@given(st.sampled_from(["order_swap", "order_value", "code", "header"]),
        st.integers(0, 10**6),
-       st.sampled_from(NODE_FIELDS + ["sigma", "s"]),
+       st.sampled_from(["sigma", "s"]),
        st.one_of(st.integers(-3, 30), st.sampled_from([2**15, 2**31 - 1, 2**40])))
 @settings(derandomize=True, max_examples=400, deadline=None)
 def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, value):
     idx = load_index(_abra_blob())
-    trie = idx.trie
-    nd = trie.nodes[pick % len(trie.nodes)]
-    if where == "node" and field in NODE_FIELDS:
-        setattr(nd, field, value)
-    elif where == "child_char" and nd.children:
-        kids = nd.children
-        kids[value] = kids.pop(sorted(kids)[pick % len(kids)])
-    elif where == "child_id" and nd.children:
-        kids = nd.children
-        kids[sorted(kids)[pick % len(kids)]] = value
+    order = idx.leaf_order
+    if where == "order_swap":
+        _swap(order, pick % len(order), value % len(order))
+    elif where == "order_value":
+        order[pick % len(order)] = value
     elif where == "code":
-        codes = trie.sources[0].codes
+        codes = idx.trie.sources[0].codes
         codes[pick % len(codes)] = value
-    elif where == "header" and field in ("sigma", "s"):
+    else:
         setattr(idx, field, abs(value))  # the header holds unsigned fields
     blob = _dump_sealed(idx)
     try:
@@ -369,6 +347,17 @@ def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, 
                     query(p)
                 except TriekitError:
                     pass
+
+
+def test_code_sigma_2_16_keeps_two_byte_columns():
+    # codes are stored as c - 1, so the top code of sigma = 2^16 fits two bytes
+    rng = random.Random(16)
+    codes = [rng.randint(1, 2**16 - 1) for _ in range(300)]
+    sizes = []
+    for top in (2**16, 2**16 - 1):
+        idx, _ = suffix_index(codes[:150] + [top] + codes[150:], sigma=2**16)
+        sizes.append(len(dump_index(idx)))
+    assert sizes[0] == sizes[1]
 
 
 def test_predecessor_examples():

@@ -4,11 +4,12 @@ The trie is split into a heavy top (nodes with more than sigma/2 leaves,
 always containing the root) and light small trees hanging off it.  Each node
 keeps one child step, the lookup `search` makes at it in the shared walk
 `CompactedTrie.descend`.  A heavy node steps by a size-(sigma + 1)
-`ChildArray` over all children when sigma + 1 <= 64 (then every heavy node
-has one: at most 2n nodes, so at most 128n cells), when it has two or more
-heavy children (at most 2n/sigma nodes), and at the root once
-64 * occ[root] >= sigma + 1, occ[root] being the number of stored strings;
-above 64 cells the arrays hold at most 64n + 1 + (sigma + 1) * 2n/sigma
+`ChildArray` over all children when sigma + 1 <= A, A being `ARRAY_CELLS`,
+the small-alphabet rule the static engine shares (then every heavy node has
+one: at most 2n nodes, so at most 2An cells), when it has two or more heavy
+children (at most 2n/sigma nodes), and at the root once
+A * occ[root] >= sigma + 1, occ[root] being the number of stored strings;
+above A cells the arrays hold at most An + 1 + (sigma + 1) * 2n/sigma
 cells, so O(n) for every sigma.  Any other heavy node steps by a
 `_HeavyPointer`: a heavy-child pointer, then a wexponential-tree predecessor
 (`DynamicPredecessor`), as in the paper.  The step's `pred` is the node's
@@ -51,18 +52,14 @@ from math import isqrt
 from .errors import DuplicateKeyError
 from .instrument import GLOBAL
 from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor
-from .text import SENTINEL, ChildArray, CompactedTrie, MatchResult, Outcome, Text, check_codes
+from .text import (ARRAY_CELLS, SENTINEL, ChildArray, CompactedTrie, MatchResult, Outcome, Text,
+                   check_codes)
 from .wexp import WexpTree, audit_wexp, capacity
 
 
 # Below 2*f(2) keys a dynamic predecessor is one linear scan (a wexp base
 # container), so `_ascend` scans a heavy node's children itself.
 _PRED_MIN_KIDS = 2 * capacity(2)
-
-# A sigma+1 child array of at most this many cells is O(1) space, so at
-# such a sigma every heavy node keeps one; at any sigma the root gets its
-# array once it costs at most this many cells per stored string.
-_ARRAY_CELLS = 64
 
 
 def _ceil_sqrt(w: int) -> int:
@@ -214,8 +211,8 @@ class DynTrieIndex:
     def _has_array(self, v, n_heavy_kids) -> bool:
         """Whether heavy node v keeps a sigma+1 array over all its children."""
         cells = self.sigma + 1
-        return cells <= _ARRAY_CELLS or n_heavy_kids >= 2 or (
-            v == self.trie.ROOT and _ARRAY_CELLS * self.occ[v] >= cells)
+        return cells <= ARRAY_CELLS or n_heavy_kids >= 2 or (
+            v == self.trie.ROOT and ARRAY_CELLS * self.occ[v] >= cells)
 
     def _set_heavy_child_links(self, v):
         """Give heavy node v an array (with bit words at sigma + 1 >= 8), or

@@ -9,7 +9,8 @@ from dataclasses import dataclass, fields
 
 @dataclass
 class ProbeCounters:
-    dict_probes: int = 0            # dictionary lookups, and level-0 children-map reads
+    dict_probes: int = 0            # dictionary lookups, static child-array reads and
+                                    # level-0 children-map reads
     dict_cell_probes: int = 0       # table cells (level-0 map entries) read by lookups
     static_pred_probes: int = 0     # elementary probes inside static predecessor queries
     static_pred_queries: int = 0    # static predecessor query calls

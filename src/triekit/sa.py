@@ -131,17 +131,24 @@ def build_suffix_array(text: Text) -> SuffixArrayIndex:
     codes = list(map(rank.__getitem__, text.codes))
     codes.append(rank[SENTINEL])
     sa = _sais(codes, len(rank))
-    lcp = _kasai(codes, sa)
+    lcp = _kasai(codes, sa, _ranks(sa))
     return SuffixArrayIndex(sa=sa, lcp=lcp)
 
 
-def _kasai(codes: list[int], sa: list[int]) -> list[int]:
+def _ranks(sa: list[int]) -> list[int]:
+    """The inverse of `sa`, whose entries lie in [0, len(sa)): rank[p] is the
+    index of p in `sa`, or -1 where no entry is p."""
+    rank = [-1] * len(sa)
+    for i, p in enumerate(sa):
+        rank[p] = i
+    return rank
+
+
+def _kasai(codes: list[int], sa: list[int], rank: list[int]) -> list[int]:
+    """LCP array of the suffix array `sa` with its inverse `rank`."""
     # codes[-1] is a unique smallest sentinel: two distinct suffixes differ
     # at or before it, so every compare stops inside the text
     n = len(codes)
-    rank = [0] * n
-    for i, p in enumerate(sa):
-        rank[p] = i
     lcp = [0] * n
     h = 0
     for p in range(n):
@@ -158,9 +165,10 @@ def _kasai(codes: list[int], sa: list[int]) -> list[int]:
     return lcp
 
 
-def check_suffix_array(codes: list[int], sa: list[int]):
-    """Raise InvalidInputError unless `sa` is the suffix array of `codes`,
-    whose last entry is a unique smallest sentinel.  It is when `sa` is a
+def check_suffix_array(codes: list[int], sa: list[int]) -> list[int]:
+    """Check that `sa` is the suffix array of `codes`, whose last entry is a
+    unique smallest sentinel, and return its inverse, the rank array
+    `_kasai` takes; raise InvalidInputError if it is not.  It is when `sa` is a
     permutation of the positions in which every two adjacent ranks p, q have
     codes[p] < codes[q], or equal codes and rank[p + 1] < rank[q + 1]
     (Burkhardt and Kärkkäinen, CPM 2003); equal codes are not the sentinel,
@@ -168,9 +176,7 @@ def check_suffix_array(codes: list[int], sa: list[int]):
     n = len(codes)
     if len(sa) != n or min(sa) < 0 or max(sa) >= n:
         raise InvalidInputError("suffix array entry outside [0, n]")
-    rank = [-1] * n
-    for i, p in enumerate(sa):
-        rank[p] = i
+    rank = _ranks(sa)
     if -1 in rank:  # n entries in range leave a rank unset iff two are equal
         raise InvalidInputError("the suffix array is not a permutation")
     for p, q in zip(sa, islice(sa, 1, None)):
@@ -178,6 +184,7 @@ def check_suffix_array(codes: list[int], sa: list[int]):
         b = codes[q]
         if a > b or (a == b and rank[p + 1] > rank[q + 1]):
             raise InvalidInputError(f"the suffix array puts suffix {p} before {q}")
+    return rank
 
 
 def build_suffix_tree(sa_index: SuffixArrayIndex, text: Text) -> CompactedTrie:

@@ -144,8 +144,8 @@ def load_index(blob: bytes):
     codes = [c + 1 for c in stored]
     if suffix:
         codes.append(text.SENTINEL)
-        sa.check_suffix_array(codes, order)
-        trie = sa.build_suffix_tree(sa.SuffixArrayIndex(order, sa._kasai(codes, order)),
+        rank = sa.check_suffix_array(codes, order)
+        trie = sa.build_suffix_tree(sa.SuffixArrayIndex(order, sa._kasai(codes, order, rank)),
                                     text.Text(codes[:n]))
     else:
         it = iter(codes)

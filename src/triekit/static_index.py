@@ -10,11 +10,16 @@ over the ranks after the first.
 
 * StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); the step
   is one lookup in a deterministic dictionary over the node's child
-  characters.  Only a predecessor query whose lookup missed asks the node's
-  static predecessor; every other rank is read off where the walk stopped.
+  characters, or, when sigma + 1 <= `ARRAY_CELLS` (the dynamic engine's
+  rule too), one read of a size-(sigma + 1) `ChildArray`.  Either is O(1),
+  and an array costs at most `ARRAY_CELLS` cells per heavy node.  Only a
+  predecessor query whose lookup missed asks the node's static predecessor;
+  every other rank is read off where the walk stopped.
 
-* SuffixTrayIndex: threshold sigma; a size-sigma child array at branching
-  heavy nodes, a heavy pointer and child binary search at the rest.
+* SuffixTrayIndex: threshold sigma; a size-(sigma + 1) child array at
+  branching heavy nodes, a heavy pointer and child binary search at the
+  rest.  This is the suffix tray's own rule at every sigma; it does not
+  read `ARRAY_CELLS`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 from .errors import CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import ChildArray, CompactedTrie, MatchResult, Outcome, check_codes
+from .text import ARRAY_CELLS, ChildArray, CompactedTrie, MatchResult, Outcome, check_codes
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -212,12 +217,14 @@ class _IndexBase:
 
 
 class StaticTrieIndex(_IndexBase):
-    """Heavy/light static index with deterministic dictionaries."""
+    """Heavy/light static index with deterministic dictionaries, or child
+    arrays at sigma + 1 <= ARRAY_CELLS."""
 
     def __init__(self, trie, leaf_order, sigma, mode, s=None):
         super().__init__(trie, leaf_order, sigma, mode,
                          heavy_threshold(sigma) if s is None else s)
         u = sigma + 1  # edge characters live in [0, sigma]
+        arrays = u <= ARRAY_CELLS
         self.child_step = [None] * len(trie.nodes)
         self.child_pred: dict[int, StaticPredecessor] = {}
         # a StaticPredecessor is immutable and a function of its keys and u
@@ -226,7 +233,8 @@ class StaticTrieIndex(_IndexBase):
         for v, nd in enumerate(trie.nodes):
             kids = nd.children
             if self.heavy[v]:
-                self.child_step[v] = DetDictionary(kids.items())
+                self.child_step[v] = (ChildArray(u, kids) if arrays
+                                      else DetDictionary(kids.items()))
                 keys = tuple(sorted(kids))
                 pred = shared.get(keys)
                 if pred is None:

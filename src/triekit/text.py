@@ -125,6 +125,13 @@ class Node:
         return self.end - self.start
 
 
+# A sigma+1 child array of at most this many cells is O(1) space, so at such
+# a sigma every heavy node of the static and dynamic engines keeps one; the
+# dynamic root also gets its array once it costs at most this many cells per
+# stored string.
+ARRAY_CELLS = 64
+
+
 class ChildArray(list):
     """Size-(sigma + 1) child array, a child step of `CompactedTrie.descend`:
     cell c holds the child on the edge starting with c, or None.  `pred` is

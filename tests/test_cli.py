@@ -476,6 +476,17 @@ def test_bench_deterministic(run_in_checkout):
     assert compared and int(compared[1]) > 0  # the static side measured something
 
 
+def test_bench_static_pred_probes_stay_below_tray_steps_at_sigma_4(capsys):
+    # the tray keeps its own array rule, so at sigma = 4 its non-branching
+    # heavy nodes still binary-search their children
+    code, out, _ = run_cli(["bench", "--n", "3000", "--sigma", "4",
+                            "--engines", "static,tray", "--queries", "300"], capsys)
+    assert code == 0
+    line = out.splitlines()[-1]
+    compared = re.fullmatch(r"static_pred_probes<=tray_bsearch_steps: (\d+)<=(\d+) pass", line)
+    assert compared and int(compared[2]) > 0, line
+
+
 def test_bench_unknown_engine(capsys):
     code, _, err = run_cli(["bench", "--n", "10", "--sigma", "4",
                             "--engines", "warp"], capsys)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from triekit.errors import (AlphabetOverflowError, CorruptTrieError, InvalidInputError,
                             TriekitError)
 from triekit.instrument import GLOBAL
-from triekit.predkit import StaticPredecessor
+from triekit.predkit import DetDictionary, StaticPredecessor
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.serialize import MAGIC, VersionMismatchError, dump_index, load_index
 from triekit.static_index import (
@@ -20,7 +20,7 @@ from triekit.static_index import (
     SuffixTrayIndex,
     heavy_threshold,
 )
-from triekit.text import Text, build_string_trie, encode_text
+from triekit.text import ARRAY_CELLS, ChildArray, Text, build_string_trie, encode_text
 
 from oracles import (brute_suffix_array, label_codes, occurrences,
                      longest_matchable_prefix, string_predecessor)
@@ -613,6 +613,39 @@ def test_one_static_pred_query_strings_mode():
                 for w in rng.sample(words, 300)]
     patterns += [[rng.randint(1, sigma) for _ in range(rng.randrange(0, 6))]
                  for _ in range(300)]
+    assert _one_static_pred_query_each(idx, keys, patterns) > 0
+
+
+@pytest.mark.parametrize("sigma, step_type", [(63, ChildArray), (64, DetDictionary)])
+def test_heavy_step_array_boundary(sigma, step_type):
+    # edge characters are 0..sigma: sigma = 63 fills exactly ARRAY_CELLS = 64
+    # array cells, and sigma = 64 would need 65, so its heavy nodes keep
+    # deterministic dictionaries
+    assert ARRAY_CELLS == 64
+    rng = random.Random(sigma)
+    unit = [rng.randint(1, sigma) for _ in range(12)]
+    codes = unit * 12 + [rng.randint(1, sigma) for _ in range(600)] + [sigma, 1, sigma]
+    idx, text = suffix_index(codes, sigma, "static")
+    heavy = [v for v, h in enumerate(idx.heavy) if h]
+    assert len(heavy) > 10
+    for v in heavy:
+        step = idx.child_step[v]
+        assert type(step) is step_type, v
+        assert step_type is not ChildArray or len(step) == ARRAY_CELLS
+    suffixes = [codes[i:] + [0] for i in range(len(codes) + 1)]
+    patterns = [codes[i:i + rng.randrange(0, 16)] for i in range(0, len(codes), 3)]
+    patterns += [p + [c] for p in patterns[::4] for c in (1, sigma, rng.randint(1, sigma))]
+    patterns += [[rng.randint(1, sigma) for _ in range(rng.randrange(0, 4))]
+                 for _ in range(200)]
+    for p in patterns:
+        occ = occurrences(text.codes, p)
+        res = idx.prefix_query(p)
+        assert res.matched == bool(occ), p
+        if occ:
+            assert sorted(idx.enumerate(res.interval)) == occ, p
+        else:
+            assert res.matched_len == longest_matchable_prefix(suffixes, p), p
+    keys = _SortedSuffixes(codes, idx.leaf_order)
     assert _one_static_pred_query_each(idx, keys, patterns) > 0
 
 

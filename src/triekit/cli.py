@@ -24,7 +24,7 @@ from .sa import build_suffix_array, build_suffix_tree
 from .serialize import VersionMismatchError, check_sigma, dump_index, load_index
 from .static_index import StaticTrieIndex, SuffixTrayIndex
 from .suffix_oracle import OnlineSuffixTree
-from .text import Text, build_string_trie, check_codes, encode_text
+from .text import SENTINEL, Text, build_string_trie, check_codes, encode_text
 
 EXIT_IO = 2
 EXIT_ALPHABET = 3
@@ -62,7 +62,7 @@ def _read_file(path: str) -> bytes:
 
 def suffix_leaf_order(tree) -> list[int]:
     """Suffix positions by rank; a suffix tree has one leaf per position."""
-    order = [0] * (tree.sources[0].n + 1)
+    order = [0] * len(tree.sources[0])
     for nd in tree.nodes:
         if nd.leaf_id >= 0:
             order[nd.low] = nd.leaf_id
@@ -75,18 +75,13 @@ def _build_index(data: bytes, sigma: int, mode: str, engine: str):
         tree = build_suffix_tree(build_suffix_array(text), text)
         order = suffix_leaf_order(tree)
     else:
-        seen = set()
-        texts = []
+        strings = {}  # distinct non-empty lines, in input order
         for line in data.split(b"\n"):
-            if not line:
-                continue
-            codes = tuple(_decode_symbols(line, sigma))
-            if codes not in seen:
-                seen.add(codes)
-                texts.append(Text(list(codes)))
-        for t in texts:
-            check_codes(t.codes, sigma)
-        tree, order = build_string_trie(texts)
+            if line:
+                strings.setdefault(tuple(_decode_symbols(line, sigma)))
+        for codes in strings:
+            check_codes(codes, sigma)
+        tree, order = build_string_trie([[*codes, SENTINEL] for codes in strings])
     if engine == "static":
         return StaticTrieIndex(tree, order, sigma, mode=mode)
     return SuffixTrayIndex(tree, order, sigma, mode=mode)
@@ -289,13 +284,14 @@ def cmd_prepend_stream(args) -> int:
     return 0
 
 
-def _sa_baseline_query(text: Text, sa: list[int], pattern: list[int]):
-    """Plain suffix-array binary search, the bench baseline."""
+def _sa_baseline_query(codes: list[int], sa: list[int], pattern: list[int]):
+    """Plain suffix-array binary search over `codes`, which ends in SENTINEL,
+    the bench baseline."""
 
     def cmp(pos):
         for k, pc in enumerate(pattern):
             GLOBAL.chars_compared += 1
-            tc = text.at(pos + k)
+            tc = codes[pos + k]
             if tc != pc:
                 return -1 if tc < pc else 1
         return 0
@@ -366,8 +362,9 @@ def cmd_bench(args) -> int:
         if engine == "sa":
             build_t = time.perf_counter() - t0
             t0 = time.perf_counter()
+            codes = [*text_codes, SENTINEL]
             for p in patterns:
-                hit = _sa_baseline_query(text, sa_index.sa, p)
+                hit = _sa_baseline_query(codes, sa_index.sa, p)
                 checksum = (checksum * 31 + (hit[1] - hit[0] + 1 if hit else 0)) % (1 << 61)
         elif engine == "dynamic":
             idx = DynTrieIndex(sigma=args.sigma)

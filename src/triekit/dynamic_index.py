@@ -52,8 +52,8 @@ from math import isqrt
 from .errors import DuplicateKeyError
 from .instrument import GLOBAL
 from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor
-from .text import (ARRAY_CELLS, SENTINEL, ChildArray, CompactedTrie, MatchResult, Outcome, Text,
-                   check_codes)
+from .text import (ARRAY_CELLS, MATCHED_AT_NODE, MATCHED_ON_EDGE, NOT_FOUND, SENTINEL, ChildArray,
+                   CompactedTrie, MatchResult, check_codes)
 from .wexp import WexpTree, audit_wexp, capacity
 
 
@@ -167,7 +167,8 @@ class DynTrieIndex:
             self.occ.append(0)
 
     def _edge_char(self, v) -> int:
-        return self.trie.label_char(v, 0)
+        nd = self.trie.nodes[v]
+        return self.trie.sources[nd.sid][nd.start]
 
     def _rebuild_same_dict(self, v):
         """Dictionary over v's same-level children; a level-0 node keeps none."""
@@ -243,12 +244,15 @@ class DynTrieIndex:
 
     # --------------------------------------------------------------- insert
 
-    def insert(self, codes: list[int]):
-        """Insert one string (sentinel-terminated implicitly)."""
+    def insert(self, codes):
+        """Insert one string, given as any iterable of codes; it is stored
+        as a list that ends in SENTINEL."""
+        codes = list(codes)
         check_codes(codes, self.sigma)
-        sid = self.trie.add_source(Text(codes))
+        codes.append(SENTINEL)
+        self.trie.sources.append(codes)
         try:
-            leaf, mid, attach = self.trie.insert_path(sid)
+            leaf, mid, attach = self.trie.insert_path(len(self.trie.sources) - 1)
         except DuplicateKeyError:
             self.trie.sources.pop()  # insert_path raises before touching a node
             raise
@@ -467,11 +471,11 @@ class DynTrieIndex:
         check_codes(pattern, self.sigma)
         trie = self.trie
         if self.occ[trie.ROOT] == 0:
-            return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0)
+            return MatchResult(NOT_FOUND, trie.ROOT, 0, None, 0)
         v, offset, matched, _ = trie.descend(self.child_step, pattern)
         if matched < len(pattern):
-            return MatchResult(Outcome.NOT_FOUND, v, offset, None, matched)
-        out = Outcome.MATCHED_ON_EDGE if offset else Outcome.MATCHED_AT_NODE
+            return MatchResult(NOT_FOUND, v, offset, None, matched)
+        out = MATCHED_ON_EDGE if offset else MATCHED_AT_NODE
         return MatchResult(out, v, offset, (0, self.occ[v] - 1), matched)
 
     def enumerate_match(self, res: MatchResult) -> list[int]:
@@ -497,16 +501,16 @@ class DynTrieIndex:
         """String id of the largest stored string <= pattern, or None."""
         check_codes(pattern, self.sigma)
         trie = self.trie
-        v, child, k, depth = trie.locate(pattern)
-        m = len(pattern)
+        codes = [*pattern, SENTINEL]
+        v, child, k, depth = trie.locate(codes)
         if child is None:
-            return self._ascend(v, pattern[depth] if depth < m else SENTINEL)
-        d = depth + k
-        if d > m:
-            return trie.nodes[child].leaf_id  # the pattern is stored
-        if (pattern[d] if d < m else SENTINEL) > trie.label_char(child, k):
+            return self._ascend(v, codes[depth])
+        nd = trie.nodes[child]
+        if depth + k == len(codes):
+            return nd.leaf_id  # the pattern is stored
+        if codes[depth + k] > trie.sources[nd.sid][nd.start + k]:
             return self._rightmost(child)
-        return self._ascend(v, pattern[depth])
+        return self._ascend(v, codes[depth])
 
     def _ascend(self, v, below_char):
         """Rightmost leaf preceding the subtrees at or above (v, below_char)."""
@@ -533,7 +537,8 @@ class DynTrieIndex:
         return trie.nodes[v].leaf_id
 
     def string_codes(self, sid: int) -> list[int]:
-        return self.trie.sources[sid].codes
+        """The codes of stored string `sid`, without its sentinel."""
+        return self.trie.sources[sid][:-1]
 
     # ----------------------------------------------------------------- audit
 
@@ -555,9 +560,8 @@ class DynTrieIndex:
                 if len(nd.children) < 2:
                     raise AssertionError("compactedness violated")
             for c, ch in nd.children.items():
-                if trie.label_char(ch, 0) != c:
-                    raise AssertionError
-                if trie.nodes[ch].parent != v:
+                kid = trie.nodes[ch]
+                if trie.sources[kid.sid][kid.start] != c or kid.parent != v:
                     raise AssertionError
             if self.heavy[v]:
                 if not (v == trie.ROOT or counts[v] > self.sigma / 2):

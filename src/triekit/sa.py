@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .errors import InvalidInputError
-from .text import SENTINEL, CompactedTrie, Text, build_sorted_trie
+from .text import SENTINEL, CompactedTrie, Text, build_sorted_trie, terminated
 
 S_TYPE = 0
 L_TYPE = 1
@@ -187,12 +187,13 @@ def check_suffix_array(codes: list[int], sa: list[int]) -> list[int]:
     return rank
 
 
-def build_suffix_tree(sa_index: SuffixArrayIndex, text: Text) -> CompactedTrie:
+def build_suffix_tree(sa_index: SuffixArrayIndex, text) -> CompactedTrie:
     """Suffix tree with suffix array intervals: the compacted trie of the
-    suffixes in SA order with the Kasai LCP.
+    suffixes in SA order with the Kasai LCP.  `text` is a Text or a list
+    that ends in SENTINEL (see `text.terminated`), the tree's one source.
 
     Leaves appear in SA order left to right; each leaf's payload is its
     suffix start position and its interval is its SA rank.
     """
     sa = sa_index.sa
-    return build_sorted_trie([text], zip(repeat(0), sa, sa), sa_index.lcp)
+    return build_sorted_trie([terminated(text)], zip(repeat(0), sa, sa), sa_index.lcp)

@@ -77,13 +77,13 @@ def dump_index(index) -> bytes:
     check_sigma(index.sigma)
     engine = 0 if isinstance(index, StaticTrieIndex) else 1
     suffix = index.mode == "suffix"
-    sources = index.trie.sources
-    lens = [len(t.codes) for t in sources]
+    texts = [t[:-1] for t in index.trie.sources]  # without their sentinels
+    lens = [len(t) for t in texts]
     parts = [_HEAD.pack(MAGIC, VERSION, engine, 0 if suffix else 1, index.sigma,
-                        sources[0].n if suffix else len(sources), index.s,
+                        lens[0] if suffix else len(texts), index.s,
                         len(index.trie.nodes))]
     parts += _column(lens)
-    parts += _column([c - 1 for t in sources for c in t.codes])
+    parts += _column([c - 1 for t in texts for c in t])
     if suffix:
         parts += _column(index.leaf_order)
     body = b"".join(parts)
@@ -146,11 +146,12 @@ def load_index(blob: bytes):
         codes.append(text.SENTINEL)
         rank = sa.check_suffix_array(codes, order)
         trie = sa.build_suffix_tree(sa.SuffixArrayIndex(order, sa._kasai(codes, order, rank)),
-                                    text.Text(codes[:n]))
+                                    codes)
     else:
         it = iter(codes)
         try:
-            trie, order = text.build_string_trie([text.Text(islice(it, ln)) for ln in lens])
+            trie, order = text.build_string_trie([[*islice(it, ln), text.SENTINEL]
+                                                  for ln in lens])
         except DuplicateKeyError as e:
             raise InvalidInputError(f"corrupt index file: {e}") from None
     # with this, every file that loads dumps back to the same bytes

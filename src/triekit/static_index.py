@@ -6,7 +6,7 @@ differ only in the child step they give each heavy node.  A heavy child
 continues the walk past its edge label; a light child, whose step is None,
 ends it, and the engine switches to binary search of the leaf array inside
 its interval, where a miss is one leaf-rank search and a match adds one more
-over the ranks after the first.
+over the ranks after the first, when any remain.
 
 * StaticTrieIndex: heavy/light split at s = Theta(lg^2 lg sigma); the step
   is one lookup in a deterministic dictionary over the node's child
@@ -29,7 +29,8 @@ import math
 from .errors import CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import ARRAY_CELLS, ChildArray, CompactedTrie, MatchResult, Outcome, check_codes
+from .text import (ARRAY_CELLS, MATCHED_AT_NODE, MATCHED_ON_EDGE, NOT_FOUND, ChildArray,
+                   CompactedTrie, MatchResult, check_codes)
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -98,8 +99,8 @@ class _IndexBase:
     def leaf_len(self, r: int) -> int:
         """Length of the stored string at rank r, sentinel excluded."""
         if self.mode == "suffix":
-            return self.trie.sources[0].n - self.leaf_order[r]
-        return self.trie.sources[self.leaf_order[r]].n
+            return len(self.trie.sources[0]) - 1 - self.leaf_order[r]
+        return len(self.trie.sources[self.leaf_order[r]]) - 1
 
     def enumerate(self, interval: tuple[int, int]) -> list[int]:
         """Leaf payloads (positions / string ids) in rank order."""
@@ -115,28 +116,27 @@ class _IndexBase:
         in one (None otherwise), and `steps` the number of child steps."""
         trie = self.trie
         if not self.leaf_order:
-            return MatchResult(Outcome.NOT_FOUND, trie.ROOT, 0, None, 0), None, 0
+            return MatchResult(NOT_FOUND, trie.ROOT, 0, None, 0), None, 0
         v, offset, matched, steps = trie.descend(self.child_step, pattern)
         if matched == len(pattern):
             nd = trie.nodes[v]
-            out = Outcome.MATCHED_ON_EDGE if offset else Outcome.MATCHED_AT_NODE
+            out = MATCHED_ON_EDGE if offset else MATCHED_AT_NODE
             return MatchResult(out, v, offset, (nd.low, nd.high), matched), None, steps
         if offset or self.child_step[v] is not None:
-            return MatchResult(Outcome.NOT_FOUND, v, offset, None, matched), None, steps
+            return MatchResult(NOT_FOUND, v, offset, None, matched), None, steps
         res, pos = self._light_search(v, pattern, matched + 1)
         return res, pos, steps
 
     def _first_geq(self, lo, hi, pattern, start, strict):
         """Smallest rank in [lo, hi] whose leaf is >= P (strict: > P and not
         P-prefixed).  Returns (rank or hi+1, best lcp seen).  Each probe
-        compares from the shared matched-prefix floor, never re-reading it,
-        and a stored string reads as the sentinel past its end."""
+        compares from the shared matched-prefix floor, never re-reading it;
+        a stored string's sentinel, below every pattern character, ends the
+        compare at its end."""
         order = self.leaf_order
         sources = self.trie.sources
         suffix = self.mode == "suffix"  # suffix: ranks hold positions in one text
-        if suffix:
-            codes = sources[0].codes
-            n = len(codes)
+        codes = sources[0]
         off = 0
         m = len(pattern)
         best = l_lcp = r_lcp = start
@@ -146,21 +146,17 @@ class _IndexBase:
             mid = (lo + hi) // 2
             if suffix:
                 off = order[mid]
-                stop = n - off
             else:
-                codes = sources[order[mid]].codes
-                stop = len(codes)
-            if stop > m:
-                stop = m
+                codes = sources[order[mid]]
             d = d0 = l_lcp if l_lcp < r_lcp else r_lcp
-            while d < stop and codes[off + d] == pattern[d]:
+            while d < m and codes[off + d] == pattern[d]:
                 d += 1
             if d == m:  # P is a prefix of the leaf
                 read += m - d0
                 geq = not strict
-            else:  # mismatch at d, or the leaf's sentinel
+            else:  # mismatch at d, maybe at the leaf's sentinel
                 read += d - d0 + 1
-                geq = d < stop and codes[off + d] > pattern[d]
+                geq = codes[off + d] > pattern[d]
             if d > best:
                 best = d
             if geq:
@@ -180,14 +176,16 @@ class _IndexBase:
         rank P would occupy (used by predecessor queries).  A miss is one
         search: the longest lcp with P sits at a neighbour of the insertion
         point, and the search probes both.  A match adds one strict search
-        over the ranks after the first match."""
+        over the ranks after the first match, when any remain."""
         nd = self.trie.nodes[w]
         hi = nd.high
         m = len(pattern)
         left, best = self._first_geq(nd.low, hi, pattern, start, strict=False)
         if best < m:
-            return MatchResult(Outcome.NOT_FOUND, w, 0, None, best), left
-        right, _ = self._first_geq(left + 1, hi, pattern, start, strict=True)
+            return MatchResult(NOT_FOUND, w, 0, None, best), left
+        right = left + 1
+        if left < hi:
+            right, _ = self._first_geq(right, hi, pattern, start, strict=True)
         return self._locus_result(w, left, right - 1, m, start), left
 
     def _locus_result(self, w, lo, hi, m, start) -> MatchResult:
@@ -203,8 +201,8 @@ class _IndexBase:
             if nd.low == lo and nd.high == hi:
                 offset = m - depth_above
                 if offset == length:
-                    return MatchResult(Outcome.MATCHED_AT_NODE, u, 0, (lo, hi), m)
-                return MatchResult(Outcome.MATCHED_ON_EDGE, u, offset, (lo, hi), m)
+                    return MatchResult(MATCHED_AT_NODE, u, 0, (lo, hi), m)
+                return MatchResult(MATCHED_ON_EDGE, u, offset, (lo, hi), m)
             # descend into the child whose interval covers the match
             depth_above += length
             for ch in nd.children.values():
@@ -267,8 +265,8 @@ class StaticTrieIndex(_IndexBase):
             rank = pos - 1
         elif res.edge_offset:  # a mismatch inside a heavy child's edge label
             nd = nodes[res.node]
-            below = pattern[res.matched_len] < self.trie.label_char(res.node, res.edge_offset)
-            rank = nd.low - 1 if below else nd.high
+            c = self.trie.sources[nd.sid][nd.start + res.edge_offset]
+            rank = nd.low - 1 if pattern[res.matched_len] < c else nd.high
         elif not self.leaf_order:
             return None
         else:

@@ -1,9 +1,11 @@
 """Coded texts, the alphabet check and the compacted-trie node arena.
 
 Character codes are unsigned integers in [1, sigma]; code 0 is the sentinel,
-which sorts below every real code and terminates every stored string.  Edge
-labels are (source id, start, end) ranges into stored texts and are never
-copied.  All indexing is 0-based.  `build_sorted_trie` builds every static
+which sorts below every real code and terminates every stored string, so
+a walk reads a trie's sources, lists that end in it, with no bounds test;
+`Text` is only an input record.  Edge labels are (source id, start, end)
+ranges into the sources and are never copied.  All indexing is 0-based.
+`build_sorted_trie` builds every static
 trie, suffix tree or string-set trie, and its leaf-rank intervals in one
 lcp-stack pass over sorted strings; `CompactedTrie.insert_path` adds one
 string at a time to the dynamic trie.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AlphabetOverflowError, DuplicateKeyError
+from .errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
 from .instrument import GLOBAL
 
 SENTINEL = 0
@@ -33,26 +35,22 @@ def check_codes(codes, sigma: int):
 
 
 class Text:
-    """Integer-coded text; position `n` reads as the sentinel."""
+    """Integer-coded text as handed to the builders, without its sentinel."""
 
-    __slots__ = ("codes", "n")
+    __slots__ = ("codes",)
 
     def __init__(self, codes):
         self.codes = list(codes)
-        self.n = len(self.codes)
 
-    def at(self, i: int) -> int:
-        """Character at position i; the sentinel at position n."""
-        return self.codes[i] if i < self.n else SENTINEL
 
-    def __len__(self):
-        return self.n
-
-    def __eq__(self, other):
-        return isinstance(other, Text) and self.codes == other.codes
-
-    def __repr__(self):
-        return f"Text({self.codes!r})"
+def terminated(source) -> list[int]:
+    """`source` as a trie stores it: a Text's codes followed by SENTINEL,
+    or a list that already ends in SENTINEL, itself."""
+    if type(source) is not list:
+        return [*source.codes, SENTINEL]
+    if not source or source[-1] != SENTINEL:
+        raise InvalidInputError("a source list must end in the sentinel")
+    return source
 
 
 def encode_text(raw, sigma: int) -> Text:
@@ -76,6 +74,10 @@ class Outcome(Enum):
     NOT_FOUND = "NOT_FOUND"
 
 
+# plain names for the query paths: an Enum attribute read costs ~0.1 us on CPython 3.11
+MATCHED_AT_NODE, MATCHED_ON_EDGE, NOT_FOUND = Outcome
+
+
 @dataclass
 class MatchResult:
     """Result of a prefix search.
@@ -93,7 +95,7 @@ class MatchResult:
 
     @property
     def matched(self) -> bool:
-        return self.outcome is not Outcome.NOT_FOUND
+        return self.outcome is not NOT_FOUND
 
     @property
     def occ(self) -> int:
@@ -109,7 +111,7 @@ class Node:
     def __init__(self, parent, sid, start, end, children=None, low=-1, high=-1, leaf_id=-1):
         self.parent = parent
         self.sid = sid          # source string id of the incoming edge label
-        self.start = start      # label = source[start:end), position len(source) = sentinel
+        self.start = start      # label = source[start:end); the source ends in the sentinel
         self.end = end
         self.children = {} if children is None else children  # first char -> node id
         self.low = low          # leaf-rank interval [low, high]
@@ -150,23 +152,16 @@ class ChildArray(list):
 class CompactedTrie:
     """Arena-backed compacted trie over sentinel-terminated strings.
 
-    `sources` holds the Texts that edge labels reference.  Every internal
-    node except possibly the root has at least two children.
+    `sources` holds the strings that edge labels reference, each an exact
+    list (CPython specialises indexing only on those) ending in SENTINEL.
+    Every internal node except possibly the root has at least two children.
     """
 
     ROOT = 0
 
-    def __init__(self, sources: list[Text] | None = None):
-        self.sources: list[Text] = sources if sources is not None else []
+    def __init__(self, sources: list[list[int]] | None = None):
+        self.sources: list[list[int]] = sources if sources is not None else []
         self.nodes: list[Node] = [Node(parent=-1, sid=-1, start=0, end=0)]
-
-    def add_source(self, text: Text) -> int:
-        self.sources.append(text)
-        return len(self.sources) - 1
-
-    def label_char(self, node_id: int, offset: int) -> int:
-        nd = self.nodes[node_id]
-        return self.sources[nd.sid].at(nd.start + offset)
 
     def new_node(self, parent, sid, start, end, leaf_id=-1) -> int:
         self.nodes.append(Node(parent=parent, sid=sid, start=start, end=end, leaf_id=leaf_id))
@@ -177,7 +172,8 @@ class CompactedTrie:
         engine.  `child_step[v].lookup(c)` gives v's child on the edge
         starting with c, or None; entering a node whose entry is None (a
         light node) ends the walk.  The rest of each edge label is compared
-        as read, one chars_compared per character, the sentinel past a text.
+        as read, one chars_compared per character; a pattern ends the
+        compare before it could read past a label's last character.
 
         Returns (node, offset, matched, steps): `matched` pattern characters
         lead `offset` characters down node's incoming edge; `steps` counts
@@ -201,9 +197,8 @@ class CompactedTrie:
             stop = length if length < m - i else m - i
             j = 1
             if stop > 1:
-                codes = self.sources[nd.sid].codes
-                n = len(codes)
-                while j < stop and (codes[p + j] if p + j < n else SENTINEL) == pattern[i + j]:
+                codes = self.sources[nd.sid]
+                while j < stop and codes[p + j] == pattern[i + j]:
                     j += 1
                 GLOBAL.chars_compared += j if j < stop else j - 1
             if j < length:  # a mismatch, or the pattern ends inside the label
@@ -213,37 +208,32 @@ class CompactedTrie:
         return v, 0, m, steps
 
     def locate(self, codes):
-        """Where the sentinel-terminated string `codes` leaves the trie.
+        """Where the string `codes`, which ends in SENTINEL, leaves the trie.
 
         Returns (v, child, k, depth): `v` is the deepest node whose path the
         string spells, `depth` its string depth.  `child` is None when v has
         no edge for the string's next character; otherwise the string agrees
         with the first k characters of child's label and differs at offset
-        k, or depth + k == len(codes) + 1 when child is the string's own
-        leaf.  Counts nothing."""
-        n = len(codes)
+        k, or depth + k == len(codes) when child is the string's own leaf.
+        Counts nothing."""
+        total = len(codes)
         nodes = self.nodes
         v = depth = 0  # v = ROOT
         while True:
-            child = nodes[v].children.get(codes[depth] if depth < n else SENTINEL)
+            child = nodes[v].children.get(codes[depth])
             if child is None:
                 return v, None, 0, depth
             nd = nodes[child]
-            src = self.sources[nd.sid].codes
-            sn = len(src)
+            src = self.sources[nd.sid]
             start = nd.start
-            # the first label character matched; the sentinel ends both strings
+            # the first label character matched; a sentinel is the last
+            # character of both strings, so a matched one ends the label too
+            # and the compare never reads past either string
             lim = nd.end - start
-            if lim > n + 1 - depth:
-                lim = n + 1 - depth
             k = 1
-            while k < lim:
-                a = start + k
-                b = depth + k
-                if (src[a] if a < sn else SENTINEL) != (codes[b] if b < n else SENTINEL):
-                    return v, child, k, depth
+            while k < lim and src[start + k] == codes[depth + k]:
                 k += 1
-            if depth + k > n:
+            if k < lim or depth + k == total:
                 return v, child, k, depth
             depth += k
             v = child
@@ -256,23 +246,23 @@ class CompactedTrie:
         None, attach node id).
         Raises DuplicateKeyError if the string is already stored.
         """
-        codes = self.sources[sid].codes
-        n = len(codes)
+        codes = self.sources[sid]
+        total = len(codes)
         attach, child, k, depth = self.locate(codes)
-        if depth + k > n:
+        if depth + k == total:
             raise DuplicateKeyError("string already stored")
         nodes = self.nodes
         v, mid = attach, None
         if child is not None:  # split the edge at offset k; the leaf hangs off mid
             nd = nodes[child]
             v = mid = self.new_node(attach, nd.sid, nd.start, nd.start + k)
-            nodes[attach].children[codes[depth] if depth < n else SENTINEL] = mid
+            nodes[attach].children[codes[depth]] = mid
             nd.parent = mid
             nd.start += k
-            nodes[mid].children[self.label_char(child, 0)] = child
+            nodes[mid].children[self.sources[nd.sid][nd.start]] = child
             depth += k
-        leaf = self.new_node(v, sid, depth, n + 1, leaf_id=sid)
-        nodes[v].children[codes[depth] if depth < n else SENTINEL] = leaf
+        leaf = self.new_node(v, sid, depth, total, leaf_id=sid)
+        nodes[v].children[codes[depth]] = leaf
         return leaf, mid, attach
 
     def topo_order(self) -> list[int]:
@@ -310,16 +300,16 @@ class CompactedTrie:
         return out
 
 
-def build_sorted_trie(sources: list[Text], ranked, lcp: list[int]) -> CompactedTrie:
+def build_sorted_trie(sources: list[list[int]], ranked, lcp: list[int]) -> CompactedTrie:
     """Compacted trie of distinct sentinel-terminated strings in sorted
-    order, by lcp-stack insertion.  `ranked` yields each rank's (sid, start,
+    order, by lcp-stack insertion; `sources`, lists that end in SENTINEL,
+    become the trie's sources.  `ranked` yields each rank's (sid, start,
     leaf id): the string sources[sid][start:], whose leaf carries leaf id;
     lcp[r] is its LCP with rank r - 1.  Leaves lie in rank order, each with
     its rank as interval.  The stack holds the rightmost path, so a node's
     `low` is set when it is made and `high` when the stack pops it, or at
     the end; with no strings the root keeps (0, -1)."""
     trie = CompactedTrie(sources=sources)
-    codes_of = [s.codes + [SENTINEL] for s in sources]
     nodes = trie.nodes
     root = nodes[trie.ROOT]
     root.low = 0
@@ -339,14 +329,14 @@ def build_sorted_trie(sources: list[Text], ranked, lcp: list[int]) -> CompactedT
             mid_id = len(nodes)
             mid = Node(top_id, child.sid, child.start, child.start + k, {}, child.low)
             nodes.append(mid)
-            split = codes_of[child.sid]  # the middle node shares child's label
+            split = sources[child.sid]  # the middle node shares child's label
             top.children[split[child.start]] = mid_id
             child.parent = mid_id
             child.start += k
             mid.children[split[child.start]] = child_id
             stack.append((mid, mid_id, d))
             top, top_id = mid, mid_id
-        codes = codes_of[sid]
+        codes = sources[sid]
         total = len(codes)
         leaf = Node(top_id, sid, start + d, total, {}, r, r, leaf_id)
         top.children[codes[start + d]] = len(nodes)
@@ -358,23 +348,25 @@ def build_sorted_trie(sources: list[Text], ranked, lcp: list[int]) -> CompactedT
     return trie
 
 
-def build_string_trie(texts: list[Text]) -> tuple[CompactedTrie, list[int]]:
-    """Compacted trie over a set of distinct strings.
+def build_string_trie(texts: list) -> tuple[CompactedTrie, list[int]]:
+    """Compacted trie over a set of distinct strings, each a Text or a list
+    that ends in SENTINEL (see `terminated`).
 
     Returns (trie, leaf_order) where leaf_order[rank] = original string id,
     ranks in sentinel-terminated lexicographic order.  Leaf-rank intervals
     are filled in.  Raises DuplicateKeyError if two strings are equal.
     """
-    order = sorted(range(len(texts)), key=lambda i: texts[i].codes)
+    sources = [terminated(t) for t in texts]
+    order = sorted(range(len(sources)), key=sources.__getitem__)
     lcp = [0] * len(order)
     for r in range(1, len(order)):
-        a = texts[order[r - 1]].codes
-        b = texts[order[r]].codes
-        m = min(len(a), len(b))
+        a = sources[order[r - 1]]
+        b = sources[order[r]]
+        # two distinct strings differ at or before the shorter one's sentinel
         h = 0
-        while h < m and a[h] == b[h]:
+        while a[h] == b[h]:
             h += 1
-        if h == len(a) == len(b):
-            raise DuplicateKeyError("string stored twice")
+            if h == len(a):
+                raise DuplicateKeyError("string stored twice")
         lcp[r] = h
-    return build_sorted_trie(list(texts), [(sid, 0, sid) for sid in order], lcp), order
+    return build_sorted_trie(sources, [(sid, 0, sid) for sid in order], lcp), order

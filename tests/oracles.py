@@ -9,7 +9,7 @@ from __future__ import annotations
 import bisect
 
 from triekit.suffix_oracle import OnlineSuffixTree, _ONode
-from triekit.text import SENTINEL, CompactedTrie, Text
+from triekit.text import SENTINEL, CompactedTrie
 
 
 def brute_suffix_array(codes: list[int]) -> list[int]:
@@ -65,8 +65,7 @@ class UncompactedTrie:
 def label_codes(trie: CompactedTrie, v: int) -> list[int]:
     """The characters of node v's edge label, sentinel included."""
     nd = trie.nodes[v]
-    src = trie.sources[nd.sid]
-    return [src.at(i) for i in range(nd.start, nd.end)]
+    return trie.sources[nd.sid][nd.start:nd.end]
 
 
 def expanded_canonical(trie: CompactedTrie):
@@ -99,10 +98,10 @@ def recompute_intervals(trie: CompactedTrie):
         nd.high = max((c.high for c in kids), default=-1)
 
 
-def compress_canonical(strings: list[Text]):
+def compress_canonical(strings: list[list[int]]):
     t = UncompactedTrie()
     for sid, s in enumerate(strings):
-        t.insert(s.codes, sid)
+        t.insert(s, sid)
     return t.compressed_canonical()
 
 

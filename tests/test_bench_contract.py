@@ -8,7 +8,10 @@ benchmark run.
 import dataclasses
 import re
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 from triekit.instrument import ProbeCounters
 from triekit.sa import build_suffix_array, build_suffix_tree
@@ -20,6 +23,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import measure  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_span_entry_points_are_defined_on_their_owner():
@@ -52,3 +56,25 @@ def test_tree_signatures_read_node_attributes():
         tree.prepend(a)
     assert measure.online_signature(tree) == static
     assert len(static) > len(codes) + 1  # internal nodes, not only leaves
+
+
+@pytest.mark.parametrize("spec", [
+    workloads.Spec("tiny-suffix", "suffix", 4, 400, 8, 30, (2, 6), 300),
+    workloads.Spec("tiny-strings", "strings", 256, 60, 0, 0, (0, 0), 300),
+], ids=lambda spec: spec.mode)
+def test_set_up_and_one_round_answer_correctly(spec):
+    # measure.set_up hands Text records to build_suffix_array and
+    # build_suffix_tree, or to build_string_trie, reads cli.suffix_leaf_order,
+    # and dumps and loads; Expected reads trie_signature; a round runs every
+    # batch and checks every answer
+    tracer = types.SimpleNamespace(phase=None)
+    built, _ = measure.set_up(spec, 1, tracer)
+    expected = measure.Expected(built)
+    if spec.mode == "suffix":
+        assert measure.suffix_leaf_order(built.trie) == built.sa_index.sa
+    else:
+        leaves = [leaf for _, leaf, _ in measure.trie_signature(built.trie) if leaf >= 0]
+        assert leaves == built.static.leaf_order
+    runner = measure.Runner(built, expected, tracer)
+    runner.round()
+    assert runner.attempted > 3 * workloads.N_PATTERNS and runner.failed == 0

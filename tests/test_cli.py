@@ -124,7 +124,7 @@ def test_corrupted_index_exits_5(corrupt, banana_index, tmp_path, capsys):
         order = idx.leaf_order
         order[2], order[3] = order[3], order[2]
     else:  # "banana" stored as "bananb"
-        idx.trie.sources[0].codes[-1] += 1
+        idx.trie.sources[0][-2] += 1  # the last code before the sentinel
     err = _query_fails_cleanly(dump_index(idx), tmp_path, capsys)
     assert "suffix array puts" in err
 
@@ -145,7 +145,7 @@ def test_string_stored_twice_exits_5(tmp_path, capsys):
                           "--output", str(path)], capsys)
     assert code == 0
     idx = load_index(path.read_bytes())
-    idx.trie.sources[2].codes = list(idx.trie.sources[0].codes)  # "ant" twice
+    idx.trie.sources[2] = list(idx.trie.sources[0])  # "ant" twice
     err = _query_fails_cleanly(dump_index(idx), tmp_path, capsys)
     assert "stored twice" in err
 
@@ -172,8 +172,8 @@ def test_resealed_suffix_array_and_code_mutations(sigma, tmp_path, capsys):
             i, j = rng.sample(range(len(idx.leaf_order)), 2)
             idx.leaf_order[i], idx.leaf_order[j] = idx.leaf_order[j], idx.leaf_order[i]
         else:
-            stored = idx.trie.sources[0].codes
-            i = rng.randrange(len(stored))
+            stored = idx.trie.sources[0]
+            i = rng.randrange(len(stored) - 1)  # not the sentinel
             c = rng.randint(1, sigma - 1)  # any code but the stored one
             stored[i] = c if c < stored[i] else c + 1
         bad = dump_index(idx)
@@ -184,7 +184,7 @@ def test_resealed_suffix_array_and_code_mutations(sigma, tmp_path, capsys):
             continue
         assert kind == "code"
         loaded_codes += 1
-        stored = idx.trie.sources[0].codes  # the text the file stores
+        stored = idx.trie.sources[0][:-1]  # the text the file stores
         fresh = _suffix_static(stored, sigma)
         pats = [stored[k:k + rng.randrange(0, 8)] + [rng.randint(1, sigma)]
                 for k in (rng.randrange(len(stored)) for _ in range(50))]

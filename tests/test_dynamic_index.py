@@ -66,6 +66,30 @@ def test_duplicate_leaves_state_unchanged(dup):
     idx.audit()
 
 
+def test_insert_takes_any_iterable_of_codes():
+    # the string is copied once, checked, then stored: an iterator is read
+    # only once, so it must be the stored copy that is checked
+    idx = DynTrieIndex(sigma=4)
+    idx.insert(iter([1, 2, 3]))
+    idx.insert((2, 1))
+    for w in ([1, 2, 3], [2, 1]):
+        assert idx.search(w).occ == 1
+        assert idx.string_codes(idx.predecessor(w)) == w
+    assert idx.search([]).occ == 2
+    idx.audit()
+
+
+def test_insert_of_an_out_of_range_iterator_stores_nothing():
+    idx = DynTrieIndex(sigma=4)
+    idx.insert([1, 2])
+    state = (len(idx.trie.sources), idx.occ[idx.trie.ROOT], len(idx.trie.nodes))
+    with pytest.raises(AlphabetOverflowError):
+        idx.insert(iter([1, 5, 2]))
+    assert (len(idx.trie.sources), idx.occ[idx.trie.ROOT], len(idx.trie.nodes)) == state
+    assert idx.search([1]).occ == 1
+    idx.audit()
+
+
 @pytest.mark.parametrize("env, audits", [("1", 3), (None, 0)])
 def test_audit_setting_read_at_construction(monkeypatch, env, audits):
     if env is None:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from triekit import sa as sa_module
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.static_index import validate_intervals
-from triekit.text import CompactedTrie, Text, encode_text
+from triekit.text import SENTINEL, CompactedTrie, Text, encode_text
 
 from oracles import (brute_lcp, brute_suffix_array, compress_canonical,
                      expanded_canonical, label_codes, recompute_intervals)
@@ -149,7 +149,7 @@ def test_suffix_tree_intervals_equal_recomputed_ones(codes):
     assert tree.canonical() == shape
     # the trie of the suffixes, inserted one at a time in position order,
     # has the same shape
-    trie = CompactedTrie(sources=[Text(codes[i:]) for i in range(len(codes) + 1)])
+    trie = CompactedTrie(sources=[codes[i:] + [SENTINEL] for i in range(len(codes) + 1)])
     for sid in range(len(codes) + 1):
         trie.insert_path(sid)
     assert shape == trie.canonical()
@@ -165,7 +165,7 @@ def test_suffix_tree_isomorphic_to_compressed_suffix_trie(seed):
     text = Text(codes)
     tree = build_suffix_tree(build_suffix_array(text), text)
     # oracle: compress the naive trie of all suffixes; leaf ids are positions
-    suffixes = [Text(codes[i:]) for i in range(n + 1)]
+    suffixes = [codes[i:] for i in range(n + 1)]
     got = _relabel_leaves(expanded_canonical(tree))
     assert got == compress_canonical(suffixes)
     # interval labels equal the rank range of leaves below each node

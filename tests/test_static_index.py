@@ -197,15 +197,20 @@ def _reseal(body: bytes) -> bytes:
 def _dump_sealed(idx) -> bytes:
     """dump_index(idx) with a valid CRC and idx.sigma in the header even
     outside [1, 2^32), which dump_index refuses to write, so that
-    load_index's own range check meets it."""
+    load_index's own range check meets it.  An `idx.header_n`, set by a
+    mutation, replaces the header's n, which dump_index takes from the
+    text's length."""
     sigma = idx.sigma
     idx.sigma = 1  # sigma is written only into the header
     try:
         blob = dump_index(idx)
     finally:
         idx.sigma = sigma
-    at = len(MAGIC) + 4 + 2  # magic, version, engine and mode precede sigma
-    return _reseal(blob[:at] + struct.pack("<Q", sigma) + blob[at + 8:-4])
+    at = len(MAGIC) + 4 + 2  # magic, version, engine and mode precede sigma, then n
+    n = getattr(idx, "header_n", None)
+    head = struct.pack("<Q", sigma) + (blob[at + 8:at + 16] if n is None
+                                       else struct.pack("<Q", n))
+    return _reseal(blob[:at] + head + blob[at + 16:-4])
 
 
 def _swap(order, i, j):
@@ -214,7 +219,7 @@ def _swap(order, i, j):
 
 def _repeat_string(idx):
     """Store string 0 a second time, in place of string 1."""
-    idx.trie.sources[1].codes = list(idx.trie.sources[0].codes)
+    idx.trie.sources[1] = list(idx.trie.sources[0])
 
 
 # name -> (mode, in-memory mutation, the message of the check that rejects it)
@@ -222,17 +227,16 @@ FIELD_CORRUPTIONS = {
     "sigma_zero": ("suffix", lambda idx: setattr(idx, "sigma", 0), "sigma"),
     "sigma_2_32": ("suffix", lambda idx: setattr(idx, "sigma", 2**32), "sigma"),
     "s_zero": ("suffix", lambda idx: setattr(idx, "s", 0), "sigma"),
-    "n_long": ("suffix", lambda idx: setattr(idx.trie.sources[0], "n", 12), "n disagrees"),
-    "n_short": ("suffix", lambda idx: setattr(idx.trie.sources[0], "n", 3), "n disagrees"),
-    "code_zero": ("suffix", lambda idx: idx.trie.sources[0].codes.__setitem__(0, 0),
-                  "text code"),
-    "code_above_sigma": ("strings", lambda idx: idx.trie.sources[0].codes.__setitem__(
+    "n_long": ("suffix", lambda idx: setattr(idx, "header_n", 12), "n disagrees"),
+    "n_short": ("suffix", lambda idx: setattr(idx, "header_n", 3), "n disagrees"),
+    "code_zero": ("suffix", lambda idx: idx.trie.sources[0].__setitem__(0, 0), "text code"),
+    "code_above_sigma": ("strings", lambda idx: idx.trie.sources[0].__setitem__(
         0, idx.sigma + 1), "text code"),
     # a suffix-mode file stores the leaf ids in rank order: the suffix array
     "leaf_id_minus_5": ("suffix", lambda idx: idx.leaf_order.__setitem__(0, -5),
                         "outside"),
     "leaf_id_past_n": ("suffix", lambda idx: idx.leaf_order.__setitem__(
-        3, idx.trie.sources[0].n + 1), "outside"),
+        3, len(idx.trie.sources[0])), "outside"),
     "leaf_id_twice": ("suffix", lambda idx: idx.leaf_order.__setitem__(
         4, idx.leaf_order[5]), "not a permutation"),
     "leaves_swapped": ("suffix", lambda idx: _swap(idx.leaf_order, 4, 5), "puts suffix"),
@@ -330,8 +334,8 @@ def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, 
     elif where == "order_value":
         order[pick % len(order)] = value
     elif where == "code":
-        codes = idx.trie.sources[0].codes
-        codes[pick % len(codes)] = value
+        codes = idx.trie.sources[0]
+        codes[pick % (len(codes) - 1)] = value  # a code, not the sentinel
     else:
         setattr(idx, field, abs(value))  # the header holds unsigned fields
     blob = _dump_sealed(idx)
@@ -871,3 +875,68 @@ def test_chars_compared_counts_each_character_once():
     assert res.matched and res.interval == (1, 4)
     assert count == (_compares(pbb, p, 1) + _compares(pa, p, 1) + _compares(pba, p, 1)
                      + _compares(pbc, p, 1) + _compares(pbd, p, 1) + _compares(pc, p, 1)) == 6
+
+
+def test_match_at_a_light_childs_last_rank_is_one_leaf_search(monkeypatch):
+    # s = 8: the root's child "p" is light with six leaves, ranks 0-5; "pc"
+    # matches only rank 5, the last, so no rank is left for a strict search
+    words = [enc(w) for w in (b"pa", b"pba", b"pbb", b"pbc", b"pbd", b"pc", b"q")]
+    trie, order = build_string_trie([Text(w) for w in words])
+    idx = StaticTrieIndex(trie, order, 256, mode="strings", s=8)
+    pbb, pbd, pc = words[2], words[4], words[5]
+    searches = []
+    first_geq = StaticTrieIndex._first_geq
+
+    def counted_search(self, *args, **kwargs):
+        searches.append(kwargs["strict"])
+        return first_geq(self, *args, **kwargs)
+
+    monkeypatch.setattr(StaticTrieIndex, "_first_geq", counted_search)
+    p = enc(b"pc")
+    before = GLOBAL.chars_compared
+    res = idx.prefix_query(p)
+    count = GLOBAL.chars_compared - before
+    assert res.matched and res.interval == (5, 5) and searches == [False]
+    # the search probes pbb (lo = 3), pbd (lo = 5) and pc, each from the floor 1
+    assert count == _compares(pbb, p, 1) + _compares(pbd, p, 1) + _compares(pc, p, 1) == 3
+
+
+def test_chars_compared_counts_the_texts_sentinel_in_suffix_mode():
+    # every compare below reads the text's closing sentinel, one count, as a
+    # mismatch against a pattern character
+    raw = b"banana"
+    text = [b + 1 for b in raw] + [0]
+
+    def counted(query, pattern):
+        before = GLOBAL.chars_compared
+        res = query(pattern)
+        return res, GLOBAL.chars_compared - before
+
+    # s = 1: every node is heavy, leaves too, so the walk enters the leaf
+    # "anana$" and compares its edge "na$" with "naz": the heavy edges "a"
+    # (no compare past the looked-up character), "na" (one) and "na$" (two)
+    heavy, _ = suffix_index(raw)
+    heavy = StaticTrieIndex(heavy.trie, heavy.leaf_order, 256, mode="suffix", s=1)
+    p = enc(b"ananaz")
+    res, count = counted(heavy.prefix_query, p)
+    assert not res.matched and (res.matched_len, res.edge_offset) == (5, 2)
+    assert heavy.heavy[res.node] and label_codes(heavy.trie, res.node) == text[4:]
+    assert count == _compares(text[1:3], p[:3], 2) + _compares(text[1:], p, 4) == 3
+    assert heavy.predecessor_query(p) == 3  # "anana$" at rank 3
+    # s = 9 (sigma = 256), and the tray's threshold sigma: only the root is
+    # heavy, and "banana$" is a light child holding one leaf; its leaf search
+    # compares "anana" and then the sentinel with "z"
+    p = enc(b"bananaz")
+    for index in (suffix_index(raw)[0], suffix_index(raw, engine="tray")[0]):
+        query = getattr(index, "prefix_query", None) or index.tray_query
+        res, count = counted(query, p)
+        assert not res.matched and res.matched_len == 6
+        assert count == _compares(text, p, 1) == 6
+    # the tray at sigma = 1: threshold 1, so every node is heavy; "aaaa"
+    # enters the leaf "aaa$" through its edge "a$" and reads the sentinel
+    tray, _ = suffix_index(bytes([0, 0, 0]), sigma=1, engine="tray")
+    p = [1, 1, 1, 1]
+    res, count = counted(tray.tray_query, p)
+    assert not res.matched and (res.matched_len, res.edge_offset) == (3, 1)
+    assert tray.heavy[res.node] and label_codes(tray.trie, res.node) == [1, 0]
+    assert count == _compares([1, 1, 1], p, 3) == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit.dynamic_index import DynTrieIndex
-from triekit.errors import AlphabetOverflowError, DuplicateKeyError
+from triekit.errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
 from triekit.instrument import GLOBAL
 from triekit.static_index import StaticTrieIndex, SuffixTrayIndex
 from triekit.text import (SENTINEL, CompactedTrie, Outcome, Text, build_string_trie,
@@ -15,14 +15,14 @@ from oracles import compress_canonical, expanded_canonical, label_codes
 
 def test_encode_bytes_identity():
     t = encode_text(b"banana", 256)
-    assert t.n == 6
+    assert len(t.codes) == 6
     assert all(1 <= c <= 256 for c in t.codes)
     assert t.codes == [c + 1 for c in b"banana"]
 
 
 def test_encode_empty():
     t = encode_text(b"", 4)
-    assert t.n == 0 and t.codes == []
+    assert t.codes == []
 
 
 def test_encode_overflow():
@@ -46,14 +46,14 @@ def test_insert_pair_splits_once():
 
 
 def test_insert_into_empty():
-    trie = CompactedTrie(sources=[Text([5, 6])])
+    trie = CompactedTrie(sources=[[5, 6, SENTINEL]])
     leaf, mid, attach = trie.insert_path(0)
     assert mid is None and attach == trie.ROOT
     assert trie.nodes[leaf].is_leaf
 
 
 def test_duplicate_insert_rejected():
-    trie = CompactedTrie(sources=[Text([1, 2, 3]), Text([1, 2, 3])])
+    trie = CompactedTrie(sources=[[1, 2, 3, SENTINEL], [1, 2, 3, SENTINEL]])
     trie.insert_path(0)
     with pytest.raises(DuplicateKeyError):
         trie.insert_path(1)
@@ -89,10 +89,10 @@ def test_trie_isomorphic_to_compressed_naive(strings, rng):
     texts = [Text(s) for s in strings]
     shuffled = list(range(len(texts)))
     rng.shuffle(shuffled)
-    trie = CompactedTrie(sources=list(texts))
+    trie = CompactedTrie(sources=[s + [SENTINEL] for s in strings])
     for sid in shuffled:
         trie.insert_path(sid)
-    expected = compress_canonical(texts)
+    expected = compress_canonical(strings)
     assert expanded_canonical(trie) == expected
     assert expanded_canonical(build_string_trie(texts)[0]) == expected
 
@@ -144,20 +144,23 @@ def test_locate_reports_where_a_string_leaves_the_trie():
     leaf_a = trie.nodes[n12].children[3]         # label [3, 3, 3, $]
     leaf_b = trie.nodes[n12].children[4]         # label [4, $]
     leaf_c = trie.nodes[n1].children[SENTINEL]   # label [$]
+    def locate(codes):
+        return trie.locate([*codes, SENTINEL])
+
     # at a node with no edge for the next character (the sentinel too)
-    assert trie.locate([2]) == (root, None, 0, 0)
-    assert trie.locate([1, 2, 5]) == (n12, None, 0, 2)
-    assert trie.locate([1, 2]) == (n12, None, 0, 2)
+    assert locate([2]) == (root, None, 0, 0)
+    assert locate([1, 2, 5]) == (n12, None, 0, 2)
+    assert locate([1, 2]) == (n12, None, 0, 2)
     # inside an edge, on a real character
-    assert trie.locate([1, 2, 3, 4]) == (n12, leaf_a, 1, 2)
+    assert locate([1, 2, 3, 4]) == (n12, leaf_a, 1, 2)
     # inside an edge, where the string ends and the label goes on
-    assert trie.locate([1, 2, 3, 3]) == (n12, leaf_a, 2, 2)
-    # at a stored string: depth + k == len + 1
-    assert trie.locate([1, 2, 4]) == (n12, leaf_b, 2, 2)
-    assert trie.locate([1]) == (n1, leaf_c, 1, 1)
+    assert locate([1, 2, 3, 3]) == (n12, leaf_a, 2, 2)
+    # at a stored string: depth + k == len, the sentinel counted
+    assert locate([1, 2, 4]) == (n12, leaf_b, 2, 2)
+    assert locate([1]) == (n1, leaf_c, 1, 1)
     # at a label that ends in the sentinel before the string ends
-    assert trie.locate([1, 2, 4, 4]) == (n12, leaf_b, 1, 2)
-    assert trie.label_char(leaf_b, 1) == SENTINEL
+    assert locate([1, 2, 4, 4]) == (n12, leaf_b, 1, 2)
+    assert label_codes(trie, leaf_b) == [4, SENTINEL]
 
 
 def test_queries_on_empty_indexes():
@@ -200,7 +203,7 @@ def test_each_query_runs_one_descent(monkeypatch):
     words = sorted({tuple(rng.randint(1, sigma) for _ in range(rng.randrange(10)))
                     for _ in range(300)})
     dyn = DynTrieIndex(sigma)
-    bare = CompactedTrie(sources=[Text(w) for w in words])
+    bare = CompactedTrie(sources=[[*w, SENTINEL] for w in words])
     for sid, w in enumerate(words):
         once(dyn.insert, list(w), "locate")
         once(bare.insert_path, sid, "locate")
@@ -214,3 +217,15 @@ def test_each_query_runs_one_descent(monkeypatch):
                       dyn.search):
             once(query, pat, "descend")
         once(dyn.predecessor, pat, "locate")
+
+
+def test_builders_take_texts_or_sentinel_terminated_lists():
+    words = [[1, 2], [1], [2, 1, 1]]
+    as_texts = build_string_trie([Text(w) for w in words])
+    as_lists = build_string_trie([[*w, SENTINEL] for w in words])
+    assert as_lists[0].canonical() == as_texts[0].canonical()
+    assert as_lists[1] == as_texts[1] == [1, 0, 2]
+    assert as_lists[0].sources == as_texts[0].sources == [[*w, SENTINEL] for w in words]
+    for bad in ([[1, 2], [1, SENTINEL]], [[]]):  # a list must end in the sentinel
+        with pytest.raises(InvalidInputError):
+            build_string_trie(bad)

@@ -61,7 +61,10 @@ def _read_file(path: str) -> bytes:
 
 
 def suffix_leaf_order(tree) -> list[int]:
-    """Suffix positions by rank; a suffix tree has one leaf per position."""
+    """Suffix positions by rank, read off the leaves of a suffix tree: the
+    tree's suffix array.  The CLI passes the suffix array itself; the bench
+    harness (`perfbench/measure.py`) and `scripts/answer_digest.py` read
+    this to check a tree's leaves against it."""
     order = [0] * len(tree.sources[0])
     for nd in tree.nodes:
         if nd.leaf_id >= 0:
@@ -72,8 +75,9 @@ def suffix_leaf_order(tree) -> list[int]:
 def _build_index(data: bytes, sigma: int, mode: str, engine: str):
     if mode == "suffix":
         text = encode_text(_decode_symbols(data, sigma), sigma)
-        tree = build_suffix_tree(build_suffix_array(text), text)
-        order = suffix_leaf_order(tree)
+        sa_index = build_suffix_array(text)
+        tree = build_suffix_tree(sa_index, text)
+        order = sa_index.sa  # a suffix tree's leaves in rank order
     else:
         strings = {}  # distinct non-empty lines, in input order
         for line in data.split(b"\n"):
@@ -384,11 +388,10 @@ def cmd_bench(args) -> int:
                 checksum = (checksum * 31 + res.occ) % (1 << 61)
         else:
             tree = build_suffix_tree(sa_index, text)
-            order = suffix_leaf_order(tree)
             if engine == "static":
-                idx = StaticTrieIndex(tree, order, args.sigma, mode="suffix")
+                idx = StaticTrieIndex(tree, sa_index.sa, args.sigma, mode="suffix")
             else:
-                idx = SuffixTrayIndex(tree, order, args.sigma, mode="suffix")
+                idx = SuffixTrayIndex(tree, sa_index.sa, args.sigma, mode="suffix")
             build_t = time.perf_counter() - t0
             t0 = time.perf_counter()
             for p in patterns:

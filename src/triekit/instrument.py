@@ -22,7 +22,8 @@ class ProbeCounters:
     promotions: int = 0             # fragment promotions in the dynamic trie
     promote_steps: int = 0          # tail-walk children, refiled nodes, wexp weight raises
     rebalance_steps: int = 0        # elementary work inside heavy/light rebalances
-    oracle_steps: int = 0           # walk-up + link maintenance in the suffix oracle
+    oracle_steps: int = 0           # prepend-tree steps: a node visited walking up, a
+                                    # chain write, a letter copied at a split, the new leaf
 
     def reset(self):
         for f in fields(self):

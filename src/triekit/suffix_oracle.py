@@ -6,23 +6,15 @@ after k prepends, position j holds the character j+1 places from the right,
 and existing edge labels never shift.  Edge labels are (hi, lo) position
 ranges read downward, with position -1 standing for the sentinel.
 
-An a-link W_a(u) points to the locus of a*str(u) when that string occurs.
-The link is hard when the locus is a node, soft when it lies inside an edge
-(then it points to the edge's lower end); which one follows from the
-target's string depth.  A leaf's links are derived, not stored: leaf k
-spells the text from position k - 1 down, so for k < n its one link is the
-hard link to leaf k + 1 under letter buf[k], read from the tree's `leaves`
-list.  An inner node stores its a-links in a per-node map from the letter a
-to a node; `links_of` serves both kinds.  Soft links are stored eagerly and
-copied to the middle node whenever an edge splits.  Each node keeps the set
-of source nodes whose soft links aim at it, which makes the retargeting
-explicit; their letter is implied, since it is the first letter of the
-target's string.  Containers exist only where used: every leaf shares one
-read-only empty `children` map, and `rev_soft` is one shared empty
-frozenset until a soft link aims at the node.
+Each inner node v keeps Weiner's links in one map: letter a is a key iff
+a*str(v) occurs in the text, and its value is the node spelling a*str(v)
+when that is an inner node (a hard link), else None.  The keys of a node are
+the union of its children's (leaf k contributes buf[k] when k < n), so each
+letter's key set is closed upward.  A leaf stores no map, and every leaf
+shares one read-only empty `children` map.
 
 Checks read no label: `canonical()` is the flat form `CompactedTrie.canonical`
-gives a fresh build, and `audit_links()` tests each label and a-link in O(1);
+gives a fresh build, and `audit_links()` tests each label and link in O(1);
 so each costs O(nodes + links), apart from canonical()'s child sorts.
 """
 
@@ -35,26 +27,23 @@ from .instrument import GLOBAL
 from .text import SENTINEL
 
 _NO_CHILDREN = MappingProxyType({})  # every leaf's: a suffix-tree leaf never gains a child
-_NO_SOFT = frozenset()               # rev_soft until a soft link aims at the node
 
 
 class _ONode:
-    __slots__ = ("parent", "hi", "lo", "sdepth", "children", "links",
-                 "rev_soft", "leaf_id")
+    __slots__ = ("parent", "hi", "lo", "sdepth", "children", "links", "leaf_id")
 
     def __init__(self, parent, hi, lo, sdepth, leaf_id=-1):
         self.parent = parent
         self.hi = hi
         self.lo = lo
         self.sdepth = sdepth
-        self.rev_soft = _NO_SOFT  # source nodes whose soft link aims here
         self.leaf_id = leaf_id
         if leaf_id >= 0:
             self.children = _NO_CHILDREN
-            self.links = None     # derived, see OnlineSuffixTree.links_of
+            self.links = None
         else:
             self.children = {}
-            self.links = {}       # letter -> node; hard iff its sdepth is sdepth + 1
+            self.links = {}       # letter -> node (hard link) or None
 
     @property
     def label_len(self):
@@ -76,19 +65,10 @@ class OnlineSuffixTree:
         leaf0 = _ONode(root, -1, -1, 1, leaf_id=0)  # the sentinel suffix
         root.children[SENTINEL] = leaf0
         self.root = root
-        self.leaves = [leaf0]  # leaf id -> leaf
         self.active = leaf0  # leaf of the longest suffix
 
     def char(self, pos: int) -> int:
         return self.buf[pos] if pos >= 0 else SENTINEL
-
-    def links_of(self, v) -> dict:
-        """v's a-links, letter -> node: an inner node's own map, or a new
-        map holding a leaf's derived link."""
-        if v.links is not None:
-            return v.links
-        k = v.leaf_id
-        return {self.buf[k]: self.leaves[k + 1]} if k < self.n else {}
 
     def prepend(self, a: int):
         if not 1 <= a <= self.sigma:
@@ -98,8 +78,8 @@ class OnlineSuffixTree:
         root = self.root
         leaf = self.active
 
-        # lowest ancestor of the active leaf with an a-link; the leaf itself
-        # has none until the new leaf below makes its derived one
+        # lowest ancestor v of the active leaf with a*str(v) in the text;
+        # the head, the longest prefix of the new text seen before, is a*str(v)
         chain = []
         v = leaf.parent
         GLOBAL.oracle_steps += 1
@@ -107,22 +87,32 @@ class OnlineSuffixTree:
             chain.append(v)
             v = v.parent
             GLOBAL.oracle_steps += 1
-        u = v
 
-        if a in u.links:
-            target = u.links[a]
-            head_depth = u.sdepth + 1
-            if target.sdepth == head_depth:
-                attach = target
-            else:
-                on_active_path = target is leaf or target in chain
-                attach = self._split(target, head_depth)
+        if a in v.links:
+            # lowest u from v up with a hard a-link; no inner node lies
+            # between its target and the head, which is the target itself
+            # or inside the edge below it.  With no hard link up to the
+            # root, the root, spelling the empty prefix, stands for it.
+            head_depth = v.sdepth + 1
+            u = v
+            attach = u.links[a]
+            GLOBAL.oracle_steps += 1
+            while attach is None and u is not root:
+                u = u.parent
+                attach = u.links[a]
+                GLOBAL.oracle_steps += 1
+            if attach is None:
+                attach = root
+            if attach.sdepth != head_depth:
+                t = attach.children[self.char(n - attach.sdepth)]
+                on_active_path = t is leaf or t in chain
+                attach = v.links[a] = self._split(t, head_depth)
                 if on_active_path:
                     # the middle node is itself an ancestor of the old
                     # active leaf, so a*str(mid) prefixes the new suffix
                     chain.append(attach)
         else:
-            chain.append(u)  # the root gets its first a-link below
+            chain.append(v)  # the root gets its first key a below
             head_depth = 0
             attach = root
 
@@ -131,16 +121,10 @@ class OnlineSuffixTree:
         assert first not in attach.children, "head was not maximal"
         newleaf = _ONode(attach, n - head_depth, -1, n + 2, leaf_id=n + 1)
         attach.children[first] = newleaf
-        self.leaves.append(newleaf)
-        GLOBAL.oracle_steps += 1
 
-        # every walked ancestor now has a*str(y) on the new leaf edge: the
-        # old active leaf by derivation, every inner y by a soft link, since
-        # an inner node lies at most n deep
+        # every walked ancestor y now has a*str(y) on the new leaf edge
         for y in chain:
-            y.links[a] = newleaf
-        if chain:
-            newleaf.rev_soft = set(chain)
+            y.links[a] = None
         GLOBAL.oracle_steps += len(chain) + 1
 
         self.active = newleaf
@@ -148,38 +132,22 @@ class OnlineSuffixTree:
 
     def _split(self, t, depth):
         """Split the edge into t at string depth `depth`; returns the new
-        middle node.  Copies every link of t to the middle as a soft link
-        and retargets soft links whose locus falls in the upper part."""
+        middle node.  It has t's letters, all with None, since no
+        b*str(mid) is an inner node."""
         p = t.parent
         offset = depth - p.sdepth
         assert 0 < offset < t.label_len
-        b = self.char(t.hi + p.sdepth)  # the letter of every soft link into t
         mid = _ONode(p, t.hi, t.hi - offset + 1, depth)
         p.children[self.char(t.hi)] = mid
         t.hi -= offset
         t.parent = mid
         mid.children[self.char(t.hi)] = t
-        for c, tc in self.links_of(t).items():
-            mid.links[c] = tc
-            if tc.rev_soft:
-                tc.rev_soft.add(mid)
-            else:
-                tc.rev_soft = {mid}
-            GLOBAL.oracle_steps += 1
-        soft_into_mid = []
-        for q in list(t.rev_soft):
-            locus = q.sdepth + 1
-            if locus > depth:
-                continue
-            t.rev_soft.discard(q)
-            q.links[b] = mid
-            if locus < depth:
-                soft_into_mid.append(q)
-            GLOBAL.oracle_steps += 1
-        if not t.rev_soft:
-            t.rev_soft = _NO_SOFT
-        if soft_into_mid:
-            mid.rev_soft = set(soft_into_mid)
+        k = t.leaf_id
+        if k < 0:
+            mid.links = dict.fromkeys(t.links)
+        elif k < self.n:
+            mid.links[self.buf[k]] = None
+        GLOBAL.oracle_steps += len(mid.links)
         return mid
 
     # ------------------------------------------------------------- inspection
@@ -201,17 +169,21 @@ class OnlineSuffixTree:
         return list(reversed(self.buf))
 
     def audit_links(self):
-        """Check labels, child keys and a-links in O(nodes + links), raising
+        """Check labels, child keys and links in O(nodes + links), raising
         AssertionError.  Preorder numbers put the leaves below v in [pre(v),
         end(v)]; leaf q spells the text from position q - 1 down.  A label is
         anchored: its length is the depth step and leaf hi + 1 + sdepth(parent)
-        lies below it.  For a leaf q below t, str(t) starts with b*str(v), as
-        a link v -b-> t says, iff char(q - 1) == b and leaf q - 1 lies below
-        v.  Given a canonical form equal to a fresh build's, anchored labels
-        read the same letters, so every label and link is right.  A leaf's
-        derived link is checked as a stored one, once `leaves` is shown to
-        list the tree's leaves by id."""
+        lies below it.  Bottom-up, a node's letters are its children's, leaf k
+        giving buf[k] (k < n), and letter b's value is a node iff two children
+        have b, for then b*str(v) is followed by two letters.  A hard link
+        v -b-> t aims at an inner node one string-depth deeper, and str(t)
+        starts with b*str(v) iff, for a leaf q below t, char(q - 1) == b and
+        leaf q - 1 lies below v; every inner non-root node has exactly one
+        incoming hard link.  Given a canonical form equal to a fresh build's,
+        anchored labels read the same letters, so every label and link is
+        right."""
         n = self.n
+        buf = self.buf
         order = []                 # preorder
         pre = {}                   # id(node) -> preorder number
         leaf_pre = [-1] * (n + 1)  # leaf id -> preorder number
@@ -233,10 +205,6 @@ class OnlineSuffixTree:
                 stack.append(ch)
         if min(leaf_pre) < 0:
             raise AssertionError("a suffix has no leaf")
-        leaves = self.leaves
-        if len(leaves) != n + 1 or any(order[leaf_pre[k]] is not leaf
-                                       for k, leaf in enumerate(leaves)):
-            raise AssertionError("leaves[k] is not the tree's leaf k")
         end = list(range(len(order)))  # last preorder number below each node, a leaf
         for i in range(len(order) - 1, 0, -1):
             p = pre[id(order[i].parent)]
@@ -245,38 +213,53 @@ class OnlineSuffixTree:
         def below(q, i):
             return 0 <= q <= n and i <= leaf_pre[q] <= end[i]
 
-        for i, v in enumerate(order):
-            links = self.links_of(v)
+        targets = set()  # preorder numbers of hard-link targets
+        hard = []        # (source, letter, target), nodes by preorder number
+        for i in range(len(order) - 1, -1, -1):  # children first
+            v = order[i]
             p = v.parent
-            if p is None:
-                if v.rev_soft:
-                    raise AssertionError("a soft link aims at the root")
-            else:
+            if p is not None:
                 if not (0 < v.label_len == v.sdepth - p.sdepth):
                     raise AssertionError("label length off the depth step")
                 if not below(v.hi + 1 + p.sdepth, i):
                     raise AssertionError("label names no leaf below its node")
                 if p.children.get(self.char(v.hi)) is not v:
                     raise AssertionError("child key differs from its label")
-                if not (p is self.root or links.keys() <= p.links.keys()):
-                    raise AssertionError("link sets must be monotone upward")
-                b = self.char(v.hi + p.sdepth)
-                if not all(id(q) in pre and q.sdepth + 1 != v.sdepth
-                           and self.links_of(q).get(b) is v for q in v.rev_soft):
-                    raise AssertionError("reverse soft set holds a node that is not its soft source")
+            if v.is_leaf:
+                continue
+            links = v.links
+            seen = {}  # letter -> number of children having it
+            for w in v.children.values():
+                k = w.leaf_id
+                for b in w.links if k < 0 else buf[k:k + 1]:
+                    seen[b] = seen.get(b, 0) + 1
+            if not seen.keys() <= links.keys():
+                raise AssertionError("a map misses a letter its children have")
+            if not links.keys() <= seen.keys():
+                raise AssertionError("a map holds a letter no child has")
             for b, t in links.items():
+                if t is None:
+                    if seen[b] > 1:
+                        raise AssertionError("a None value where b*str(v) is a node")
+                    continue
+                if seen[b] < 2:
+                    raise AssertionError("a hard link where b*str(v) lies inside an edge")
                 j = pre.get(id(t))
-                if not j:
-                    raise AssertionError("an a-link aims at the root (numbered 0) or outside the tree")
-                depth = v.sdepth + 1
-                if t.sdepth != depth:
-                    if not (t.parent.sdepth < depth < t.sdepth):
-                        raise AssertionError("soft locus outside edge")
-                    if v not in t.rev_soft:
-                        raise AssertionError("reverse soft set out of sync")
-                q = order[end[j]].leaf_id
-                if not (q > 0 and self.char(q - 1) == b and below(q - 1, i)):
-                    raise AssertionError("link contents differ from b*str(source)")
+                if not j or t.is_leaf:
+                    raise AssertionError("a hard link aims at the root (numbered 0), "
+                                         "a leaf or outside the tree")
+                if t.sdepth != v.sdepth + 1:
+                    raise AssertionError("a hard link's target is not one string-depth deeper")
+                if j in targets:
+                    raise AssertionError("an inner node has a second incoming hard link")
+                targets.add(j)
+                hard.append((i, b, j))
+        if len(targets) < len(order) - (n + 1) - 1:  # inner nodes less the root
+            raise AssertionError("an inner node has no incoming hard link")
+        for i, b, j in hard:
+            q = order[end[j]].leaf_id
+            if not (q > 0 and self.char(q - 1) == b and below(q - 1, i)):
+                raise AssertionError("link contents differ from b*str(source)")
 
 
 class FmaTree:

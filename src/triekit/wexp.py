@@ -235,19 +235,11 @@ class WexpTree:
                 parent.children[parent.children.index(node)] = top
 
 
-def _floor_lg(x: int) -> int:
-    return x.bit_length() - 1
-
-
-def min_splitter_level(weight: int) -> int:
-    """Lowest level an element of this weight may live at (depth bound)."""
-    return max(0, _floor_lg(_floor_lg(max(weight, 4))) - 1)
-
-
 def splitter_weight_limit(level: int) -> int:
-    """Smallest weight whose `min_splitter_level` exceeds `level`, so an
-    element may live at `level` iff its weight is below this:
-    lg lg w - 1 <= level  <=>  lg w < 2^(level+2)  (floors throughout)."""
+    """The depth bound's weight limit: an element of weight w may live at
+    `level` iff w is below it, that is iff lg lg w - 1 <= level, since
+    lg lg w - 1 <= level  <=>  lg w < 2^(level+2) (floors throughout, and
+    weights below 4 read as 4)."""
     return 1 << (1 << (level + 2))
 
 

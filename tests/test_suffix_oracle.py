@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import MappingProxyType
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit.errors import AlphabetOverflowError, MarkOrderViolationError
+from triekit.instrument import GLOBAL
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.suffix_oracle import FmaTree, OnlineSuffixTree, _ONode
 from triekit.text import Text
@@ -77,30 +79,83 @@ def test_repetitive_text():
 
 
 def test_link_monotonicity_and_permanence():
+    # a key never leaves its map, a None may become a node, and a node
+    # value never changes
     rng = random.Random(99)
     online = OnlineSuffixTree(4)
-    hard_seen = {}
+    prev = {}  # (node, letter) -> value
     for _ in range(300):
         online.prepend(rng.randint(1, 4))
-        for v in subtree_nodes(online.root):
-            for b, t in online.links_of(v).items():
-                hard = t.sdepth == v.sdepth + 1
-                # once hard, a link never changes target or softens
-                prev = hard_seen.get((id(v), b))
-                assert prev is None or (prev is t and hard)
-                if hard:
-                    hard_seen[(id(v), b)] = t
+        now = {(v, b): t for v in subtree_nodes(online.root) if not v.is_leaf
+               for b, t in v.links.items()}
+        for key, t in prev.items():
+            assert key in now
+            assert t is None or now[key] is t
+        prev = now
     online.audit_links()
 
 
-def _soft_link(online):
-    """Some stored soft link (source, letter, target) whose target's
-    parent is not the root."""
-    for v in subtree_nodes(online.root):
-        for b, t in online.links_of(v).items():
-            if t.sdepth != v.sdepth + 1 and t.parent is not online.root:
-                return v, b, t
-    raise AssertionError("no soft link")
+def _node_string(online, v):
+    """str(v), read off the labels from the root down."""
+    path = []
+    while v.parent is not None:
+        path.append(v)
+        v = v.parent
+    return tuple(online.char(pos) for u in reversed(path) for pos in range(u.hi, u.lo - 1, -1))
+
+
+def _check_links_by_brute_force(online):
+    """Each inner node's keys are the letters before an occurrence of its
+    string in the text, and letter a's value is the inner node spelling
+    a*str(v), or None when there is none; no audit_links involved."""
+    text = online.text_codes()
+    n = len(text)
+    before = {}  # substring -> letters preceding one of its occurrences
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            letters = before.setdefault(tuple(text[i:j]), set())
+            if i:
+                letters.add(text[i - 1])
+    inner = {_node_string(online, v): v for v in subtree_nodes(online.root) if not v.is_leaf}
+    for x, v in inner.items():
+        want = before[x] if x else set(text)
+        assert set(v.links) == want, (text, x)
+        for a, t in v.links.items():
+            assert t is inner.get((a, *x)), (text, x, a)
+
+
+def test_links_match_a_brute_force_scan():
+    for text in itertools.product([1, 2], repeat=8):
+        online = OnlineSuffixTree(2)
+        for a in reversed(text):
+            online.prepend(a)
+            _check_links_by_brute_force(online)
+    rng = random.Random(29)
+    for sigma in (3, 26):
+        for _ in range(12):
+            online = OnlineSuffixTree(sigma)
+            for _ in range(rng.randrange(1, 30)):
+                online.prepend(rng.randint(1, sigma))
+                _check_links_by_brute_force(online)
+
+
+def test_last_prepend_of_a_n_b_walks_the_whole_chain():
+    # the new letter b is at no node, so the walk visits the n ancestors of
+    # the active leaf (the root included) and writes a link into each, then
+    # hangs one leaf: 2n + 1 steps
+    n = 2000
+    online = OnlineSuffixTree(2)
+    for _ in range(n):
+        online.prepend(1)
+    before = GLOBAL.oracle_steps
+    online.prepend(2)
+    assert GLOBAL.oracle_steps - before == 2 * n + 1
+
+
+def _hard_links(online):
+    """Every (source, letter, target) hard link."""
+    return [(v, b, t) for v in subtree_nodes(online.root) if not v.is_leaf
+            for b, t in v.links.items() if t is not None]
 
 
 def _grown_tree():
@@ -112,35 +167,135 @@ def _grown_tree():
     return online
 
 
+def test_audit_links_catches_dropped_and_spurious_letters():
+    online = _grown_tree()
+    caught = 0
+    for v in subtree_nodes(online.root):
+        if v.is_leaf:
+            continue
+        for b in (1, 2):
+            if b in v.links:
+                t = v.links.pop(b)
+                with pytest.raises(AssertionError, match="misses a letter"):
+                    online.audit_links()
+                v.links[b] = t
+            else:
+                v.links[b] = None
+                with pytest.raises(AssertionError, match="no child has"):
+                    online.audit_links()
+                del v.links[b]
+            caught += 1
+    assert caught >= 20
+    online.audit_links()
+
+
+def test_audit_links_catches_hard_link_set_to_none():
+    online = _grown_tree()
+    hard = _hard_links(online)
+    for v, b, t in hard:
+        v.links[b] = None
+        with pytest.raises(AssertionError, match="None value where"):
+            online.audit_links()
+        v.links[b] = t
+    assert len(hard) >= 10
+    online.audit_links()
+
+
+def test_audit_links_catches_none_aimed_at_a_node():
+    online = _grown_tree()
+    nodes = subtree_nodes(online.root)
+    caught = 0
+    for v in nodes:
+        if v.is_leaf:
+            continue
+        for b, t in v.links.items():
+            if t is not None:
+                continue
+            for u in nodes:  # one string-depth deeper, or any other inner node
+                if u is v or u.is_leaf:
+                    continue
+                v.links[b] = u
+                with pytest.raises(AssertionError, match="lies inside an edge"):
+                    online.audit_links()
+                caught += 1
+            v.links[b] = None
+    assert caught >= 100
+    online.audit_links()
+
+
 def test_audit_links_catches_link_aimed_at_parent():
     online = _grown_tree()
-    v, b, t = _soft_link(online)
-    t.rev_soft -= {v}
-    online.links_of(v)[b] = t.parent
-    t.parent.rev_soft |= {v}
-    with pytest.raises(AssertionError):
-        online.audit_links()
+    caught = 0
+    for v, b, t in _hard_links(online):
+        if t.parent is online.root:
+            continue
+        v.links[b] = t.parent
+        with pytest.raises(AssertionError, match="not one string-depth deeper"):
+            online.audit_links()
+        v.links[b] = t
+        caught += 1
+    assert caught >= 10
+    online.audit_links()
 
 
-@pytest.mark.parametrize("reverse_entry", [False, True])
-def test_audit_links_catches_link_aimed_at_root(reverse_entry):
-    # the root has no parent, so the soft-locus check cannot run on it
+@pytest.mark.parametrize("hard", [False, True])
+def test_audit_links_catches_link_aimed_at_root(hard):
+    # the root (numbered 0) is no link's target; a None value aimed at it
+    # fails first for its letter, whose string lies inside an edge
     online = _grown_tree()
-    v, b, t = _soft_link(online)
-    t.rev_soft -= {v}
-    online.links_of(v)[b] = online.root
-    if reverse_entry:
-        online.root.rev_soft |= {v}
-    with pytest.raises(AssertionError):
-        online.audit_links()
+    caught = 0
+    for v in subtree_nodes(online.root):
+        if v.is_leaf:
+            continue
+        for b, t in v.links.items():
+            if (t is not None) != hard:
+                continue
+            v.links[b] = online.root
+            with pytest.raises(AssertionError,
+                               match="aims at the root" if hard else "lies inside an edge"):
+                online.audit_links()
+            v.links[b] = t
+            caught += 1
+    assert caught >= 10
+    online.audit_links()
 
 
-def test_audit_links_catches_missing_reverse_entry():
+def _same_depth_pairs(online):
+    """Pairs of hard links into distinct targets of one string depth."""
+    hard = _hard_links(online)
+    return [(x, y) for x in hard for y in hard
+            if x[2] is not y[2] and x[2].sdepth == y[2].sdepth]
+
+
+def test_audit_links_catches_second_incoming_hard_link():
     online = _grown_tree()
-    v, _, t = _soft_link(online)
-    t.rev_soft -= {v}
-    with pytest.raises(AssertionError):
-        online.audit_links()
+    pairs = _same_depth_pairs(online)
+    for (v, b, t), (_, _, u) in pairs:
+        v.links[b] = u
+        with pytest.raises(AssertionError, match="second incoming hard link"):
+            online.audit_links()
+        v.links[b] = t
+    assert len(pairs) >= 10
+    online.audit_links()
+
+
+def test_audit_links_catches_unary_node():
+    # splitting an edge where no suffix branches gives a node whose letters
+    # and None values pass, but no letter's string is that node
+    online = _grown_tree()
+    caught = 0
+    for t in subtree_nodes(online.root):
+        if t is online.root or t.label_len < 2:
+            continue
+        p, hi, lo = t.parent, t.hi, t.lo
+        mid = online._split(t, p.sdepth + 1)
+        with pytest.raises(AssertionError, match="no incoming hard link"):
+            online.audit_links()
+        p.children[online.char(hi)] = t
+        t.parent, t.hi, t.lo = p, hi, lo
+        caught += 1
+    assert caught >= 10
+    online.audit_links()
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -166,37 +321,18 @@ def test_audit_links_catches_shifted_label(shift):
 
 
 def test_audit_links_catches_link_reaimed_at_same_depth():
-    # the new target has the old one's string depth and first letter, so
-    # only the contents test can tell
+    # two hard links of one letter swap targets of one string depth: each
+    # node keeps one incoming link, so only the contents test can tell
     online = _grown_tree()
-    nodes = subtree_nodes(online.root)
-
-    def first_letter(u):
-        return online.char(u.hi + u.parent.sdepth)
-
     caught = 0
-    for v in nodes:
-        if v.is_leaf:
-            continue  # a leaf's one link is derived, so it cannot be re-aimed
-        links = online.links_of(v)
-        for b, t in list(links.items()):
-            depth = v.sdepth + 1
-            for u in nodes:
-                if (u is t or u is online.root or u.sdepth != t.sdepth
-                        or first_letter(u) != b or not u.parent.sdepth < depth):
-                    continue
-                soft = t.sdepth != depth
-                if soft:
-                    t.rev_soft -= {v}
-                    u.rev_soft |= {v}
-                links[b] = u
-                with pytest.raises(AssertionError, match="link contents"):
-                    online.audit_links()
-                links[b] = t
-                if soft:
-                    u.rev_soft -= {v}
-                    t.rev_soft |= {v}
-                caught += 1
+    for (v, b, t), (s, c, u) in _same_depth_pairs(online):
+        if b != c:
+            continue
+        v.links[b], s.links[b] = u, t
+        with pytest.raises(AssertionError, match="link contents"):
+            online.audit_links()
+        v.links[b], s.links[b] = t, u
+        caught += 1
     assert caught >= 10
     online.audit_links()
 
@@ -226,68 +362,28 @@ def test_audit_links_catches_nodes_outside_the_tree():
     with pytest.raises(AssertionError):
         online.audit_links()
     online = _grown_tree()
-    v, b, t = _soft_link(online)
-    stray = _ONode(t.parent, t.hi, t.lo, t.sdepth)
-    t.rev_soft -= {v}
-    stray.rev_soft |= {v}
-    online.links_of(v)[b] = stray
+    v, b, t = next(x for x in _hard_links(online) if x[2].parent is not online.root)
+    v.links[b] = _ONode(t.parent, t.hi, t.lo, t.sdepth)
     with pytest.raises(AssertionError, match="outside the tree"):
         online.audit_links()
 
 
-def test_audit_links_catches_swapped_leaves():
-    # each leaf's derived link reads leaves[leaf_id + 1]
+def test_audit_links_catches_duplicated_leaf_id():
     online = _grown_tree()
-    leaves = online.leaves
-    for i, j in [(0, 1), (5, 6), (10, 40), (1, len(leaves) - 1), (30, 31)]:
-        leaves[i], leaves[j] = leaves[j], leaves[i]
-        with pytest.raises(AssertionError, match="leaves"):
+    leaves = [v for v in subtree_nodes(online.root) if v.is_leaf]
+    for leaf, other in [(leaves[0], leaves[1]), (leaves[5], leaves[-1]), (leaves[-1], leaves[3])]:
+        k = leaf.leaf_id
+        leaf.leaf_id = other.leaf_id
+        with pytest.raises(AssertionError, match="leaf id out of range or taken"):
             online.audit_links()
-        leaves[i], leaves[j] = leaves[j], leaves[i]
-    online.audit_links()
-
-
-def test_audit_links_catches_truncated_leaves():
-    online = _grown_tree()
-    online.leaves.pop()
-    with pytest.raises(AssertionError, match="leaves"):
-        online.audit_links()
-
-
-def test_audit_links_catches_reverse_soft_entry_without_soft_link():
-    # a hard source passes every reverse-set test but the softness one,
-    # since its link does aim at the node; the root as a source fails the
-    # link test or the softness one
-    online = _grown_tree()
-    nodes = subtree_nodes(online.root)
-    caught = 0
-    for q in nodes:
-        for b, w in online.links_of(q).items():
-            if w.sdepth != q.sdepth + 1 or w.rev_soft:
-                continue
-            w.rev_soft = {q}
-            with pytest.raises(AssertionError, match="reverse soft set"):
-                online.audit_links()
-            w.rev_soft = frozenset()
-            caught += 1
-    assert caught >= 10
-    caught = 0
-    for w in nodes:
-        if w is online.root or w.rev_soft:
-            continue
-        w.rev_soft = {online.root}
-        with pytest.raises(AssertionError, match="reverse soft set"):
-            online.audit_links()
-        w.rev_soft = frozenset()
-        caught += 1
-    assert caught >= 10
+        leaf.leaf_id = k
     online.audit_links()
 
 
 @pytest.mark.parametrize("sigma", [2, 4, 26, 65536])
 def test_prepend_makes_containers_only_where_used(sigma):
-    # a leaf is one collector object: no links map, the shared read-only
-    # children map, and rev_soft a real set only once a soft link aims at it
+    # a leaf is one collector object: no links map and the shared
+    # read-only children map
     rng = random.Random(sigma)
     online = OnlineSuffixTree(sigma)
     for step in range(1, 301):
@@ -304,7 +400,6 @@ def test_prepend_makes_containers_only_where_used(sigma):
             else:
                 assert type(v.children) is dict and type(v.links) is dict
                 inner_maps.add(id(v.children))
-            assert type(v.rev_soft) is (set if v.rev_soft else frozenset)
         assert len(leaf_maps) == 1
         assert len(inner_maps) == len(nodes) - (online.n + 1)
         with pytest.raises(TypeError):

@@ -13,11 +13,19 @@ from triekit.wexp import (
     _Node,
     audit_wexp,
     capacity,
-    min_splitter_level,
     splitter_weight_limit,
 )
 
 from oracles import WeightedOracle
+
+
+def _floor_lg(x: int) -> int:
+    return x.bit_length() - 1
+
+
+def min_splitter_level(weight: int) -> int:
+    """Lowest level an element of this weight may live at (depth bound)."""
+    return max(0, _floor_lg(_floor_lg(max(weight, 4))) - 1)
 
 
 def test_capacity_values():

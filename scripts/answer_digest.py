@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""One SHA-256 per benchmark workload and seed over everything the library
-answers and counts, to show that a refactor changed neither.
+"""Two SHA-256 digests per benchmark workload and seed: `answers=` over
+everything the library answers and `counters=` over everything it counts,
+to show that a refactor changed neither, or only what it counts.
 
-Per workload and seed, the digest covers, in this order:
+Per workload and seed, `answers` covers, in this order:
 
-* the answers and per-operation probe-counter diffs of the static prefix
-  and predecessor batches, of the same batches on the index loaded back from
-  its bytes, and of the tray batch;
+* the answers of the static prefix and predecessor batches, of the same
+  batches on the index loaded back from its bytes, and of the tray batch;
 * the `dump_index` bytes of the static index;
-* the answers and diffs of the dynamic stream, then of its final search and
+* the answers of the dynamic stream, then of its final search and
   predecessor batch;
 * the prepended suffix tree's `canonical()` form.
+
+`counters` covers each of those calls' probe-counter diffs, in the same
+order.
 
 Inputs come from `perfbench/workloads.py`, and only public library calls
 are made, so the same script can digest another checkout's library:
@@ -19,8 +22,9 @@ are made, so the same script can digest another checkout's library:
     PYTHONPATH=/other/checkout/src python scripts/answer_digest.py --seeds 1-2
 
 A `triekit` on PYTHONPATH is used first; otherwise this checkout's `src`.
-Equal output means equal answers, counters, bytes and trees.  The library
-location goes to stderr, so stdout compares directly.
+Equal `answers=` means equal answers, bytes and trees, and equal
+`counters=` equal counts.  The library location goes to stderr, so stdout
+compares directly.
 """
 
 import argparse
@@ -50,17 +54,20 @@ def _answer(r):
     return r
 
 
-def _feed(h, label, fn, args):
-    """Hash each call's answer and probe-counter diff, in order."""
-    h.update(label.encode())
+def _feed(answers, counters, label, fn, args):
+    """Hash each call's answer into `answers` and its probe-counter diff
+    into `counters`, in order."""
+    answers.update(label.encode())
+    counters.update(label.encode())
     for arg in args:
         before = GLOBAL.snapshot()
         r = fn(arg)
-        diff = sorted(GLOBAL.diff(before).items())
-        h.update(repr((_answer(r), diff)).encode())
+        answers.update(repr(_answer(r)).encode())
+        counters.update(repr(sorted(GLOBAL.diff(before).items())).encode())
 
 
-def digest(spec, seed) -> str:
+def digest(spec, seed) -> tuple[str, str]:
+    """(answers digest, counters digest) of one workload and seed."""
     inp = workloads.generate(spec, seed)
     if spec.mode == "suffix":
         txt = text.Text(inp.text)
@@ -74,28 +81,29 @@ def digest(spec, seed) -> str:
     loaded = serialize.load_index(blob)
     pats = inp.patterns
 
-    h = hashlib.sha256()
+    answers = hashlib.sha256()
+    counters = hashlib.sha256()
     for label, index in (("static", static), ("loaded", loaded)):
-        _feed(h, f"{label} prefix", index.prefix_query, pats)
-        _feed(h, f"{label} pred", index.predecessor_query, pats)
-    _feed(h, "tray", tray.tray_query, pats)
-    h.update(b"dump")
-    h.update(blob)
+        _feed(answers, counters, f"{label} prefix", index.prefix_query, pats)
+        _feed(answers, counters, f"{label} pred", index.predecessor_query, pats)
+    _feed(answers, counters, "tray", tray.tray_query, pats)
+    answers.update(b"dump")
+    answers.update(blob)
 
     dyn = DynTrieIndex(spec.sigma)
     fns = {"insert": dyn.insert, "search": dyn.search, "pred": dyn.predecessor}
-    h.update(b"stream")
+    answers.update(b"stream")
     for kind, codes in inp.stream:
-        _feed(h, kind, fns[kind], [codes])
-    _feed(h, "final search", dyn.search, pats)
-    _feed(h, "final pred", dyn.predecessor, pats)
+        _feed(answers, counters, kind, fns[kind], [codes])
+    _feed(answers, counters, "final search", dyn.search, pats)
+    _feed(answers, counters, "final pred", dyn.predecessor, pats)
 
     tree = OnlineSuffixTree(spec.sigma)
     for a in reversed(inp.prepend_text):
         tree.prepend(a)
-    h.update(b"prepend")
-    h.update(repr(tree.canonical()).encode())
-    return h.hexdigest()
+    answers.update(b"prepend")
+    answers.update(repr(tree.canonical()).encode())
+    return answers.hexdigest(), counters.hexdigest()
 
 
 def _seeds(arg: str) -> list[int]:
@@ -116,8 +124,8 @@ def main(argv=None) -> int:
     print(f"triekit from {Path(triekit.__file__).parent}", file=sys.stderr)
     for name in names:
         for seed in _seeds(args.seeds):
-            print(f"{name} seed={seed} sha256={digest(workloads.SPECS[name], seed)}",
-                  flush=True)
+            answers, counters = digest(workloads.SPECS[name], seed)
+            print(f"{name} seed={seed} answers={answers} counters={counters}", flush=True)
     return 0
 
 

@@ -19,8 +19,9 @@ one predecessor slot over its children's first characters: that
 most two words on each of its ceil(log_64 (sigma + 1)) levels, at most 6
 levels for sigma < 2^32) when sigma + 1 >= 8, and nothing below that, where
 no node has 8 children.  Besides the pointer step only `predecessor` asks
-it, ascending from where `CompactedTrie.locate` (the walk `insert` takes)
-left the trie, at a node with 8 or more children; it scans the others.
+it, ascending from where its plain walk down the children maps (the walk
+`insert` takes) left the trie, at a node with 8 or more children; it scans
+the others.
 
 Light nodes carry the per-small-tree machinery: a level in the capacity
 hierarchy, fragments (maximal same-level connected subtrees) weighed by the
@@ -52,8 +53,7 @@ from math import isqrt
 from .errors import DuplicateKeyError
 from .instrument import GLOBAL
 from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor
-from .text import (ARRAY_CELLS, MATCHED_AT_NODE, MATCHED_ON_EDGE, NOT_FOUND, SENTINEL, ChildArray,
-                   CompactedTrie, MatchResult, check_codes)
+from .text import ARRAY_CELLS, SENTINEL, ChildArray, CompactedTrie, MatchResult, check_codes
 from .wexp import WexpTree, audit_wexp, capacity
 
 
@@ -471,12 +471,11 @@ class DynTrieIndex:
         check_codes(pattern, self.sigma)
         trie = self.trie
         if self.occ[trie.ROOT] == 0:
-            return MatchResult(NOT_FOUND, trie.ROOT, 0, None, 0)
+            return MatchResult(trie.ROOT, 0, None, 0)
         v, offset, matched, _ = trie.descend(self.child_step, pattern)
         if matched < len(pattern):
-            return MatchResult(NOT_FOUND, v, offset, None, matched)
-        out = MATCHED_ON_EDGE if offset else MATCHED_AT_NODE
-        return MatchResult(out, v, offset, (0, self.occ[v] - 1), matched)
+            return MatchResult(v, offset, None, matched)
+        return MatchResult(v, offset, (0, self.occ[v] - 1), matched)
 
     def enumerate_match(self, res: MatchResult) -> list[int]:
         """String ids under the match locus, in lexicographic order."""
@@ -501,16 +500,21 @@ class DynTrieIndex:
         """String id of the largest stored string <= pattern, or None."""
         check_codes(pattern, self.sigma)
         trie = self.trie
-        codes = [*pattern, SENTINEL]
-        v, child, k, depth = trie.locate(codes)
-        if child is None:
-            return self._ascend(v, codes[depth])
-        nd = trie.nodes[child]
-        if depth + k == len(codes):
-            return nd.leaf_id  # the pattern is stored
-        if codes[depth + k] > trie.sources[nd.sid][nd.start + k]:
-            return self._rightmost(child)
-        return self._ascend(v, codes[depth])
+        v, offset, matched, _ = trie.descend(trie.nodes, pattern)
+        # x: the next character of the pattern as stored, sentinel-terminated
+        x = pattern[matched] if matched < len(pattern) else SENTINEL
+        nd = trie.nodes[v]
+        if offset:  # the walk stopped inside v's label, at character c
+            c = trie.sources[nd.sid][nd.start + offset]
+            if x == c:
+                return nd.leaf_id  # both sentinels: the pattern is stored
+            if x > c:
+                return self._rightmost(v)
+            return self._ascend(nd.parent, self._edge_char(v))
+        leaf = nd.children.get(x)
+        if leaf is not None:
+            return trie.nodes[leaf].leaf_id  # x is the sentinel: the pattern is stored
+        return self._ascend(v, x)
 
     def _ascend(self, v, below_char):
         """Rightmost leaf preceding the subtrees at or above (v, below_char)."""

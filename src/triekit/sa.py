@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .errors import InvalidInputError
-from .text import SENTINEL, CompactedTrie, Text, build_sorted_trie, terminated
+from .text import CompactedTrie, build_sorted_trie, terminated
 
 S_TYPE = 0
 L_TYPE = 1
@@ -122,14 +122,15 @@ class SuffixArrayIndex:
     lcp: list[int]
 
 
-def build_suffix_array(text: Text) -> SuffixArrayIndex:
-    """Suffix array + LCP of `text` with its implicit sentinel."""
+def build_suffix_array(text) -> SuffixArrayIndex:
+    """Suffix array + LCP of `text`, a Text or a list that ends in SENTINEL
+    (see `text.terminated`), with its sentinel."""
+    codes = terminated(text)
     # SA-IS keeps arrays as long as its alphabet: rename each code to the rank
     # of its value among the distinct ones, which keeps the order (the
     # sentinel 0 stays the unique minimum) and bounds the arrays by the text
-    rank = {c: r for r, c in enumerate(sorted(set(text.codes) | {SENTINEL}))}
-    codes = list(map(rank.__getitem__, text.codes))
-    codes.append(rank[SENTINEL])
+    rank = {c: r for r, c in enumerate(sorted(set(codes)))}
+    codes = list(map(rank.__getitem__, codes))
     sa = _sais(codes, len(rank))
     lcp = _kasai(codes, sa, _ranks(sa))
     return SuffixArrayIndex(sa=sa, lcp=lcp)

@@ -29,8 +29,7 @@ import math
 from .errors import CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import (ARRAY_CELLS, MATCHED_AT_NODE, MATCHED_ON_EDGE, NOT_FOUND, ChildArray,
-                   CompactedTrie, MatchResult, check_codes)
+from .text import ARRAY_CELLS, ChildArray, CompactedTrie, MatchResult, check_codes
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -38,11 +37,12 @@ def heavy_threshold(sigma: int) -> int:
     return max(2, math.ceil(math.log2(math.log2(max(sigma, 4))) ** 2))
 
 
-def validate_intervals(trie: CompactedTrie, n_leaves: int):
+def validate_intervals(trie: CompactedTrie, n_leaves: int, sigma: int):
     """Check the topology and the leaf-rank intervals in one walk from the
-    root.  Every child id must name an unvisited node whose parent is the
-    walking node; intervals must be contiguous, child-ordered and consistent,
-    and the leaves' ranks a permutation of [0, n_leaves)."""
+    root.  Every child key must lie in [0, sigma] and every child id name an
+    unvisited node whose parent is the walking node; intervals must be
+    contiguous, child-ordered and consistent, and the leaves' ranks a
+    permutation of [0, n_leaves)."""
     nodes = trie.nodes
     n_nodes = len(nodes)
     visited = [False] * n_nodes
@@ -62,6 +62,8 @@ def validate_intervals(trie: CompactedTrie, n_leaves: int):
                 continue
             raise CorruptTrieError(f"childless internal node {v}")
         chars = sorted(kids)  # timsort: n - 1 compares when already increasing
+        if chars[0] < 0 or chars[-1] > sigma:
+            raise CorruptTrieError(f"child key outside [0, {sigma}] under {v}")
         prev_high = None
         for key in chars:
             ch = kids[key]
@@ -91,7 +93,7 @@ class _IndexBase:
         self.leaf_order = leaf_order
         self.sigma = sigma
         self.mode = mode  # "suffix": leaf_order holds positions; "strings": string ids
-        validate_intervals(trie, len(leaf_order))
+        validate_intervals(trie, len(leaf_order), sigma)
         self.s = s
         self.heavy = [nd.high - nd.low + 1 >= s or v == trie.ROOT
                       for v, nd in enumerate(trie.nodes)]
@@ -116,14 +118,13 @@ class _IndexBase:
         in one (None otherwise), and `steps` the number of child steps."""
         trie = self.trie
         if not self.leaf_order:
-            return MatchResult(NOT_FOUND, trie.ROOT, 0, None, 0), None, 0
+            return MatchResult(trie.ROOT, 0, None, 0), None, 0
         v, offset, matched, steps = trie.descend(self.child_step, pattern)
         if matched == len(pattern):
             nd = trie.nodes[v]
-            out = MATCHED_ON_EDGE if offset else MATCHED_AT_NODE
-            return MatchResult(out, v, offset, (nd.low, nd.high), matched), None, steps
+            return MatchResult(v, offset, (nd.low, nd.high), matched), None, steps
         if offset or self.child_step[v] is not None:
-            return MatchResult(NOT_FOUND, v, offset, None, matched), None, steps
+            return MatchResult(v, offset, None, matched), None, steps
         res, pos = self._light_search(v, pattern, matched + 1)
         return res, pos, steps
 
@@ -182,36 +183,29 @@ class _IndexBase:
         m = len(pattern)
         left, best = self._first_geq(nd.low, hi, pattern, start, strict=False)
         if best < m:
-            return MatchResult(NOT_FOUND, w, 0, None, best), left
+            return MatchResult(w, 0, None, best), left
         right = left + 1
         if left < hi:
             right, _ = self._first_geq(right, hi, pattern, start, strict=True)
-        return self._locus_result(w, left, right - 1, m, start), left
+        return self._locus_result(w, pattern, (left, right - 1), start), left
 
-    def _locus_result(self, w, lo, hi, m, start) -> MatchResult:
-        """Locate the trie locus of a match known to span ranks [lo, hi]."""
+    def _locus_result(self, w, pattern, interval, start) -> MatchResult:
+        """The trie locus of a match known to span the ranks `interval`,
+        reached from light child w by the pattern's own characters: the
+        leaf search has compared them all, so no label is read."""
         nodes = self.trie.nodes
+        m = len(pattern)
         u = w
-        # start-1 is the depth where w's edge begins (its first char was
+        nd = nodes[u]
+        # start - 1 is the depth where w's edge begins (its first char was
         # matched as the entry character)
-        depth_above = start - 1
-        while True:
+        above = start - 1
+        while above + nd.end - nd.start < m:
+            above += nd.end - nd.start
+            u = nd.children[pattern[above]]
             nd = nodes[u]
-            length = nd.end - nd.start
-            if nd.low == lo and nd.high == hi:
-                offset = m - depth_above
-                if offset == length:
-                    return MatchResult(MATCHED_AT_NODE, u, 0, (lo, hi), m)
-                return MatchResult(MATCHED_ON_EDGE, u, offset, (lo, hi), m)
-            # descend into the child whose interval covers the match
-            depth_above += length
-            for ch in nd.children.values():
-                c = nodes[ch]
-                if c.low <= lo and hi <= c.high:
-                    u = ch
-                    break
-            else:
-                raise CorruptTrieError("match interval not covered by any child")
+        offset = m - above
+        return MatchResult(u, 0 if offset == nd.end - nd.start else offset, interval, m)
 
 
 class StaticTrieIndex(_IndexBase):

@@ -8,12 +8,13 @@ ranges into the sources and are never copied.  All indexing is 0-based.
 `build_sorted_trie` builds every static
 trie, suffix tree or string-set trie, and its leaf-rank intervals in one
 lcp-stack pass over sorted strings; `CompactedTrie.insert_path` adds one
-string at a time to the dynamic trie.
+string at a time to the dynamic trie.  Both split an edge with
+`CompactedTrie.split`.
 
-`CompactedTrie.descend` is the one descent of all three query engines, each
-giving it a child step per node and building its result where the walk
-stops; `CompactedTrie.locate`, where a string leaves the children maps, is
-the walk of insertion and of the dynamic predecessor query.
+`CompactedTrie.descend` is the one walk down a trie.  The query engines
+each give it a child step per node and build their result where the walk
+stops; insertion and the dynamic predecessor query give it `trie.nodes`
+itself, whose `Node.lookup` reads the children map.
 """
 
 from __future__ import annotations
@@ -45,11 +46,16 @@ class Text:
 
 def terminated(source) -> list[int]:
     """`source` as a trie stores it: a Text's codes followed by SENTINEL,
-    or a list that already ends in SENTINEL, itself."""
+    or a list that already ends in SENTINEL, itself.  Every source enters
+    a trie or a suffix array here, so here a code below 1, which would
+    sort at or below the sentinel, raises InvalidInputError."""
     if type(source) is not list:
-        return [*source.codes, SENTINEL]
-    if not source or source[-1] != SENTINEL:
+        source = [*source.codes, SENTINEL]
+    elif not source or source[-1] != SENTINEL:
         raise InvalidInputError("a source list must end in the sentinel")
+    # the sentinel must be the one 0, the last code, and the minimum
+    if source.index(SENTINEL) < len(source) - 1 or min(source) < SENTINEL:
+        raise InvalidInputError("a source code lies below 1")
     return source
 
 
@@ -74,28 +80,29 @@ class Outcome(Enum):
     NOT_FOUND = "NOT_FOUND"
 
 
-# plain names for the query paths: an Enum attribute read costs ~0.1 us on CPython 3.11
-MATCHED_AT_NODE, MATCHED_ON_EDGE, NOT_FOUND = Outcome
-
-
 @dataclass
 class MatchResult:
     """Result of a prefix search.
 
     `node` is the locus: the node itself when `edge_offset` is 0, otherwise
     the point `edge_offset` characters down the locus node's incoming edge.
-    `interval` is the leaf-rank interval of all matches (None iff NOT_FOUND).
+    `interval` is the leaf-rank interval of all matches, None on a miss.
     """
 
-    outcome: Outcome
     node: int
     edge_offset: int
     interval: tuple[int, int] | None
     matched_len: int
 
     @property
+    def outcome(self) -> Outcome:
+        if self.interval is None:
+            return Outcome.NOT_FOUND
+        return Outcome.MATCHED_ON_EDGE if self.edge_offset else Outcome.MATCHED_AT_NODE
+
+    @property
     def matched(self) -> bool:
-        return self.outcome is not NOT_FOUND
+        return self.interval is not None
 
     @property
     def occ(self) -> int:
@@ -125,6 +132,12 @@ class Node:
     @property
     def label_len(self) -> int:
         return self.end - self.start
+
+    def lookup(self, c):
+        """The child on the edge starting with c, or None: with it the node
+        list is a child step of `CompactedTrie.descend`, one that never
+        stops at a light node."""
+        return self.children.get(c)
 
 
 # A sigma+1 child array of at most this many cells is O(1) space, so at such
@@ -163,17 +176,15 @@ class CompactedTrie:
         self.sources: list[list[int]] = sources if sources is not None else []
         self.nodes: list[Node] = [Node(parent=-1, sid=-1, start=0, end=0)]
 
-    def new_node(self, parent, sid, start, end, leaf_id=-1) -> int:
-        self.nodes.append(Node(parent=parent, sid=sid, start=start, end=end, leaf_id=leaf_id))
-        return len(self.nodes) - 1
-
     def descend(self, child_step, pattern):
         """Walk `pattern` down from the root, the one descent of every query
-        engine.  `child_step[v].lookup(c)` gives v's child on the edge
-        starting with c, or None; entering a node whose entry is None (a
-        light node) ends the walk.  The rest of each edge label is compared
-        as read, one chars_compared per character; a pattern ends the
-        compare before it could read past a label's last character.
+        engine and of insertion.  `child_step[v].lookup(c)` gives v's child
+        on the edge starting with c, or None; entering a node whose entry is
+        None (a light node) ends the walk.  `self.nodes` is the plain step:
+        it reads the children maps and has no None entry.  The rest of each
+        edge label is compared as read, one chars_compared per character; a
+        pattern ends the compare before it could read past a label's last
+        character.
 
         Returns (node, offset, matched, steps): `matched` pattern characters
         lead `offset` characters down node's incoming edge; `steps` counts
@@ -207,61 +218,45 @@ class CompactedTrie:
             v = child
         return v, 0, m, steps
 
-    def locate(self, codes):
-        """Where the string `codes`, which ends in SENTINEL, leaves the trie.
-
-        Returns (v, child, k, depth): `v` is the deepest node whose path the
-        string spells, `depth` its string depth.  `child` is None when v has
-        no edge for the string's next character; otherwise the string agrees
-        with the first k characters of child's label and differs at offset
-        k, or depth + k == len(codes) when child is the string's own leaf.
-        Counts nothing."""
-        total = len(codes)
+    def split(self, child: int, k: int) -> int:
+        """Split child's incoming edge k characters down.  The new middle
+        node takes the first k characters of child's label and child's
+        `low`, and becomes the parent's child in child's place and child's
+        parent.  Returns the middle node's id."""
         nodes = self.nodes
-        v = depth = 0  # v = ROOT
-        while True:
-            child = nodes[v].children.get(codes[depth])
-            if child is None:
-                return v, None, 0, depth
-            nd = nodes[child]
-            src = self.sources[nd.sid]
-            start = nd.start
-            # the first label character matched; a sentinel is the last
-            # character of both strings, so a matched one ends the label too
-            # and the compare never reads past either string
-            lim = nd.end - start
-            k = 1
-            while k < lim and src[start + k] == codes[depth + k]:
-                k += 1
-            if k < lim or depth + k == total:
-                return v, child, k, depth
-            depth += k
-            v = child
+        nd = nodes[child]
+        mid = len(nodes)
+        nodes.append(Node(nd.parent, nd.sid, nd.start, nd.start + k, {}, nd.low))
+        codes = self.sources[nd.sid]  # the middle node shares child's label
+        nodes[nd.parent].children[codes[nd.start]] = mid
+        nd.parent = mid
+        nd.start += k
+        nodes[mid].children[codes[nd.start]] = child
+        return mid
 
     def insert_path(self, sid: int):
         """Insert the sentinel-terminated string `sources[sid]` as a leaf.
 
         Splits at most one existing edge and adds one leaf edge.  The leaf
         carries `sid` as its payload.  Returns (leaf id, middle node id or
-        None, attach node id).
+        None, attach node id), the attach node being the one the leaf or
+        the middle node hangs under.
         Raises DuplicateKeyError if the string is already stored.
         """
         codes = self.sources[sid]
         total = len(codes)
-        attach, child, k, depth = self.locate(codes)
-        if depth + k == total:
+        # both strings end in the one sentinel, so the walk stops inside a
+        # label only at a mismatch, and matches all of codes only at its leaf
+        v, offset, depth, _ = self.descend(self.nodes, codes)
+        if depth == total:
             raise DuplicateKeyError("string already stored")
         nodes = self.nodes
-        v, mid = attach, None
-        if child is not None:  # split the edge at offset k; the leaf hangs off mid
-            nd = nodes[child]
-            v = mid = self.new_node(attach, nd.sid, nd.start, nd.start + k)
-            nodes[attach].children[codes[depth]] = mid
-            nd.parent = mid
-            nd.start += k
-            nodes[mid].children[self.sources[nd.sid][nd.start]] = child
-            depth += k
-        leaf = self.new_node(v, sid, depth, total, leaf_id=sid)
+        attach, mid = v, None
+        if offset:  # the leaf hangs off the middle node of v's edge
+            attach = nodes[v].parent
+            v = mid = self.split(v, offset)
+        leaf = len(nodes)
+        nodes.append(Node(v, sid, depth, total, leaf_id=sid))
         nodes[v].children[codes[depth]] = leaf
         return leaf, mid, attach
 
@@ -324,18 +319,9 @@ def build_sorted_trie(sources: list[list[int]], ranked, lcp: list[int]) -> Compa
         top, top_id, top_depth = stack[-1]
         if top_depth < d:
             # split the edge to the last popped node at string depth d
-            child, child_id, _ = popped
-            k = d - top_depth
-            mid_id = len(nodes)
-            mid = Node(top_id, child.sid, child.start, child.start + k, {}, child.low)
-            nodes.append(mid)
-            split = sources[child.sid]  # the middle node shares child's label
-            top.children[split[child.start]] = mid_id
-            child.parent = mid_id
-            child.start += k
-            mid.children[split[child.start]] = child_id
-            stack.append((mid, mid_id, d))
-            top, top_id = mid, mid_id
+            top_id = trie.split(popped[1], d - top_depth)
+            top = nodes[top_id]
+            stack.append((top, top_id, d))
         codes = sources[sid]
         total = len(codes)
         leaf = Node(top_id, sid, start + d, total, {}, r, r, leaf_id)

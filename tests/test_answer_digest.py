@@ -1,0 +1,38 @@
+"""`scripts/answer_digest.py` keeps what the library answers apart from
+what it counts."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from triekit.dynamic_index import DynTrieIndex
+from triekit.instrument import GLOBAL
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location("answer_digest", ROOT / "scripts" / "answer_digest.py")
+answer_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(answer_digest)
+
+
+@pytest.mark.parametrize("spec", [
+    workloads.Spec("tiny-suffix", "suffix", 4, 400, 8, 30, (2, 6), 300),
+    workloads.Spec("tiny-strings", "strings", 256, 60, 0, 0, (0, 0), 300),
+], ids=lambda spec: spec.mode)
+def test_an_extra_count_changes_the_counters_digest_only(spec, monkeypatch):
+    answers, counters = answer_digest.digest(spec, 1)
+    assert answer_digest.digest(spec, 1) == (answers, counters)
+    search = DynTrieIndex.search
+
+    def counted_twice(self, pattern):
+        GLOBAL.chars_compared += 1
+        return search(self, pattern)
+
+    monkeypatch.setattr(DynTrieIndex, "search", counted_twice)
+    planted_answers, planted_counters = answer_digest.digest(spec, 1)
+    assert planted_answers == answers and planted_counters != counters

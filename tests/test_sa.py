@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit import sa as sa_module
+from triekit.errors import InvalidInputError
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.static_index import validate_intervals
 from triekit.text import SENTINEL, CompactedTrie, Text, encode_text
@@ -25,6 +26,18 @@ def test_banana_table():
 def test_empty_text():
     idx = build_suffix_array(Text([]))
     assert idx.sa == [0] and idx.lcp == [0]
+
+
+def test_code_below_1_refused_before_it_passes_the_sentinel():
+    # -2 would sort below the sentinel and take rank 0 from it
+    with pytest.raises(InvalidInputError):
+        build_suffix_array(Text([-2, 1, 3]))
+
+
+def test_code_0_refused_before_the_sentinel_repeats():
+    # a second sentinel inside the text broke SA-IS, which left -1 in the SA
+    with pytest.raises(InvalidInputError):
+        build_suffix_array(Text([0, 2, 0, 1]))
 
 
 def test_aaa():
@@ -143,7 +156,7 @@ def test_suffix_tree_intervals_equal_recomputed_ones(codes):
     tree = build_suffix_tree(build_suffix_array(text), text)
     shape = tree.canonical()
     built = [(nd.low, nd.high) for nd in tree.nodes]
-    validate_intervals(tree, len(codes) + 1)
+    validate_intervals(tree, len(codes) + 1, max(codes, default=1))
     recompute_intervals(tree)
     assert [(nd.low, nd.high) for nd in tree.nodes] == built
     assert tree.canonical() == shape

@@ -109,6 +109,19 @@ def test_corrupt_trie_rejected():
         StaticTrieIndex(tree, order, 256, mode="suffix")
 
 
+@pytest.mark.parametrize("codes,sigma", [
+    (random.Random(80).choices(range(1, 101), k=400), 80),  # codes up to 100
+    ([5, 5, 1], 4),  # a static child array at sigma = 4 has no cell for 5
+], ids=["sigma-80", "sigma-4"])
+def test_child_key_above_sigma_rejected(codes, sigma):
+    text = Text(codes)
+    sa_index = build_suffix_array(text)
+    tree = build_suffix_tree(sa_index, text)
+    for engine in (StaticTrieIndex, SuffixTrayIndex):
+        with pytest.raises(CorruptTrieError):
+            engine(tree, sa_index.sa, sigma, mode="suffix")
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block after `seconds` of wall time."""
@@ -752,6 +765,45 @@ def _light_top(idx, v):
     while not idx.heavy[nodes[v].parent]:
         v = nodes[v].parent
     return v
+
+
+def _plain_locus(trie, pattern):
+    """(node, edge_offset) of a pattern that matches, by a walk down the
+    children maps."""
+    nodes = trie.nodes
+    v = depth = 0
+    while depth < len(pattern):
+        v = nodes[v].children[pattern[depth]]
+        depth += nodes[v].end - nodes[v].start
+    offset = len(pattern) - depth + nodes[v].end - nodes[v].start
+    return v, 0 if depth == len(pattern) else offset
+
+
+@pytest.mark.parametrize("mode", ["suffix", "strings"])
+def test_match_locus_equals_a_plain_children_walk(mode):
+    rng = random.Random(64)
+    sigma = 4
+    if mode == "suffix":
+        codes = [rng.randint(1, sigma) for _ in range(1500)]
+        text = Text(codes)
+        sa_index = build_suffix_array(text)
+        trie, order = build_suffix_tree(sa_index, text), sa_index.sa
+        keys = [codes[p:] for p in order]
+    else:
+        words = sorted({tuple(rng.randint(1, sigma) for _ in range(rng.randrange(1, 12)))
+                        for _ in range(800)})
+        trie, order = build_string_trie([Text(list(w)) for w in words])
+        keys = [list(words[sid]) for sid in order]
+    patterns = [key[:rng.randrange(1, len(key) + 1)] for key in rng.sample(keys[1:], 300)]
+    for s in (2, 8, 64):
+        idx = StaticTrieIndex(trie, order, sigma, mode, s=s)
+        light = 0
+        for p in patterns:
+            res = idx.prefix_query(p)
+            assert res.matched, p
+            assert (res.node, res.edge_offset) == _plain_locus(trie, p), (p, s)
+            light += not idx.heavy[res.node]
+        assert light, s  # some loci lie below a light child
 
 
 def test_multi_leaf_light_subtrees_match_sorted_leaf_oracle():

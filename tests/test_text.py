@@ -134,33 +134,53 @@ def test_compactedness():
             assert len(nd.children) >= 2
 
 
-# ------------------------------------------------- the one descent and locate
+# ------------------------------------------------- the one descent and the edge split
 
-def test_locate_reports_where_a_string_leaves_the_trie():
-    trie, _ = build_string_trie([Text([1, 2, 3, 3, 3]), Text([1, 2, 4]), Text([1])])
+def test_insert_path_attaches_where_a_string_leaves_the_trie():
+    words = [[1, 2, 3, 3, 3], [1, 2, 4], [1]]
+    trie, _ = build_string_trie([Text(w) for w in words])
     root = trie.ROOT
     n1 = trie.nodes[root].children[1]            # label [1]
     n12 = trie.nodes[n1].children[2]             # label [2]
     leaf_a = trie.nodes[n12].children[3]         # label [3, 3, 3, $]
     leaf_b = trie.nodes[n12].children[4]         # label [4, $]
     leaf_c = trie.nodes[n1].children[SENTINEL]   # label [$]
-    def locate(codes):
-        return trie.locate([*codes, SENTINEL])
+    assert label_codes(trie, leaf_b) == [4, SENTINEL]
+    dyn = DynTrieIndex(8)
+    for w in words:
+        dyn.insert(w)
+
+    def insert(codes):
+        """(attach node, (split offset, the split edge's child) or None)
+        of inserting codes into a fresh copy of the trie."""
+        fresh, _ = build_string_trie([Text(w) for w in words])
+        fresh.sources.append([*codes, SENTINEL])
+        leaf, mid, attach = fresh.insert_path(len(words))
+        nodes = fresh.nodes
+        assert nodes[leaf].leaf_id == len(words)
+        if mid is None:
+            assert nodes[leaf].parent == attach
+            return attach, None
+        assert nodes[mid].parent == attach and nodes[leaf].parent == mid
+        (child,) = (ch for ch in nodes[mid].children.values() if ch != leaf)
+        return attach, (nodes[mid].label_len, child)
 
     # at a node with no edge for the next character (the sentinel too)
-    assert locate([2]) == (root, None, 0, 0)
-    assert locate([1, 2, 5]) == (n12, None, 0, 2)
-    assert locate([1, 2]) == (n12, None, 0, 2)
+    assert insert([2]) == (root, None) and dyn.predecessor([2]) == 1
+    assert insert([1, 2, 5]) == (n12, None) and dyn.predecessor([1, 2, 5]) == 1
+    assert insert([1, 2]) == (n12, None) and dyn.predecessor([1, 2]) == 2
     # inside an edge, on a real character
-    assert locate([1, 2, 3, 4]) == (n12, leaf_a, 1, 2)
+    assert insert([1, 2, 3, 4]) == (n12, (1, leaf_a)) and dyn.predecessor([1, 2, 3, 4]) == 0
     # inside an edge, where the string ends and the label goes on
-    assert locate([1, 2, 3, 3]) == (n12, leaf_a, 2, 2)
-    # at a stored string: depth + k == len, the sentinel counted
-    assert locate([1, 2, 4]) == (n12, leaf_b, 2, 2)
-    assert locate([1]) == (n1, leaf_c, 1, 1)
+    assert insert([1, 2, 3, 3]) == (n12, (2, leaf_a)) and dyn.predecessor([1, 2, 3, 3]) == 2
+    # at a stored string, the sentinel matched: the walk ends at its leaf
+    for codes, leaf, sid in (([1, 2, 4], leaf_b, 1), ([1], leaf_c, 2)):
+        assert trie.descend(trie.nodes, [*codes, SENTINEL])[:3] == (leaf, 0, len(codes) + 1)
+        with pytest.raises(DuplicateKeyError):
+            insert(codes)
+        assert dyn.predecessor(codes) == sid
     # at a label that ends in the sentinel before the string ends
-    assert locate([1, 2, 4, 4]) == (n12, leaf_b, 1, 2)
-    assert label_codes(trie, leaf_b) == [4, SENTINEL]
+    assert insert([1, 2, 4, 4]) == (n12, (1, leaf_b)) and dyn.predecessor([1, 2, 4, 4]) == 1
 
 
 def test_queries_on_empty_indexes():
@@ -183,20 +203,20 @@ def test_queries_on_empty_indexes():
 
 
 def test_each_query_runs_one_descent(monkeypatch):
-    calls = {}
-    for name in ("descend", "locate"):
-        original = getattr(CompactedTrie, name)
+    assert not hasattr(CompactedTrie, "locate")
+    calls = []
+    original = CompactedTrie.descend
 
-        def counted(*args, _name=name, _fn=original):
-            calls[_name] += 1
-            return _fn(*args)
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
 
-        monkeypatch.setattr(CompactedTrie, name, counted)
+    monkeypatch.setattr(CompactedTrie, "descend", counted)
 
-    def once(call, arg, name):
-        calls.update(descend=0, locate=0)
+    def once(call, arg):
+        calls.clear()
         call(arg)
-        assert calls == {"descend": int(name == "descend"), "locate": int(name == "locate")}
+        assert len(calls) == 1, call
 
     rng = random.Random(23)
     sigma = 4
@@ -205,8 +225,8 @@ def test_each_query_runs_one_descent(monkeypatch):
     dyn = DynTrieIndex(sigma)
     bare = CompactedTrie(sources=[[*w, SENTINEL] for w in words])
     for sid, w in enumerate(words):
-        once(dyn.insert, list(w), "locate")
-        once(bare.insert_path, sid, "locate")
+        once(dyn.insert, list(w))
+        once(bare.insert_path, sid)
     trie, order = build_string_trie([Text(w) for w in words])
     static = StaticTrieIndex(trie, order, sigma, "strings")
     tray = SuffixTrayIndex(trie, order, sigma, "strings")
@@ -214,9 +234,8 @@ def test_each_query_runs_one_descent(monkeypatch):
             for w in words]
     for pat in pats:
         for query in (static.prefix_query, static.predecessor_query, tray.tray_query,
-                      dyn.search):
-            once(query, pat, "descend")
-        once(dyn.predecessor, pat, "locate")
+                      dyn.search, dyn.predecessor):
+            once(query, pat)
 
 
 def test_builders_take_texts_or_sentinel_terminated_lists():
@@ -229,3 +248,10 @@ def test_builders_take_texts_or_sentinel_terminated_lists():
     for bad in ([[1, 2], [1, SENTINEL]], [[]]):  # a list must end in the sentinel
         with pytest.raises(InvalidInputError):
             build_string_trie(bad)
+
+
+def test_string_trie_refuses_a_code_below_1():
+    # code 0 inside a string would read as its end: [1, 0] and [1] are distinct
+    for texts in ([Text([1, 0]), Text([1])], [Text([2, -1])], [[1, SENTINEL, 2, SENTINEL]]):
+        with pytest.raises(InvalidInputError):
+            build_string_trie(texts)

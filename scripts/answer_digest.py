@@ -6,8 +6,9 @@ to show that a refactor changed neither, or only what it counts.
 Per workload and seed, `answers` covers, in this order:
 
 * the answers of the static prefix and predecessor batches, of the same
-  batches on the index loaded back from its bytes, and of the tray batch;
-* the `dump_index` bytes of the static index;
+  batches on the index loaded back from its bytes, of the tray batch and
+  of the same batch on the tray loaded back from its bytes;
+* the `dump_index` bytes of the static index and of the tray;
 * the answers of the dynamic stream, then of its final search and
   predecessor batch;
 * the prepended suffix tree's `canonical()` form.
@@ -79,6 +80,8 @@ def digest(spec, seed) -> tuple[str, str]:
     tray = SuffixTrayIndex(trie, order, spec.sigma, spec.mode)
     blob = serialize.dump_index(static)
     loaded = serialize.load_index(blob)
+    tray_blob = serialize.dump_index(tray)
+    loaded_tray = serialize.load_index(tray_blob)
     pats = inp.patterns
 
     answers = hashlib.sha256()
@@ -87,8 +90,11 @@ def digest(spec, seed) -> tuple[str, str]:
         _feed(answers, counters, f"{label} prefix", index.prefix_query, pats)
         _feed(answers, counters, f"{label} pred", index.predecessor_query, pats)
     _feed(answers, counters, "tray", tray.tray_query, pats)
+    _feed(answers, counters, "loaded tray", loaded_tray.tray_query, pats)
     answers.update(b"dump")
     answers.update(blob)
+    answers.update(b"tray dump")
+    answers.update(tray_blob)
 
     dyn = DynTrieIndex(spec.sigma)
     fns = {"insert": dyn.insert, "search": dyn.search, "pred": dyn.predecessor}

@@ -20,11 +20,10 @@ from .dynamic_index import DynTrieIndex
 from .errors import (AlphabetOverflowError, CorruptTrieError, DuplicateKeyError,
                      InvalidInputError)
 from .instrument import GLOBAL
-from .sa import build_suffix_array, build_suffix_tree
 from .serialize import VersionMismatchError, check_sigma, dump_index, load_index
-from .static_index import StaticTrieIndex, SuffixTrayIndex
+from .static_index import StaticTrieIndex, build_engines, build_index
 from .suffix_oracle import OnlineSuffixTree
-from .text import SENTINEL, Text, build_string_trie, check_codes, encode_text
+from .text import SENTINEL, check_codes
 
 EXIT_IO = 2
 EXIT_ALPHABET = 3
@@ -61,10 +60,8 @@ def _read_file(path: str) -> bytes:
 
 
 def suffix_leaf_order(tree) -> list[int]:
-    """Suffix positions by rank, read off the leaves of a suffix tree: the
-    tree's suffix array.  The CLI passes the suffix array itself; the bench
-    harness (`perfbench/measure.py`) and `scripts/answer_digest.py` read
-    this to check a tree's leaves against it."""
+    """A suffix tree's suffix array, read off its leaves, which the bench
+    harness and `scripts/answer_digest.py` check a tree's leaves against."""
     order = [0] * len(tree.sources[0])
     for nd in tree.nodes:
         if nd.leaf_id >= 0:
@@ -74,21 +71,11 @@ def suffix_leaf_order(tree) -> list[int]:
 
 def _build_index(data: bytes, sigma: int, mode: str, engine: str):
     if mode == "suffix":
-        text = encode_text(_decode_symbols(data, sigma), sigma)
-        sa_index = build_suffix_array(text)
-        tree = build_suffix_tree(sa_index, text)
-        order = sa_index.sa  # a suffix tree's leaves in rank order
-    else:
-        strings = {}  # distinct non-empty lines, in input order
-        for line in data.split(b"\n"):
-            if line:
-                strings.setdefault(tuple(_decode_symbols(line, sigma)))
-        for codes in strings:
-            check_codes(codes, sigma)
-        tree, order = build_string_trie([[*codes, SENTINEL] for codes in strings])
-    if engine == "static":
-        return StaticTrieIndex(tree, order, sigma, mode=mode)
-    return SuffixTrayIndex(tree, order, sigma, mode=mode)
+        source = _decode_symbols(data, sigma)
+    else:  # distinct non-empty lines, in input order
+        source = list(dict.fromkeys(tuple(_decode_symbols(line, sigma))
+                                    for line in data.split(b"\n") if line))
+    return build_index(source, sigma, mode, (engine,))[0]
 
 
 def cmd_build(args) -> int:
@@ -278,9 +265,10 @@ def cmd_prepend_stream(args) -> int:
             if audit_each or checkpoint:
                 tree.audit_links()
             if checkpoint:
-                text = Text(tree.text_codes())
                 form = tree.canonical()
-                if form != build_suffix_tree(build_suffix_array(text), text).canonical():
+                # the prepended letters passed the check, so the text goes in as it is
+                fresh = build_engines([[*tree.text_codes(), SENTINEL]], args.sigma, "suffix", ())
+                if form != fresh[0].canonical():
                     raise AssertionError("tree differs from a fresh build")
                 print(f"step={step} nodes={len(form)} oracle_steps={GLOBAL.oracle_steps}")
         except AssertionError:
@@ -354,8 +342,13 @@ def cmd_bench(args) -> int:
     text_codes = [rng.randint(1, args.sigma) for _ in range(args.n)]
     patterns = _bench_patterns(random.Random(args.seed + 1), text_codes,
                                args.sigma, args.queries)
-    text = Text(text_codes)
-    sa_index = build_suffix_array(text)
+    # static, tray and the sa baseline, which reads its suffix array, share one build
+    tries = [e for e in ("static", "tray") if e in engines]
+    if "sa" in engines and not tries:
+        tries = ["static"]
+    t0 = time.perf_counter()
+    built = dict(zip(tries, build_index(text_codes, args.sigma, "suffix", tries) if tries else ()))
+    shared_t = time.perf_counter() - t0
     lglg = max(1, math.ceil(math.log2(max(2, math.log2(max(args.sigma, 4))))))
     print(f"bench n={args.n} sigma={args.sigma} queries={args.queries} seed={args.seed}")
     probes = {}
@@ -363,12 +356,11 @@ def cmd_bench(args) -> int:
         GLOBAL.reset()
         t0 = time.perf_counter()
         checksum = 0
+        build_t = shared_t
         if engine == "sa":
-            build_t = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            codes = [*text_codes, SENTINEL]
+            base = built[tries[0]]
             for p in patterns:
-                hit = _sa_baseline_query(codes, sa_index.sa, p)
+                hit = _sa_baseline_query(base.trie.sources[0], base.leaf_order, p)
                 checksum = (checksum * 31 + (hit[1] - hit[0] + 1 if hit else 0)) % (1 << 61)
         elif engine == "dynamic":
             idx = DynTrieIndex(sigma=args.sigma)
@@ -387,13 +379,7 @@ def cmd_bench(args) -> int:
                 res = idx.search(p)
                 checksum = (checksum * 31 + res.occ) % (1 << 61)
         else:
-            tree = build_suffix_tree(sa_index, text)
-            if engine == "static":
-                idx = StaticTrieIndex(tree, sa_index.sa, args.sigma, mode="suffix")
-            else:
-                idx = SuffixTrayIndex(tree, sa_index.sa, args.sigma, mode="suffix")
-            build_t = time.perf_counter() - t0
-            t0 = time.perf_counter()
+            idx = built[engine]
             for p in patterns:
                 res = idx.prefix_query(p) if engine == "static" else idx.tray_query(p)
                 checksum = (checksum * 31 + res.occ) % (1 << 61)

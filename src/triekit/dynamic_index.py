@@ -50,10 +50,11 @@ from __future__ import annotations
 import os
 from math import isqrt
 
-from .errors import DuplicateKeyError
+from .errors import DuplicateKeyError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor
-from .text import ARRAY_CELLS, SENTINEL, ChildArray, CompactedTrie, MatchResult, check_codes
+from .text import (ARRAY_CELLS, SENTINEL, ChildArray, CompactedTrie, MatchResult, check_codes,
+                   checked)
 from .wexp import WexpTree, audit_wexp, capacity
 
 
@@ -144,6 +145,8 @@ class DynTrieIndex:
     """Dynamic trie over distinct strings with alphabet size sigma."""
 
     def __init__(self, sigma: int):
+        if sigma < 1:
+            raise InvalidInputError(f"sigma {sigma} below 1")
         self.sigma = sigma
         self.trie = CompactedTrie(sources=[])
         self.heavy = [True]  # the root is permanently heavy
@@ -247,10 +250,7 @@ class DynTrieIndex:
     def insert(self, codes):
         """Insert one string, given as any iterable of codes; it is stored
         as a list that ends in SENTINEL."""
-        codes = list(codes)
-        check_codes(codes, self.sigma)
-        codes.append(SENTINEL)
-        self.trie.sources.append(codes)
+        self.trie.sources.append(checked(codes, self.sigma))
         try:
             leaf, mid, attach = self.trie.insert_path(len(self.trie.sources) - 1)
         except DuplicateKeyError:

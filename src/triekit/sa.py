@@ -7,7 +7,8 @@ is the compacted trie of the suffixes in SA order: `text.build_sorted_trie`
 builds it from the SA and LCP arrays with the lcp stack that also builds
 every string-set trie, setting each node's leaf-rank interval as it goes.
 `check_suffix_array` proves in linear time that a given order is the suffix
-array, so an index file can store it and load can rebuild the tree.
+array, so an index file can store it and load can rebuild the tree;
+`suffix_array` runs one or the other on a checked text.
 """
 
 from __future__ import annotations
@@ -123,17 +124,22 @@ class SuffixArrayIndex:
 
 
 def build_suffix_array(text) -> SuffixArrayIndex:
-    """Suffix array + LCP of `text`, a Text or a list that ends in SENTINEL
-    (see `text.terminated`), with its sentinel."""
-    codes = terminated(text)
-    # SA-IS keeps arrays as long as its alphabet: rename each code to the rank
-    # of its value among the distinct ones, which keeps the order (the
-    # sentinel 0 stays the unique minimum) and bounds the arrays by the text
-    rank = {c: r for r, c in enumerate(sorted(set(codes)))}
-    codes = list(map(rank.__getitem__, codes))
-    sa = _sais(codes, len(rank))
-    lcp = _kasai(codes, sa, _ranks(sa))
-    return SuffixArrayIndex(sa=sa, lcp=lcp)
+    """Suffix array + LCP of a Text with its sentinel (see `text.terminated`)."""
+    return suffix_array(terminated(text))
+
+
+def suffix_array(codes: list[int], sa: list[int] | None = None) -> SuffixArrayIndex:
+    """SA + LCP of a `text.checked` list; a stored `sa` is proved by
+    `check_suffix_array`, not rebuilt."""
+    if sa is None:
+        # SA-IS keeps arrays as long as its alphabet; renaming codes to ranks keeps their order
+        rank = {c: r for r, c in enumerate(sorted(set(codes)))}
+        codes = list(map(rank.__getitem__, codes))
+        sa = _sais(codes, len(rank))
+        ranks = _ranks(sa)
+    else:
+        ranks = check_suffix_array(codes, sa)
+    return SuffixArrayIndex(sa=sa, lcp=_kasai(codes, sa, ranks))
 
 
 def _ranks(sa: list[int]) -> list[int]:
@@ -189,12 +195,7 @@ def check_suffix_array(codes: list[int], sa: list[int]) -> list[int]:
 
 
 def build_suffix_tree(sa_index: SuffixArrayIndex, text) -> CompactedTrie:
-    """Suffix tree with suffix array intervals: the compacted trie of the
-    suffixes in SA order with the Kasai LCP.  `text` is a Text or a list
-    that ends in SENTINEL (see `text.terminated`), the tree's one source.
-
-    Leaves appear in SA order left to right; each leaf's payload is its
-    suffix start position and its interval is its SA rank.
-    """
+    """Suffix tree of a Text (see `text.terminated`) from its SA and LCP; leaf
+    r lies r-th, with its suffix position as payload and r as interval."""
     sa = sa_index.sa
     return build_sorted_trie([terminated(text)], zip(repeat(0), sa, sa), sa_index.lcp)

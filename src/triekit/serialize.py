@@ -18,13 +18,14 @@ with that struct code: the narrowest one that holds them.  Column lengths
 follow from the header and from earlier columns.
 
 `load_index` checks the magic, then the version (VersionMismatchError),
-then the CRC, the header fields, the columns' framing and every text
-code's range.  In suffix mode `sa.check_suffix_array` then proves the
-stored order is the text's suffix array, so no file can describe a wrong
-trie; in strings mode `text.build_string_trie` re-sorts the strings and
-rejects a repeated one.  All of these raise InvalidInputError.  The trie,
-its leaf-rank intervals and the per-node search payloads are rebuilt, so a
-round trip gives identical answers and identical bytes.
+then the CRC, the header fields and the columns' framing, and then runs
+the path of `static_index.build_index`: each text passes the one alphabet
+check, and in suffix mode `sa.check_suffix_array` proves the stored order
+is the text's suffix array in place of SA-IS, so no file can describe a
+wrong trie; in strings mode the strings are re-sorted and a repeated one
+refused.  All of these raise InvalidInputError.  The trie, its leaf-rank
+intervals and the per-node search payloads are rebuilt, so a round trip
+gives identical answers and identical bytes.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import struct
 import zlib
 from itertools import islice
 
-from . import sa, text
-from .errors import DuplicateKeyError, InvalidInputError
-from .static_index import StaticTrieIndex, SuffixTrayIndex
+from .errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
+from .static_index import ENGINES, MODES, StaticTrieIndex, build_engines
+from .text import checked
 
 MAGIC = b"TKIX"
 VERSION = 3
@@ -138,26 +139,15 @@ def load_index(blob: bytes):
     stored = r.column(sum(lens))
     order = list(r.column(n + 1)) if suffix else None
     _check(r.off == end, f"trailing bytes after byte {r.off}")
-    _check(not stored or (min(stored) >= 0 and max(stored) < sigma),
-           f"text code outside [1, {sigma}]")
 
-    codes = [c + 1 for c in stored]
-    if suffix:
-        codes.append(text.SENTINEL)
-        rank = sa.check_suffix_array(codes, order)
-        trie = sa.build_suffix_tree(sa.SuffixArrayIndex(order, sa._kasai(codes, order, rank)),
-                                    codes)
-    else:
-        it = iter(codes)
-        try:
-            trie, order = text.build_string_trie([[*islice(it, ln), text.SENTINEL]
-                                                  for ln in lens])
-        except DuplicateKeyError as e:
-            raise InvalidInputError(f"corrupt index file: {e}") from None
+    codes = map((1).__add__, stored)  # the file stores each code c as c - 1
+    try:
+        sources = [checked(islice(codes, ln), sigma) for ln in lens]
+        trie, index = build_engines(sources, sigma, MODES[mode_tag], (ENGINES[engine],), order, s)
+    except AlphabetOverflowError as e:
+        raise InvalidInputError(f"corrupt index file: text {e}") from None
+    except DuplicateKeyError as e:
+        raise InvalidInputError(f"corrupt index file: {e}") from None
     # with this, every file that loads dumps back to the same bytes
     _check(len(trie.nodes) == n_nodes, "node count disagrees with the rebuilt trie")
-
-    mode = "suffix" if suffix else "strings"
-    if engine == 0:
-        return StaticTrieIndex(trie, order, sigma, mode=mode, s=s)
-    return SuffixTrayIndex(trie, order, sigma, mode=mode)
+    return index

@@ -25,11 +25,17 @@ over the ranks after the first, when any remain.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from .errors import CorruptTrieError, InvalidInputError
 from .instrument import GLOBAL
 from .predkit import DetDictionary, StaticPredecessor
-from .text import ARRAY_CELLS, ChildArray, CompactedTrie, MatchResult, check_codes
+from .sa import suffix_array
+from .text import (ARRAY_CELLS, ChildArray, CompactedTrie, MatchResult, build_sorted_trie,
+                   check_codes, checked, string_trie)
+
+MODES = ("suffix", "strings")
+ENGINES = ("static", "tray")
 
 
 def heavy_threshold(sigma: int) -> int:
@@ -89,6 +95,8 @@ class _IndexBase:
 
     def __init__(self, trie: CompactedTrie, leaf_order: list[int], sigma: int, mode: str,
                  s: int):
+        if mode not in MODES or sigma < 1 or s < 1:
+            raise InvalidInputError(f"mode {mode!r}, sigma {sigma} or s {s} out of range")
         self.trie = trie
         self.leaf_order = leaf_order
         self.sigma = sigma
@@ -324,3 +332,29 @@ class SuffixTrayIndex(_IndexBase):
     def tray_query(self, pattern: list[int]) -> MatchResult:
         check_codes(pattern, self.sigma)
         return self._walk(pattern)[0]
+
+
+def build_index(source, sigma: int, mode: str, engines=("static",)) -> tuple:
+    """One engine per name in `engines` ("static", "tray"), all on one trie of
+    `source`, a code list ("suffix" mode) or a list of them ("strings"), each
+    made a source by `text.checked` once.  An unknown mode or engine, or
+    sigma < 1, raises InvalidInputError; a repeated string DuplicateKeyError."""
+    if mode not in MODES or sigma < 1 or not set(engines) <= set(ENGINES):
+        raise InvalidInputError(f"mode {mode!r}, sigma {sigma} or engines {engines} unknown")
+    texts = [source] if mode == "suffix" else source
+    return build_engines([checked(t, sigma) for t in texts], sigma, mode, engines)[1:]
+
+
+def build_engines(sources, sigma, mode, engines, order=None, s=None) -> tuple:
+    """(trie, one engine per name) of `checked` sources by one `build_sorted_trie`:
+    the suffix tree of the one source from its suffix array (or an index
+    file's `order`, proved), or the trie of the sorted strings; `s` is an
+    index file's static threshold."""
+    if mode == "suffix":
+        sa_index = suffix_array(sources[0], order)
+        order = sa_index.sa
+        trie = build_sorted_trie(sources, zip(repeat(0), order, order), sa_index.lcp)
+    else:
+        trie, order = string_trie(sources)
+    return (trie, *(StaticTrieIndex(trie, order, sigma, mode, s) if name == "static"
+                    else SuffixTrayIndex(trie, order, sigma, mode) for name in engines))

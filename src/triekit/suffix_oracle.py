@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import AlphabetOverflowError, MarkOrderViolationError
+from .errors import InvalidInputError, MarkOrderViolationError
 from .instrument import GLOBAL
-from .text import SENTINEL
+from .text import SENTINEL, check_codes
 
 _NO_CHILDREN = MappingProxyType({})  # every leaf's: a suffix-tree leaf never gains a child
 
@@ -58,6 +58,8 @@ class OnlineSuffixTree:
     """Suffix tree of the current text; `prepend` adds one letter in front."""
 
     def __init__(self, sigma: int):
+        if sigma < 1:
+            raise InvalidInputError(f"sigma {sigma} below 1")
         self.sigma = sigma
         self.buf: list[int] = []
         self.n = 0
@@ -71,8 +73,8 @@ class OnlineSuffixTree:
         return self.buf[pos] if pos >= 0 else SENTINEL
 
     def prepend(self, a: int):
-        if not 1 <= a <= self.sigma:
-            raise AlphabetOverflowError(f"char {a} outside [1, {self.sigma}]")
+        if type(a) is not int or not 1 <= a <= self.sigma:
+            check_codes([a], self.sigma)  # raises the one check's error
         n = self.n
         self.buf.append(a)  # position n now holds the new front letter
         root = self.root

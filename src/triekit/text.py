@@ -1,15 +1,15 @@
 """Coded texts, the alphabet check and the compacted-trie node arena.
 
-Character codes are unsigned integers in [1, sigma]; code 0 is the sentinel,
-which sorts below every real code and terminates every stored string, so
-a walk reads a trie's sources, lists that end in it, with no bounds test;
-`Text` is only an input record.  Edge labels are (source id, start, end)
-ranges into the sources and are never copied.  All indexing is 0-based.
-`build_sorted_trie` builds every static
-trie, suffix tree or string-set trie, and its leaf-rank intervals in one
-lcp-stack pass over sorted strings; `CompactedTrie.insert_path` adds one
-string at a time to the dynamic trie.  Both split an edge with
-`CompactedTrie.split`.
+Character codes are ints in [1, sigma]; code 0 is the sentinel, which sorts
+below every real code and ends every stored string, so a walk reads a
+trie's sources, lists that end in it, with no bounds test.  `check_codes`
+is the one alphabet check; `checked` makes a source such a list once, and
+the rest of a build takes it as checked.  `Text` is the input of the
+sigma-less builders.  Edge labels are (source id, start, end) ranges into
+the sources.  `build_sorted_trie` builds every static trie, suffix tree or
+string-set trie, and its leaf-rank intervals in one lcp-stack pass over
+sorted strings; `CompactedTrie.insert_path` adds one string at a time to
+the dynamic trie.  Both split an edge with `CompactedTrie.split`.
 
 `CompactedTrie.descend` is the one walk down a trie.  The query engines
 each give it a child step per node and build their result where the walk
@@ -19,6 +19,7 @@ itself, whose `Node.lookup` reads the children map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,10 +30,21 @@ SENTINEL = 0
 
 
 def check_codes(codes, sigma: int):
-    """Raise AlphabetOverflowError unless every code lies in [1, sigma]."""
+    """The one alphabet check, in one pass: InvalidInputError for a code that
+    is not an int (a bool is not), AlphabetOverflowError for one outside [1, sigma]."""
     for c in codes:
-        if not 1 <= c <= sigma:
-            raise AlphabetOverflowError(f"code {c} outside [1, {sigma}]")
+        if type(c) is not int or not 1 <= c <= sigma:
+            raise (AlphabetOverflowError(f"code {c} outside [1, {sigma}]") if type(c) is int
+                   else InvalidInputError(f"code {c!r} is not an int"))
+
+
+def checked(codes, sigma: int) -> list[int]:
+    """`codes`, any iterable, as a trie stores them once `check_codes` passes:
+    a new list that ends in SENTINEL, which the rest of a build takes as is."""
+    codes = list(codes)
+    check_codes(codes, sigma)
+    codes.append(SENTINEL)
+    return codes
 
 
 class Text:
@@ -44,34 +56,12 @@ class Text:
         self.codes = list(codes)
 
 
-def terminated(source) -> list[int]:
-    """`source` as a trie stores it: a Text's codes followed by SENTINEL,
-    or a list that already ends in SENTINEL, itself.  Every source enters
-    a trie or a suffix array here, so here a code below 1, which would
-    sort at or below the sentinel, raises InvalidInputError."""
-    if type(source) is not list:
-        source = [*source.codes, SENTINEL]
-    elif not source or source[-1] != SENTINEL:
-        raise InvalidInputError("a source list must end in the sentinel")
-    # the sentinel must be the one 0, the last code, and the minimum
-    if source.index(SENTINEL) < len(source) - 1 or min(source) < SENTINEL:
-        raise InvalidInputError("a source code lies below 1")
-    return source
-
-
-def encode_text(raw, sigma: int) -> Text:
-    """Encode raw bytes (code = byte value + 1) or an iterable of codes.
-
-    Byte value order is preserved by the +1 shift, which keeps code 0 free
-    for the sentinel.  Raises AlphabetOverflowError if any symbol falls
-    outside [1, sigma].
-    """
-    if isinstance(raw, (bytes, bytearray)):
-        codes = [b + 1 for b in raw]
-    else:
-        codes = [int(c) for c in raw]
-    check_codes(codes, sigma)
-    return Text(codes)
+def terminated(text: Text) -> list[int]:
+    """`checked` on a Text's codes, unbounded; a code below 1 is InvalidInputError."""
+    try:
+        return checked(text.codes, math.inf)
+    except AlphabetOverflowError:
+        raise InvalidInputError("a source code lies below 1") from None
 
 
 class Outcome(Enum):
@@ -334,20 +324,13 @@ def build_sorted_trie(sources: list[list[int]], ranked, lcp: list[int]) -> Compa
     return trie
 
 
-def build_string_trie(texts: list) -> tuple[CompactedTrie, list[int]]:
-    """Compacted trie over a set of distinct strings, each a Text or a list
-    that ends in SENTINEL (see `terminated`).
-
-    Returns (trie, leaf_order) where leaf_order[rank] = original string id,
-    ranks in sentinel-terminated lexicographic order.  Leaf-rank intervals
-    are filled in.  Raises DuplicateKeyError if two strings are equal.
-    """
-    sources = [terminated(t) for t in texts]
+def string_trie(sources: list[list[int]]) -> tuple[CompactedTrie, list[int]]:
+    """(trie, string ids by rank) of distinct checked strings, lists that end
+    in SENTINEL; DuplicateKeyError if two are equal."""
     order = sorted(range(len(sources)), key=sources.__getitem__)
     lcp = [0] * len(order)
     for r in range(1, len(order)):
-        a = sources[order[r - 1]]
-        b = sources[order[r]]
+        a, b = sources[order[r - 1]], sources[order[r]]
         # two distinct strings differ at or before the shorter one's sentinel
         h = 0
         while a[h] == b[h]:
@@ -356,3 +339,8 @@ def build_string_trie(texts: list) -> tuple[CompactedTrie, list[int]]:
                 raise DuplicateKeyError("string stored twice")
         lcp[r] = h
     return build_sorted_trie(sources, [(sid, 0, sid) for sid in order], lcp), order
+
+
+def build_string_trie(texts: list) -> tuple[CompactedTrie, list[int]]:
+    """`string_trie` of distinct Texts (see `terminated`)."""
+    return string_trie([terminated(t) for t in texts])

@@ -6,6 +6,7 @@ benchmark run.
 """
 
 import dataclasses
+import random
 import re
 import sys
 import types
@@ -13,10 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from triekit import text
+from triekit.cli import suffix_leaf_order
 from triekit.instrument import ProbeCounters
 from triekit.sa import build_suffix_array, build_suffix_tree
+from triekit.serialize import dump_index, load_index
+from triekit.static_index import StaticTrieIndex, SuffixTrayIndex, build_index
 from triekit.suffix_oracle import OnlineSuffixTree
-from triekit.text import Text
+from triekit.text import SENTINEL, Text, build_string_trie
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -78,3 +83,64 @@ def test_set_up_and_one_round_answer_correctly(spec):
     runner = measure.Runner(built, expected, tracer)
     runner.round()
     assert runner.attempted > 3 * workloads.N_PATTERNS and runner.failed == 0
+
+
+def _source(mode, sigma=4):
+    """A seeded text (suffix mode) or set of distinct words (strings mode)."""
+    rng = random.Random(31)
+    if mode == "suffix":
+        return [rng.randint(1, sigma) for _ in range(400)]
+    words = {tuple(rng.randint(1, sigma) for _ in range(rng.randrange(0, 7))) for _ in range(80)}
+    return [list(w) for w in sorted(words, key=lambda w: rng.random())]
+
+
+@pytest.mark.parametrize("mode", ["suffix", "strings"])
+def test_build_index_engines_share_one_trie_and_answer_as_the_constructors(mode):
+    # the builders and constructors the harness calls, next to build_index
+    # (the harness is to move to it)
+    sigma = 4
+    source = _source(mode, sigma)
+    if mode == "suffix":
+        txt = Text(source)
+        trie = build_suffix_tree(build_suffix_array(txt), txt)
+        order = suffix_leaf_order(trie)
+    else:
+        trie, order = build_string_trie([Text(w) for w in source])
+    made_static = StaticTrieIndex(trie, order, sigma, mode)
+    made_tray = SuffixTrayIndex(trie, order, sigma, mode)
+    static, tray = build_index(source, sigma, mode, engines=("static", "tray"))
+    assert static.trie is tray.trie
+    assert static.leaf_order == tray.leaf_order == order
+    assert static.trie.canonical() == trie.canonical()
+    (alone,) = build_index(source, sigma, mode)
+    assert type(alone) is StaticTrieIndex and alone.trie.canonical() == trie.canonical()
+    rng = random.Random(32)
+    for _ in range(300):
+        p = [rng.randint(1, sigma) for _ in range(rng.randrange(0, 9))]
+        for index in (static, alone):
+            assert index.prefix_query(p) == made_static.prefix_query(p)
+            assert index.predecessor_query(p) == made_static.predecessor_query(p)
+        assert tray.tray_query(p) == made_tray.tray_query(p)
+
+
+@pytest.mark.parametrize("mode", ["suffix", "strings"])
+def test_each_source_passes_the_code_check_once_per_build_and_per_load(mode, monkeypatch):
+    checked = []
+    original = text.check_codes
+
+    def counted(codes, sigma):
+        checked.append(list(codes))
+        return original(codes, sigma)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("triekit") and getattr(module, "check_codes", None) is original:
+            monkeypatch.setattr(module, "check_codes", counted)
+    source = _source(mode)
+    texts = [source] if mode == "suffix" else source
+    built = build_index(source, 4, mode, engines=("static", "tray"))
+    assert checked == texts
+    assert built[0].trie.sources == [[*w, SENTINEL] for w in texts]
+    for index in built:
+        checked.clear()
+        load_index(dump_index(index))
+        assert checked == texts

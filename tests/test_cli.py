@@ -8,15 +8,13 @@ import time
 
 import pytest
 
-from triekit import cli
+from triekit import cli, sa, static_index
 from triekit.errors import CorruptTrieError, InvalidInputError
 from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex
 from triekit.serialize import dump_index, load_index
-from triekit.static_index import StaticTrieIndex
-from triekit.sa import build_suffix_array, build_suffix_tree
-from triekit.text import build_string_trie, encode_text
-from triekit.cli import suffix_leaf_order
+from triekit.static_index import build_index
+from triekit.text import build_sorted_trie
 
 
 def run_cli(argv, capsys):
@@ -151,9 +149,7 @@ def test_string_stored_twice_exits_5(tmp_path, capsys):
 
 
 def _suffix_static(codes, sigma):
-    text = encode_text(codes, sigma)
-    tree = build_suffix_tree(build_suffix_array(text), text)
-    return StaticTrieIndex(tree, suffix_leaf_order(tree), sigma, mode="suffix")
+    return build_index(codes, sigma, "suffix")[0]
 
 
 @pytest.mark.parametrize("sigma", [4, 2**16])
@@ -279,13 +275,9 @@ def test_strings_mode_drops_blank_and_repeated_lines(tmp_path, capsys):
     ("strings", []),
 ], ids=["suffix", "strings", "strings-no-string"])
 def test_round_trip_identical_answers(mode, source):
-    if mode == "suffix":
-        text = encode_text(source, 256)
-        tree = build_suffix_tree(build_suffix_array(text), text)
-        order = suffix_leaf_order(tree)
-    else:
-        tree, order = build_string_trie([encode_text(w, 256) for w in source])
-    idx = StaticTrieIndex(tree, order, 256, mode=mode)
+    codes = [b + 1 for b in source] if mode == "suffix" else [[b + 1 for b in w] for w in source]
+    (idx,) = build_index(codes, 256, mode)
+    tree = idx.trie
     blob = dump_index(idx)
     loaded = load_index(blob)
     if not source:
@@ -485,6 +477,26 @@ def test_bench_static_pred_probes_stay_below_tray_steps_at_sigma_4(capsys):
     line = out.splitlines()[-1]
     compared = re.fullmatch(r"static_pred_probes<=tray_bsearch_steps: (\d+)<=(\d+) pass", line)
     assert compared and int(compared[2]) > 0, line
+
+
+def test_bench_builds_one_trie_for_static_tray_and_sa(capsys, monkeypatch):
+    # the engines share one build, which the sa baseline reads too
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build_sorted_trie(*args)
+
+    for module in (sa, static_index):
+        monkeypatch.setattr(module, "build_sorted_trie", counted, raising=False)
+    for engines in ("static,tray,sa", "sa", "tray,static"):
+        built.clear()
+        code, _, _ = run_cli(["bench", "--n", "300", "--sigma", "4",
+                              "--engines", engines, "--queries", "50"], capsys)
+        assert code == 0 and len(built) == 1, (engines, len(built))
+    built.clear()
+    assert run_cli(["bench", "--n", "300", "--sigma", "4", "--engines", "dynamic"], capsys)[0] == 0
+    assert built == []
 
 
 def test_bench_unknown_engine(capsys):

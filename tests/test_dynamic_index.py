@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
-from triekit.errors import AlphabetOverflowError, DuplicateKeyError
+from triekit.errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
 from triekit.instrument import GLOBAL
 from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor
 from triekit.text import SENTINEL, ChildArray
@@ -185,6 +185,26 @@ def test_alphabet_overflow():
                 op(bad)
         assert idx.occ[idx.trie.ROOT] == 3 and idx.trie.sources == sources
     idx.audit()
+
+
+def test_sigma_below_1_refused():
+    for sigma in (0, -1):
+        with pytest.raises(InvalidInputError):
+            DynTrieIndex(sigma)
+
+
+def test_code_that_is_not_an_int_refused_before_any_wiring():
+    # a float once hung its leaf and raised TypeError half-wired
+    idx = DynTrieIndex(sigma=4)
+    idx.insert([1, 2])
+    for bad in ([1.5], [1, 2.0], [True], [1, "b"]):
+        for op in (idx.insert, idx.search, idx.predecessor):
+            with pytest.raises(InvalidInputError):
+                op(bad)
+    assert idx.occ[idx.trie.ROOT] == 1 and idx.trie.sources == [[1, 2, SENTINEL]]
+    idx.insert([1, 3])
+    idx.audit()
+    assert idx.search([1]).occ == 2
 
 
 def test_child_becomes_heavy():

@@ -8,14 +8,14 @@ from triekit import sa as sa_module
 from triekit.errors import InvalidInputError
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.static_index import validate_intervals
-from triekit.text import SENTINEL, CompactedTrie, Text, encode_text
+from triekit.text import SENTINEL, CompactedTrie, Text
 
 from oracles import (brute_lcp, brute_suffix_array, compress_canonical,
                      expanded_canonical, label_codes, recompute_intervals)
 
 
 def test_banana_table():
-    text = encode_text(b"banana", 256)
+    text = Text([b + 1 for b in b"banana"])
     idx = build_suffix_array(text)
     # frozen from the brute-force oracle over "banana" + sentinel
     assert idx.sa == [6, 5, 3, 1, 0, 4, 2]
@@ -110,7 +110,7 @@ def test_sparse_codes_match_brute_force(seed):
 
 
 def test_banana_suffix_tree_shape():
-    text = encode_text(b"banana", 256)
+    text = Text([b + 1 for b in b"banana"])
     idx = build_suffix_array(text)
     tree = build_suffix_tree(idx, text)
     leaves = [nd for nd in tree.nodes if nd.is_leaf]
@@ -119,7 +119,7 @@ def test_banana_suffix_tree_shape():
 
 
 def test_banana_ana_interval():
-    text = encode_text(b"banana", 256)
+    text = Text([b + 1 for b in b"banana"])
     idx = build_suffix_array(text)
     tree = build_suffix_tree(idx, text)
     # locate the node spelling "ana"

@@ -18,23 +18,20 @@ from triekit.serialize import MAGIC, VersionMismatchError, dump_index, load_inde
 from triekit.static_index import (
     StaticTrieIndex,
     SuffixTrayIndex,
+    build_index,
     heavy_threshold,
 )
-from triekit.text import ARRAY_CELLS, ChildArray, Text, build_string_trie, encode_text
+from triekit.text import ARRAY_CELLS, ChildArray, Text, build_string_trie
 
 from oracles import (brute_suffix_array, label_codes, occurrences,
                      longest_matchable_prefix, string_predecessor)
 
 
-def suffix_index(raw: bytes, sigma=256, engine="static"):
-    text = encode_text(raw, sigma)
-    tree = build_suffix_tree(build_suffix_array(text), text)
-    leaf_order = [tree.nodes[v].leaf_id
-                  for v in sorted((v for v, nd in enumerate(tree.nodes) if nd.is_leaf),
-                                  key=lambda v: tree.nodes[v].low)]
-    if engine == "static":
-        return StaticTrieIndex(tree, leaf_order, sigma, mode="suffix"), text
-    return SuffixTrayIndex(tree, leaf_order, sigma, mode="suffix"), text
+def suffix_index(raw, sigma=256, engine="static"):
+    """The `engine` index of `raw`, bytes (code = byte + 1) or a code list,
+    and its Text."""
+    codes = enc(raw) if isinstance(raw, bytes) else list(raw)
+    return build_index(codes, sigma, "suffix", (engine,))[0], Text(codes)
 
 
 def enc(raw: bytes):
@@ -92,6 +89,27 @@ def test_alphabet_overflow():
                 query(bad)
 
 
+def test_query_code_that_is_not_an_int_refused():
+    # a float pattern once raised TypeError from the walk
+    idx, _ = suffix_index(b"banana")
+    tray, _ = suffix_index(b"banana", engine="tray")
+    for query in (idx.prefix_query, idx.predecessor_query, tray.tray_query):
+        for bad in ([1.0], enc(b"an") + [2.5], [True]):
+            with pytest.raises(InvalidInputError):
+                query(bad)
+
+
+def test_constructor_refuses_unknown_mode_and_s_below_1():
+    idx, _ = suffix_index(b"banana")
+    args = (idx.trie, idx.leaf_order, 256)
+    for engine in (StaticTrieIndex, SuffixTrayIndex):
+        with pytest.raises(InvalidInputError):
+            engine(*args, mode="foo")
+    for s in (0, -3):
+        with pytest.raises(InvalidInputError):
+            StaticTrieIndex(*args, mode="suffix", s=s)
+
+
 def test_enumerate_bad_interval():
     idx, _ = suffix_index(b"banana")
     with pytest.raises(InvalidInputError):
@@ -99,7 +117,7 @@ def test_enumerate_bad_interval():
 
 
 def test_corrupt_trie_rejected():
-    text = encode_text(b"abracadabra", 256)
+    text = Text(enc(b"abracadabra"))
     tree = build_suffix_tree(build_suffix_array(text), text)
     leaves = sorted((v for v, nd in enumerate(tree.nodes) if nd.is_leaf),
                     key=lambda v: tree.nodes[v].low)

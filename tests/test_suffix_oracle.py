@@ -5,7 +5,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triekit.errors import AlphabetOverflowError, MarkOrderViolationError
+from triekit.errors import AlphabetOverflowError, InvalidInputError, MarkOrderViolationError
 from triekit.instrument import GLOBAL
 from triekit.sa import build_suffix_array, build_suffix_tree
 from triekit.suffix_oracle import FmaTree, OnlineSuffixTree, _ONode
@@ -39,6 +39,23 @@ def test_prepend_alphabet_bounds():
     assert t.text_codes() == [1]
     assert t.canonical() == fresh_canonical([1])
     t.audit_links()
+
+
+def test_prepend_refuses_a_code_that_is_not_an_int():
+    # 2.0 and True were stored, and audit_links accepted the tree
+    t = OnlineSuffixTree(sigma=4)
+    t.prepend(1)
+    for bad in (2.0, True, "a"):
+        with pytest.raises(InvalidInputError):
+            t.prepend(bad)
+    assert t.text_codes() == [1] and t.n == 1
+    t.audit_links()
+
+
+def test_sigma_below_1_refused():
+    for sigma in (0, -1):
+        with pytest.raises(InvalidInputError):
+            OnlineSuffixTree(sigma)
 
 
 def test_prepend_splits_edge():

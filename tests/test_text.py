@@ -3,34 +3,53 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triekit import cli
 from triekit.dynamic_index import DynTrieIndex
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
 from triekit.instrument import GLOBAL
-from triekit.static_index import StaticTrieIndex, SuffixTrayIndex
-from triekit.text import (SENTINEL, CompactedTrie, Outcome, Text, build_string_trie,
-                          encode_text)
+from triekit.static_index import StaticTrieIndex, SuffixTrayIndex, build_index
+from triekit.text import SENTINEL, CompactedTrie, Outcome, Text, build_string_trie
 
 from oracles import compress_canonical, expanded_canonical, label_codes
 
 
 def test_encode_bytes_identity():
-    t = encode_text(b"banana", 256)
-    assert len(t.codes) == 6
-    assert all(1 <= c <= 256 for c in t.codes)
-    assert t.codes == [c + 1 for c in b"banana"]
+    # the CLI encodes a byte as byte + 1, which keeps code 0 free for the
+    # sentinel; build_index stores each source with it
+    codes = cli._decode_symbols(b"banana", 256)
+    assert codes == [c + 1 for c in b"banana"]
+    assert build_index(codes, 256, "suffix")[0].trie.sources == [[*codes, SENTINEL]]
+    words = [codes, codes[:2]]
+    assert build_index(words, 256, "strings")[0].trie.sources == [[*w, SENTINEL] for w in words]
 
 
 def test_encode_empty():
-    t = encode_text(b"", 4)
-    assert t.codes == []
+    for mode, source, stored in (("suffix", [], [[SENTINEL]]), ("strings", [], []),
+                                 ("strings", [[]], [[SENTINEL]])):
+        (idx,) = build_index(source, 4, mode)
+        assert idx.trie.sources == stored
+        assert idx.leaf_order == list(range(len(stored)))
 
 
 def test_encode_overflow():
-    with pytest.raises(AlphabetOverflowError):
-        encode_text([1, 3, 1], 2)
-    for bad in ([0], [3], [1, 0], [2, 3]):
-        with pytest.raises(AlphabetOverflowError):
-            encode_text(bad, 2)
+    for bad, sigma in (([1, 3, 1], 2), ([0], 2), ([3], 2), ([1, 0], 2), ([2, 3], 2),
+                       ([-1, 1], 4)):
+        for mode, source in (("suffix", bad), ("strings", [[1], bad])):
+            with pytest.raises(AlphabetOverflowError):
+                build_index(source, sigma, mode)
+
+
+def test_build_index_refuses_a_code_that_is_not_an_int():
+    for bad in (1.0, 2.5, True, "a", None):
+        for mode, source in (("suffix", [1, bad]), ("strings", [[1], [1, bad]])):
+            with pytest.raises(InvalidInputError):
+                build_index(source, 4, mode)
+
+
+def test_build_index_refuses_an_unknown_mode_engine_or_sigma():
+    for args in (([1], 4, "foo"), ([1], 4, "suffix", ("static", "sa")), ([], 0, "suffix")):
+        with pytest.raises(InvalidInputError):
+            build_index(*args)
 
 
 def test_insert_pair_splits_once():
@@ -238,20 +257,17 @@ def test_each_query_runs_one_descent(monkeypatch):
             once(query, pat)
 
 
-def test_builders_take_texts_or_sentinel_terminated_lists():
+def test_string_trie_stores_texts_with_the_sentinel():
     words = [[1, 2], [1], [2, 1, 1]]
-    as_texts = build_string_trie([Text(w) for w in words])
-    as_lists = build_string_trie([[*w, SENTINEL] for w in words])
-    assert as_lists[0].canonical() == as_texts[0].canonical()
-    assert as_lists[1] == as_texts[1] == [1, 0, 2]
-    assert as_lists[0].sources == as_texts[0].sources == [[*w, SENTINEL] for w in words]
-    for bad in ([[1, 2], [1, SENTINEL]], [[]]):  # a list must end in the sentinel
-        with pytest.raises(InvalidInputError):
-            build_string_trie(bad)
+    trie, order = build_string_trie([Text(w) for w in words])
+    (idx,) = build_index(words, 2, "strings")
+    assert idx.trie.canonical() == trie.canonical()
+    assert idx.leaf_order == order == [1, 0, 2]
+    assert idx.trie.sources == trie.sources == [[*w, SENTINEL] for w in words]
 
 
 def test_string_trie_refuses_a_code_below_1():
     # code 0 inside a string would read as its end: [1, 0] and [1] are distinct
-    for texts in ([Text([1, 0]), Text([1])], [Text([2, -1])], [[1, SENTINEL, 2, SENTINEL]]):
+    for texts in ([Text([1, 0]), Text([1])], [Text([2, -1])], [Text([1, SENTINEL, 2])]):
         with pytest.raises(InvalidInputError):
             build_string_trie(texts)

@@ -19,9 +19,7 @@ one predecessor slot over its children's first characters: that
 most two words on each of its ceil(log_64 (sigma + 1)) levels, at most 6
 levels for sigma < 2^32) when sigma + 1 >= 8, and nothing below that, where
 no node has 8 children.  Besides the pointer step only `predecessor` asks
-it, ascending from where its plain walk down the children maps (the walk
-`insert` takes) left the trie, at a node with 8 or more children; it scans
-the others.
+it.
 
 Light nodes carry the per-small-tree machinery: a level in the capacity
 hierarchy, fragments (maximal same-level connected subtrees) weighed by the
@@ -35,11 +33,27 @@ child on.  A level-0 node keeps neither: its level window (fewer than
 step reads its children map, charging each entry as a cell.  All leaves
 share one step.
 
-No state is stored that the rest determines: every weight that promotions
-and rebalances read is the leaf count `occ` that match reporting keeps
-anyway, a fragment's members are the nodes whose `frag` entry is its
-record, and a small tree's root is the root of the topmost fragment above a
-node, the one whose parent is heavy.
+`predecessor` walks down the children maps (the walk `insert` takes), at
+most m lookups, and answers with one `rm` entry, the string id of the
+rightmost leaf below a node, which `insert` keeps on its walk over the new
+leaf's ancestors: the entry of the node where the walk left the trie when
+the pattern sorts above its label there, else that of the nearest child
+left of the path, found by climbing from there.  On the climb a node with
+fewer than 8 children is scanned.  A wider one first reads its `min_kid`
+entry, its smallest child character, which `insert` keeps in O(1), and
+only where a child lies left of the path asks its own structures: a heavy
+node its predecessor slot; a light one (at level 1 or above, as a level-0
+node has at most 3 children) its wexp tree, which holds every lower-level
+child, and its same-level keys, a StaticPredecessor from 8 keys on and a
+scanned sorted list below that.  So one visit in all makes predecessor
+queries, at most two, and every other visit is O(1).
+
+Beyond the per-node entries `occ`, `rm` and `min_kid`, which keep the
+reads of a query O(1), no state is stored that the rest determines: every
+weight that promotions and rebalances read is the leaf count `occ` that
+match reporting keeps anyway, a fragment's members are the nodes whose
+`frag` entry is its record, and a small tree's root is the root of the
+topmost fragment above a node, the one whose parent is heavy.
 
 All rebuild work (small-tree rebalancing at sigma leaves, fragment
 promoting at 2*f(level+1)) is eager and atomic: the amortized variant.
@@ -52,15 +66,16 @@ from math import isqrt
 
 from .errors import DuplicateKeyError, InvalidInputError
 from .instrument import GLOBAL
-from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor
+from .predkit import BitPredecessor, DetDictionary, DynamicPredecessor, StaticPredecessor
 from .text import (ARRAY_CELLS, SENTINEL, ChildArray, CompactedTrie, MatchResult, check_codes,
                    checked)
-from .wexp import WexpTree, audit_wexp, capacity
+from .wexp import WEIGHT_LIMIT, WexpTree, audit_wexp, capacity
 
 
 # Below 2*f(2) keys a dynamic predecessor is one linear scan (a wexp base
-# container), so `_ascend` scans a heavy node's children itself.
-_PRED_MIN_KIDS = 2 * capacity(2)
+# container), so `_ascend` scans a node with fewer children itself, and a
+# light node keeps fewer same-level keys as a plain sorted list.
+_PRED_MIN_KIDS = WEIGHT_LIMIT[1]
 
 
 def _ceil_sqrt(w: int) -> int:
@@ -71,7 +86,7 @@ def _ceil_sqrt(w: int) -> int:
 def canonical_level(weight: int) -> int:
     """Highest level whose proper threshold 2*f(level) the weight meets."""
     level = 0
-    while weight >= 2 * capacity(level + 1):
+    while weight >= WEIGHT_LIMIT[level]:
         level += 1
     return level
 
@@ -110,14 +125,17 @@ class _HeavyPointer:
 class _LightStep:
     """Child step at a light node: the same-level dictionary, then the wexp
     tree, whose hit reads the children.  A node with neither (level 0)
-    reads its children map and charges each entry as a cell."""
+    reads its children map and charges each entry as a cell.  `same_pred`
+    holds the dictionary's keys for `predecessor`: a StaticPredecessor from
+    8 keys on, a sorted list below that, None with no dictionary."""
 
-    __slots__ = ("kids", "same", "tree")
+    __slots__ = ("kids", "same", "tree", "same_pred")
 
     def __init__(self, kids):
         self.kids = kids
         self.same = None
         self.tree = None
+        self.same_pred = None
 
     def lookup(self, c):
         same = self.same
@@ -155,6 +173,8 @@ class DynTrieIndex:
         # a ChildArray or _HeavyPointer per heavy node, a _LightStep per light one
         self.child_step: list[ChildArray | _HeavyPointer | _LightStep | None] = [None]
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
+        self.rm: list[int] = [-1]  # string id of the rightmost leaf below each node
+        self.min_kid: list[int] = [sigma + 1]  # smallest child character, sigma + 1 if none
         self.audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
         self._make_heavy(self.trie.ROOT)
         self._set_heavy_child_links(self.trie.ROOT)
@@ -168,17 +188,27 @@ class DynTrieIndex:
             self.frag.append(None)
             self.child_step.append(None)
             self.occ.append(0)
+            self.rm.append(-1)
+            self.min_kid.append(self.sigma + 1)
 
     def _edge_char(self, v) -> int:
         nd = self.trie.nodes[v]
         return self.trie.sources[nd.sid][nd.start]
 
     def _rebuild_same_dict(self, v):
-        """Dictionary over v's same-level children; a level-0 node keeps none."""
+        """Dictionary over v's same-level children, and its keys for the
+        predecessor; a level-0 node keeps neither."""
         lv = self.level[v]
         pairs = [(c, ch) for c, ch in self.trie.nodes[v].children.items()
                  if lv and not self.heavy[ch] and self.level[ch] == lv]
-        self.child_step[v].same = DetDictionary(pairs) if pairs else None
+        step = self.child_step[v]
+        if not pairs:
+            step.same = step.same_pred = None
+            return
+        step.same = DetDictionary(pairs)
+        keys = sorted(c for c, _ in pairs)
+        step.same_pred = (keys if len(keys) < _PRED_MIN_KIDS
+                          else StaticPredecessor(keys, self.sigma + 1))
 
     def _register_child(self, v, child, weight) -> int:
         """Register lower-level child's fragment root in v's wexp tree with
@@ -250,23 +280,49 @@ class DynTrieIndex:
     def insert(self, codes):
         """Insert one string, given as any iterable of codes; it is stored
         as a list that ends in SENTINEL."""
-        self.trie.sources.append(checked(codes, self.sigma))
+        trie = self.trie
+        sources = trie.sources
+        sources.append(checked(codes, self.sigma))
+        sid = len(sources) - 1
         try:
-            leaf, mid, attach = self.trie.insert_path(len(self.trie.sources) - 1)
+            leaf, mid, attach, w = trie.insert_path(sid)
         except DuplicateKeyError:
-            self.trie.sources.pop()  # insert_path raises before touching a node
+            sources.pop()  # insert_path raises before touching a node
             raise
-        self._grow(max(leaf, mid if mid is not None else 0))
+        self._grow(leaf)  # the newest node
+        nodes = trie.nodes
+        occ = self.occ
+        rm = self.rm
+        # x, the new leaf's character at the attach depth, against y, that
+        # of the rightmost leaf `old` below w, or below attach with no
+        # split: the new leaf is the rightmost below its parent iff x > y,
+        # and then takes the place of `old` at every ancestor whose entry
+        # that was
+        old = rm[attach if w is None else w]
+        depth = nodes[leaf].start
+        x = sources[sid][depth]
+        y = sources[old][depth] if old >= 0 else -1
+        rm[leaf] = sid
+        if mid is None:
+            if x < self.min_kid[attach]:
+                self.min_kid[attach] = x
+        else:
+            rm[mid] = old
+            self.min_kid[mid] = min(x, y)  # y is w's edge character
+        if y > x:
+            old = -2  # no entry holds it
         v = leaf
         while v != -1:
-            self.occ[v] += 1
-            v = self.trie.nodes[v].parent
-        root = self.trie.ROOT
+            occ[v] += 1
+            if rm[v] == old:
+                rm[v] = sid
+            v = nodes[v].parent
+        root = trie.ROOT
         if type(self.child_step[root]) is not ChildArray and self._has_array(root, 0):
             self._set_heavy_child_links(root)
 
         if mid is not None:
-            self._wire_mid(attach, mid, leaf)
+            self._wire_mid(attach, mid, leaf, w)
         else:
             self._wire_leaf(attach, leaf)
         self._reweigh_and_trigger(leaf)
@@ -289,10 +345,8 @@ class DynTrieIndex:
             self._make_light(leaf, 0, _Fragment(leaf))
             self._register_child(u, leaf, 1)  # stored weight 1: no raise
 
-    def _wire_mid(self, u, mid, leaf):
+    def _wire_mid(self, u, mid, leaf, w):
         """Edge (u, w) was split at new node mid; leaf hangs under mid."""
-        trie = self.trie
-        w = next(ch for ch in trie.nodes[mid].children.values() if ch != leaf)
         self.occ[mid] += self.occ[w]  # the new leaf, counted already, and w's
         c_mid = self._edge_char(mid)
         step = self.child_step[u]
@@ -325,6 +379,7 @@ class DynTrieIndex:
         fragments above it into their windows, top-down, then rebalance or
         promote as their leaf counts demand."""
         occ = self.occ
+        level = self.level
         nodes = self.trie.nodes
         frags = self._fragments_above(leaf)
         for f in reversed(frags):
@@ -337,12 +392,13 @@ class DynTrieIndex:
             self._rebalance(frags[-1].root)
             return
         while True:
-            for f in self._fragments_above(leaf):
-                if occ[f.root] >= 2 * capacity(self.level[f.root] + 1):
+            for f in frags:
+                if occ[f.root] >= WEIGHT_LIMIT[level[f.root]]:
                     self._promote(f)
                     break
             else:
                 return
+            frags = self._fragments_above(leaf)  # a promotion regroups them
 
     def _fragments_above(self, node):
         """Fragments from node's up to the one whose root has a heavy parent."""
@@ -497,48 +553,88 @@ class DynTrieIndex:
     # ------------------------------------------------------------ predecessor
 
     def predecessor(self, pattern: list[int]):
-        """String id of the largest stored string <= pattern, or None."""
+        """String id of the largest stored string <= pattern, or None: one
+        `rm` entry after at most m lookups down the children maps, and the
+        climb of `_ascend` where the pattern sorts below the walk's stop.
+        `pred_steps` counts the lookups and the climb's work."""
         check_codes(pattern, self.sigma)
         trie = self.trie
-        v, offset, matched, _ = trie.descend(trie.nodes, pattern)
+        if self.occ[trie.ROOT] == 0:
+            return None
+        v, offset, matched, steps = trie.descend(trie.nodes, pattern)
         # x: the next character of the pattern as stored, sentinel-terminated
         x = pattern[matched] if matched < len(pattern) else SENTINEL
         nd = trie.nodes[v]
         if offset:  # the walk stopped inside v's label, at character c
             c = trie.sources[nd.sid][nd.start + offset]
-            if x == c:
-                return nd.leaf_id  # both sentinels: the pattern is stored
-            if x > c:
-                return self._rightmost(v)
-            return self._ascend(nd.parent, self._edge_char(v))
+            if x < c:
+                return self._ascend(nd.parent, self._edge_char(v), steps)
+            GLOBAL.pred_steps += steps
+            return self.rm[v]  # where x == c, both are sentinels and v is the pattern's leaf
         leaf = nd.children.get(x)
-        if leaf is not None:
-            return trie.nodes[leaf].leaf_id  # x is the sentinel: the pattern is stored
-        return self._ascend(v, x)
+        if leaf is None:
+            return self._ascend(v, x, steps)
+        GLOBAL.pred_steps += steps
+        return trie.nodes[leaf].leaf_id  # x is the sentinel: the pattern is stored
 
-    def _ascend(self, v, below_char):
-        """Rightmost leaf preceding the subtrees at or above (v, below_char)."""
-        trie = self.trie
+    def _ascend(self, v, below_char, work):
+        """Rightmost leaf preceding the subtrees at or above (v, below_char);
+        `work` is what the query counted so far.  A node visited costs a
+        scan of fewer than 8 child keys, or one read of its smallest child
+        character and, only where a child lies below `below_char`, at most
+        two predecessor queries, so one visit in all makes queries;
+        `pred_steps` counts the visits, the keys scanned and the queries."""
+        nodes = self.trie.nodes
+        root = self.trie.ROOT
+        min_kid = self.min_kid
         while True:
-            kids = trie.nodes[v].children
-            if self.heavy[v] and len(kids) >= _PRED_MIN_KIDS:
-                c = self.child_step[v].pred.query(below_char - 1) if below_char else None
+            kids = nodes[v].children
+            work += 1
+            if len(kids) < _PRED_MIN_KIDS:
+                work += len(kids)
+                c = -1
+                for k in kids:
+                    if c < k < below_char:
+                        c = k
+            elif below_char <= min_kid[v]:
+                c = -1
+            elif self.heavy[v]:
+                work += 1
+                c = self.child_step[v].pred.query(below_char - 1)
             else:
-                cands = [k for k in kids if k < below_char]
-                c = max(cands) if cands else None
-            if c is not None:
-                return self._rightmost(kids[c])
-            if v == trie.ROOT:
-                return None
+                c, queries = self._light_child_at_most(v, below_char - 1)
+                work += queries
+            if c >= 0 or v == root:
+                GLOBAL.pred_steps += work
+                return self.rm[kids[c]] if c >= 0 else None
             below_char = self._edge_char(v)
-            v = trie.nodes[v].parent
+            v = nodes[v].parent
 
-    def _rightmost(self, v):
-        trie = self.trie
-        while not trie.nodes[v].is_leaf:
-            kids = trie.nodes[v].children
-            v = kids[max(kids)]
-        return trie.nodes[v].leaf_id
+    def _light_child_at_most(self, v, x):
+        """(largest child character <= x, the queries and keys read) of a
+        light node with 8 or more children, so at level 1 or above: its wexp
+        tree holds every lower-level child, and its same-level keys the
+        rest."""
+        step = self.child_step[v]
+        c = -1
+        work = 0
+        if step.tree is not None:
+            work += 1
+            hit = step.tree.pred(x)
+            if hit is not None:
+                c = hit[0]
+        keys = step.same_pred
+        if type(keys) is StaticPredecessor:
+            work += 1
+            i = keys.query(x)
+            if i >= 0 and keys.keys[i] > c:
+                c = keys.keys[i]
+        elif keys is not None:
+            work += len(keys)
+            for k in keys:
+                if c < k <= x:
+                    c = k
+        return c, work
 
     def string_codes(self, sid: int) -> list[int]:
         """The codes of stored string `sid`, without its sentinel."""
@@ -567,6 +663,12 @@ class DynTrieIndex:
                 kid = trie.nodes[ch]
                 if trie.sources[kid.sid][kid.start] != c or kid.parent != v:
                     raise AssertionError
+            rightmost = (nd.leaf_id if nd.is_leaf else
+                         self.rm[nd.children[max(nd.children)]] if nd.children else -1)
+            if self.rm[v] != rightmost:
+                raise AssertionError("rightmost-leaf entry differs from the largest child's")
+            if self.min_kid[v] != min(nd.children, default=self.sigma + 1):
+                raise AssertionError("smallest-child entry differs from the children")
             if self.heavy[v]:
                 if not (v == trie.ROOT or counts[v] > self.sigma / 2):
                     raise AssertionError("underweight heavy node")
@@ -647,6 +749,18 @@ class DynTrieIndex:
                 raise AssertionError("same-level dict must exist exactly for same-level kids")
             if not (not nd.is_leaf or tree is None):
                 raise AssertionError("leaf holds a wexp tree")
+            sp = step.same_pred
+            if sd is None:
+                if sp is not None:
+                    raise AssertionError("same-level keys without a dict")
+            else:
+                kind = StaticPredecessor if len(same) >= _PRED_MIN_KIDS else list
+                if type(sp) is not kind:
+                    raise AssertionError("a StaticPredecessor iff 8 or more same-level keys")
+                if (sp.keys if kind is StaticPredecessor else sp) != sorted(same):
+                    raise AssertionError("same-level predecessor keys differ from the dict's")
+            if tree is not None and not tree.handles.keys() <= nd.children.keys():
+                raise AssertionError("wexp key that is not a child character")
             for c, ch in nd.children.items():
                 if c in same:
                     if lv and sd.lookup(c) != ch:

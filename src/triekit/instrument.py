@@ -24,6 +24,8 @@ class ProbeCounters:
     rebalance_steps: int = 0        # elementary work inside heavy/light rebalances
     oracle_steps: int = 0           # prepend-tree steps: a node visited walking up, a
                                     # chain write, a letter copied at a split, the new leaf
+    pred_steps: int = 0             # dynamic-predecessor work: descent lookups, ascent
+                                    # node visits, child keys scanned, predecessor queries
 
     def reset(self):
         for f in fields(self):

@@ -228,9 +228,11 @@ class CompactedTrie:
         """Insert the sentinel-terminated string `sources[sid]` as a leaf.
 
         Splits at most one existing edge and adds one leaf edge.  The leaf
-        carries `sid` as its payload.  Returns (leaf id, middle node id or
-        None, attach node id), the attach node being the one the leaf or
-        the middle node hangs under.
+        carries `sid` as its payload.  Returns (leaf id, middle node id,
+        attach node id, split child id): the attach node is the one the
+        leaf or the middle node hangs under, and the split child the middle
+        node's other child; with no split both middle and split child are
+        None.
         Raises DuplicateKeyError if the string is already stored.
         """
         codes = self.sources[sid]
@@ -241,14 +243,14 @@ class CompactedTrie:
         if depth == total:
             raise DuplicateKeyError("string already stored")
         nodes = self.nodes
-        attach, mid = v, None
+        attach, mid, split = v, None, None
         if offset:  # the leaf hangs off the middle node of v's edge
-            attach = nodes[v].parent
+            attach, split = nodes[v].parent, v
             v = mid = self.split(v, offset)
         leaf = len(nodes)
         nodes.append(Node(v, sid, depth, total, leaf_id=sid))
         nodes[v].children[codes[depth]] = leaf
-        return leaf, mid, attach
+        return leaf, mid, attach, split
 
     def topo_order(self) -> list[int]:
         """Node ids, parents before children."""

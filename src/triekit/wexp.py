@@ -48,6 +48,11 @@ def capacity(level: int) -> int:
     return CAPACITY[min(level, MAX_LEVEL)]
 
 
+# WEIGHT_LIMIT[level] = 2*f(level+1): a level-`level` tree splits, and a
+# dynamic-trie fragment at that level promotes, once its weight reaches it
+WEIGHT_LIMIT = [2 * capacity(level + 1) for level in range(MAX_LEVEL + 1)]
+
+
 class ElementHandle:
     """Record for one stored element; `home` tracks the node (or base
     container) currently holding it and is updated whenever it moves."""
@@ -174,7 +179,7 @@ class WexpTree:
         while node is not None:
             node.weight += 1
             parent = node.parent
-            if node.weight >= 2 * capacity(node.level + 1):
+            if node.weight >= WEIGHT_LIMIT[node.level]:
                 self._split(node)
             node = parent
 

@@ -8,10 +8,11 @@ from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
 from triekit.instrument import GLOBAL
-from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor
+from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor, StaticPredecessor
 from triekit.text import SENTINEL, ChildArray
-from triekit.wexp import WexpTree, capacity
+from triekit.wexp import WEIGHT_LIMIT, WexpTree, capacity
 
+import families
 from oracles import longest_matchable_prefix, string_predecessor
 
 
@@ -23,6 +24,7 @@ def enc(raw: bytes):
 def test_promotion_thresholds():
     # levels rise at weight 2*f(level+1): 4, 8, 20, 66
     assert [2 * capacity(l + 1) for l in range(4)] == [4, 8, 20, 66]
+    assert WEIGHT_LIMIT == [2 * capacity(l + 1) for l in range(len(WEIGHT_LIMIT))]
     assert canonical_level(1) == 0
     assert canonical_level(4) == 1
     assert canonical_level(8) == 2
@@ -799,3 +801,131 @@ def test_dynamic_search_probe_bounds(sigma):
             assert d["dict_cell_probes"] <= 3 * d["dict_probes"], pat
             probes += d["dict_probes"]
     assert probes > 0
+
+
+# ------------------------------------- predecessor work, flat in the trie's shape
+
+def _oracle_pred(idx, oracle, pat):
+    """(got, want) string codes of pat's predecessor: the index's, and the
+    sorted list's by bisect."""
+    i = bisect.bisect_right(oracle, tuple(pat) + (SENTINEL,))
+    got = idx.predecessor(list(pat))
+    return (None if got is None else idx.string_codes(got),
+            list(oracle[i - 1][:-1]) if i else None)
+
+
+@pytest.mark.parametrize("make, sizes", [(families.chain, (250, 500, 1000)),
+                                         (families.wide, (1000, 8000))],
+                         ids=["chain", "wide"])
+def test_predecessor_work_is_the_same_at_every_size(make, sizes):
+    # counted work: descent lookups, ascent node visits and keys scanned,
+    # and predecessor-structure queries; a rightmost-leaf walk or a scan of
+    # every child would grow with L or K
+    works = []
+    for size in sizes:
+        fam = make(size)
+        idx = DynTrieIndex(fam.sigma)
+        for s in fam.strings:
+            idx.insert(s)
+        oracle = sorted(tuple(s) + (SENTINEL,) for s in fam.strings)
+        descents = []
+        plain = idx.trie.descend
+
+        def recorded(step, pat):
+            descents.append(plain(step, pat))
+            return descents[-1]
+
+        idx.trie.descend = recorded
+        before = GLOBAL.snapshot()
+        got, want = _oracle_pred(idx, oracle, fam.pattern)
+        works.append(GLOBAL.diff(before)["pred_steps"])
+        assert got == want
+        (descent,) = descents
+        assert descent[3] <= len(fam.pattern) + 1  # its lookups
+        near = {tuple(s[:k]) + (c,) for s in fam.strings[::max(1, size // 50)]
+                for k in range(min(len(s), 3) + 1) for c in range(1, min(fam.sigma, 11) + 1)}
+        for pat in sorted(near) + [[], [fam.sigma], fam.strings[-1] + [1]]:
+            got, want = _oracle_pred(idx, oracle, pat)
+            assert got == want, pat
+    assert len(set(works)) == 1, works
+
+
+def test_wide_light_nodes_ask_their_wexp_tree_and_same_level_keys():
+    # the last insert brings [5] to sigma leaves: the rebalance makes it
+    # heavy and gives [5, 1] and [5, 2] level 5, with their children of 390
+    # leaves at level 5 (same-level keys only) and single leaves at level 0
+    # (wexp tree only), so a predecessor below them needs both structures
+    sigma = 8192
+    stored = [(5, 1, c, d) for c in range(10, 28, 2) for d in range(1, 391)]
+    stored += [(5, 1, c) for c in range(11, 27, 2)]
+    stored += [(5, 2, c, d) for c in (10, 20) for d in range(1, 391)]
+    stored += [(5, 2, c) for c in range(23, 43, 2)]
+    stored += [(5, 3, d // 1000 + 1, d % 1000 + 1) for d in range(sigma - len(stored))]
+    idx = DynTrieIndex(sigma)
+    for w in stored:
+        idx.insert(list(w))
+    idx.audit()
+    nodes = idx.trie.nodes
+    five = nodes[idx.trie.ROOT].children[5]
+    assert idx.heavy[five]
+    for c, kind in ((1, StaticPredecessor), (2, list)):
+        v = nodes[five].children[c]
+        assert not idx.heavy[v] and idx.level[v] == 5 and len(nodes[v].children) >= 8
+        assert type(idx.child_step[v].same_pred) is kind and idx.child_step[v].tree is not None
+    oracle = sorted(w + (SENTINEL,) for w in stored)
+    for b in (1, 2):
+        for c in range(1, 45):
+            for pat in ([5, b, c], [5, b, c, 1], [5, b, c, 500]):
+                before = GLOBAL.snapshot()
+                got, want = _oracle_pred(idx, oracle, pat)
+                assert got == want, pat
+                # at most m + 1 lookups, then per node visited at most 7
+                # keys scanned, or one read and two queries
+                assert GLOBAL.diff(before)["pred_steps"] <= len(pat) + 1 + 4 * (1 + 7), pat
+
+
+@pytest.mark.parametrize("where", ["leaf", "inner", "root"])
+def test_audit_catches_wrong_rightmost_entry(where):
+    idx = _random_index(4)
+    nodes = idx.trie.nodes
+    if where == "root":
+        v = idx.trie.ROOT
+    else:
+        v = next(v for v in range(1, len(nodes)) if nodes[v].is_leaf == (where == "leaf"))
+    other = next(nd.leaf_id for nd in nodes if nd.is_leaf and nd.leaf_id != idx.rm[v])
+    idx.rm[v] = other
+    with pytest.raises(AssertionError, match="rightmost"):
+        idx.audit()
+
+
+def test_audit_catches_same_level_keys_that_differ_from_the_dict():
+    idx = _sigma_256_stream()
+    v = next(v for v in range(len(idx.trie.nodes))
+             if not idx.heavy[v] and type(idx.child_step[v].same_pred) is list)
+    idx.child_step[v].same_pred.append(idx.sigma)
+    with pytest.raises(AssertionError, match="same-level"):
+        idx.audit()
+
+
+@pytest.mark.parametrize("depth", [50, 200])
+def test_ascent_queries_no_node_without_a_child_below_the_path(depth):
+    # every node on the path has 9 children and the path takes the smallest:
+    # its smallest-child entry rules each one out with one read
+    fam = families.ladder(depth)
+    idx = DynTrieIndex(fam.sigma)
+    for s in fam.strings:
+        idx.insert(s)
+    idx.audit()
+    before = GLOBAL.snapshot()
+    assert idx.predecessor(fam.pattern) is None
+    d = GLOBAL.diff(before)
+    assert d["static_pred_queries"] == d["dyn_pred_probes"] == d["wexp_levels_descended"] == 0
+    assert d["pred_steps"] <= 2 * (len(fam.pattern) + 1)
+
+
+def test_audit_catches_wrong_smallest_child_entry():
+    idx = _random_index(5)
+    v = next(v for v, nd in enumerate(idx.trie.nodes) if len(nd.children) >= 2)
+    idx.min_kid[v] = max(idx.trie.nodes[v].children)
+    with pytest.raises(AssertionError, match="smallest-child"):
+        idx.audit()

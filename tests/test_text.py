@@ -66,8 +66,8 @@ def test_insert_pair_splits_once():
 
 def test_insert_into_empty():
     trie = CompactedTrie(sources=[[5, 6, SENTINEL]])
-    leaf, mid, attach = trie.insert_path(0)
-    assert mid is None and attach == trie.ROOT
+    leaf, mid, attach, split = trie.insert_path(0)
+    assert mid is None and split is None and attach == trie.ROOT
     assert trie.nodes[leaf].is_leaf
 
 
@@ -174,15 +174,16 @@ def test_insert_path_attaches_where_a_string_leaves_the_trie():
         of inserting codes into a fresh copy of the trie."""
         fresh, _ = build_string_trie([Text(w) for w in words])
         fresh.sources.append([*codes, SENTINEL])
-        leaf, mid, attach = fresh.insert_path(len(words))
+        leaf, mid, attach, split = fresh.insert_path(len(words))
         nodes = fresh.nodes
         assert nodes[leaf].leaf_id == len(words)
         if mid is None:
-            assert nodes[leaf].parent == attach
+            assert nodes[leaf].parent == attach and split is None
             return attach, None
         assert nodes[mid].parent == attach and nodes[leaf].parent == mid
-        (child,) = (ch for ch in nodes[mid].children.values() if ch != leaf)
-        return attach, (nodes[mid].label_len, child)
+        assert sorted(nodes[mid].children.values()) == sorted([leaf, split])
+        assert nodes[split].parent == mid
+        return attach, (nodes[mid].label_len, split)
 
     # at a node with no edge for the next character (the sentinel too)
     assert insert([2]) == (root, None) and dyn.predecessor([2]) == 1

@@ -13,8 +13,9 @@ Per workload and seed, `answers` covers, in this order:
   predecessor batch;
 * the prepended suffix tree's `canonical()` form.
 
-`counters` covers each of those calls' probe-counter diffs, in the same
-order.
+`counters` covers the nonzero entries of each of those calls' probe-counter
+diffs, in the same order, so a new counter changes the digest only where a
+call counts it.
 
 Inputs come from `perfbench/workloads.py`, and only public library calls
 are made, so the same script can digest another checkout's library:
@@ -56,15 +57,16 @@ def _answer(r):
 
 
 def _feed(answers, counters, label, fn, args):
-    """Hash each call's answer into `answers` and its probe-counter diff
-    into `counters`, in order."""
+    """Hash each call's answer into `answers` and the nonzero entries of its
+    probe-counter diff into `counters`, in order."""
     answers.update(label.encode())
     counters.update(label.encode())
     for arg in args:
         before = GLOBAL.snapshot()
         r = fn(arg)
         answers.update(repr(_answer(r)).encode())
-        counters.update(repr(sorted(GLOBAL.diff(before).items())).encode())
+        counters.update(repr(sorted((k, v) for k, v in GLOBAL.diff(before).items()
+                                    if v)).encode())
 
 
 def digest(spec, seed) -> tuple[str, str]:

@@ -5,7 +5,10 @@ Reports on stdout are deterministic functions of (inputs, flags, seed); the
 wall-clock timings go to stderr so identical seeds yield byte-identical
 reports.  Exit codes: 0 ok, 2 I/O failure, 3 alphabet overflow, 4 index
 version mismatch, 5 malformed input/unknown option value, 6 verification
-failure.  TRIEKIT_AUDIT=1 forces structural audits after every mutation.
+failure.  A command raises, and `main` alone maps the error to its code by
+`_EXIT_CODES` and prints it as the one `error:` line.  TRIEKIT_AUDIT=1,
+read by `main`, makes `dynamic` audit after every insert and
+`prepend-stream` after every prepend.
 """
 
 from __future__ import annotations
@@ -17,19 +20,28 @@ import sys
 import time
 
 from .dynamic_index import DynTrieIndex
-from .errors import (AlphabetOverflowError, CorruptTrieError, DuplicateKeyError,
-                     InvalidInputError)
+from .errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError, TriekitError
 from .instrument import GLOBAL
 from .serialize import VersionMismatchError, check_sigma, dump_index, load_index
 from .static_index import StaticTrieIndex, build_engines, build_index
 from .suffix_oracle import OnlineSuffixTree
 from .text import SENTINEL, check_codes
 
-EXIT_IO = 2
-EXIT_ALPHABET = 3
-EXIT_VERSION = 4
-EXIT_MALFORMED = 5
-EXIT_VERIFY = 6
+
+class VerificationError(TriekitError):
+    """A structural audit or a checkpoint of a command failed."""
+
+
+# Checked first to last: the exit code of the first class an error is an
+# instance of.  VersionMismatchError is an InvalidInputError, so it precedes
+# TriekitError.
+_EXIT_CODES = (
+    (OSError, 2),
+    (AlphabetOverflowError, 3),
+    (VersionMismatchError, 4),
+    (VerificationError, 6),
+    (TriekitError, 5),
+)
 
 
 def _decode_symbols(raw: bytes, sigma: int) -> list[int]:
@@ -40,12 +52,6 @@ def _decode_symbols(raw: bytes, sigma: int) -> list[int]:
         return [int(tok) for tok in raw.split()]
     except ValueError as e:
         raise InvalidInputError(f"symbols above sigma 256 are decimal codes: {e}") from None
-
-
-def _fail(msg, code: int) -> int:
-    """Print `msg` as the command's one error line; returns the exit code."""
-    print(f"error: {msg}", file=sys.stderr)
-    return code
 
 
 def _pattern_text(codes: list[int], sigma: int) -> str:
@@ -79,25 +85,14 @@ def _build_index(data: bytes, sigma: int, mode: str, engine: str):
 
 
 def cmd_build(args) -> int:
-    try:
-        data = _read_file(args.input)
-    except OSError as e:
-        return _fail(e, EXIT_IO)
+    data = _read_file(args.input)
     t0 = time.perf_counter()
-    try:
-        check_sigma(args.sigma)  # before building what could not be written
-        index = _build_index(data, args.sigma, args.mode, args.engine)
-        elapsed = time.perf_counter() - t0
-        blob = dump_index(index)
-    except AlphabetOverflowError as e:
-        return _fail(e, EXIT_ALPHABET)
-    except InvalidInputError as e:
-        return _fail(e, EXIT_MALFORMED)
-    try:
-        with open(args.output, "wb") as fh:
-            fh.write(blob)
-    except OSError as e:
-        return _fail(e, EXIT_IO)
+    check_sigma(args.sigma)  # before building what could not be written
+    index = _build_index(data, args.sigma, args.mode, args.engine)
+    elapsed = time.perf_counter() - t0
+    blob = dump_index(index)
+    with open(args.output, "wb") as fh:
+        fh.write(blob)
     heavy_count = sum(index.heavy)
     print(f"engine={args.engine} mode={args.mode} sigma={args.sigma} "
           f"leaves={len(index.leaf_order)} nodes={len(index.trie.nodes)} "
@@ -171,25 +166,12 @@ def _emit_tsv(rows, mode, sigma, out):
 
 
 def cmd_query(args) -> int:
-    try:
-        blob = _read_file(args.index)
-        pattern_data = _read_file(args.patterns)
-    except OSError as e:
-        return _fail(e, EXIT_IO)
-    try:
-        index = load_index(blob)
-    except VersionMismatchError as e:
-        return _fail(e, EXIT_VERSION)
-    except (InvalidInputError, CorruptTrieError) as e:
-        return _fail(e, EXIT_MALFORMED)
-    try:
-        patterns = [_decode_symbols(line, index.sigma)
-                    for line in pattern_data.split(b"\n") if line]
-        rows = _query_rows(index, patterns, args.mode)
-    except AlphabetOverflowError as e:
-        return _fail(e, EXIT_ALPHABET)
-    except (InvalidInputError, CorruptTrieError) as e:
-        return _fail(e, EXIT_MALFORMED)
+    blob = _read_file(args.index)
+    pattern_data = _read_file(args.patterns)
+    index = load_index(blob)
+    patterns = [_decode_symbols(line, index.sigma)
+                for line in pattern_data.split(b"\n") if line]
+    rows = _query_rows(index, patterns, args.mode)
     if args.report == "tsv":
         _emit_tsv(rows, args.mode, index.sigma, sys.stdout)
     else:
@@ -204,12 +186,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_dynamic(args) -> int:
-    try:
-        data = _read_file(args.ops)
-    except OSError as e:
-        return _fail(e, EXIT_IO)
+    data = _read_file(args.ops)
     idx = DynTrieIndex(sigma=args.sigma)
-    # TRIEKIT_AUDIT=1 makes the index audit every insert itself
     audit_every = args.audit_every
     ops = 0
     for lineno, line in enumerate(data.split(b"\n"), start=1):
@@ -220,6 +198,8 @@ def cmd_dynamic(args) -> int:
             codes = _decode_symbols(rest, args.sigma)
             if kind == b"I":
                 idx.insert(codes)
+                if args.audit_each:
+                    idx.audit()
             elif kind == b"Q":
                 res = idx.search(codes)
                 print(f"Q\t{_pattern_text(codes, args.sigma)}\t{res.outcome.value}"
@@ -229,40 +209,29 @@ def cmd_dynamic(args) -> int:
                 word = "-" if sid is None else _pattern_text(idx.string_codes(sid), args.sigma)
                 print(f"P\t{_pattern_text(codes, args.sigma)}\t{word}")
             else:
-                return _fail(f"line {lineno}: unknown op {kind!r}", EXIT_MALFORMED)
+                raise InvalidInputError(f"unknown op {kind!r}")
             ops += 1
             if audit_every and ops % audit_every == 0:
                 idx.audit()
-        except AlphabetOverflowError as e:
-            return _fail(f"line {lineno}: {e}", EXIT_ALPHABET)
-        except (DuplicateKeyError, InvalidInputError) as e:
-            return _fail(f"line {lineno}: {e}", EXIT_MALFORMED)
-        except AssertionError:  # from --audit-every, or TRIEKIT_AUDIT=1 in insert
-            return _fail(f"line {lineno}: verification failed", EXIT_VERIFY)
+        except TriekitError as e:
+            e.args = (f"line {lineno}: {e}",)
+            raise
+        except AssertionError:  # from an audit
+            raise VerificationError(f"line {lineno}: verification failed") from None
     return 0
 
 
 def cmd_prepend_stream(args) -> int:
-    try:
-        data = _read_file(args.text)
-    except OSError as e:
-        return _fail(e, EXIT_IO)
-    try:
-        codes = _decode_symbols(data, args.sigma)
-        check_codes(codes, args.sigma)
-    except AlphabetOverflowError as e:
-        return _fail(e, EXIT_ALPHABET)
-    except InvalidInputError as e:
-        return _fail(e, EXIT_MALFORMED)
+    codes = _decode_symbols(_read_file(args.text), args.sigma)
+    check_codes(codes, args.sigma)
     tree = OnlineSuffixTree(args.sigma)
-    audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
     for step, a in enumerate(reversed(codes), start=1):
         tree.prepend(a)
         if args.inject_corruption == step:
             tree.root.children.pop(max(tree.root.children))  # test hook
         checkpoint = step % args.check_every == 0
         try:
-            if audit_each or checkpoint:
+            if args.audit_each or checkpoint:
                 tree.audit_links()
             if checkpoint:
                 form = tree.canonical()
@@ -272,7 +241,7 @@ def cmd_prepend_stream(args) -> int:
                     raise AssertionError("tree differs from a fresh build")
                 print(f"step={step} nodes={len(form)} oracle_steps={GLOBAL.oracle_steps}")
         except AssertionError:
-            return _fail(f"verification failed at step {step}", EXIT_VERIFY)
+            raise VerificationError(f"verification failed at step {step}") from None
     return 0
 
 
@@ -331,13 +300,13 @@ def cmd_bench(args) -> int:
     engines = args.engines.split(",")
     for e in engines:
         if e not in ("static", "tray", "dynamic", "sa"):
-            return _fail(f"unknown engine {e!r}", EXIT_MALFORMED)
+            raise InvalidInputError(f"unknown engine {e!r}")
     if args.n <= 0 or args.queries < 0:
-        return _fail("parameters must be positive", EXIT_MALFORMED)
+        raise InvalidInputError("parameters must be positive")
     words = max(1, args.n // 8)  # distinct 8-letter words the dynamic engine inserts
     if "dynamic" in engines and words > args.sigma ** 8:
-        return _fail(f"--n {args.n} asks for {words} distinct 8-letter words, "
-                     f"but sigma={args.sigma} has only {args.sigma ** 8}", EXIT_MALFORMED)
+        raise InvalidInputError(f"--n {args.n} asks for {words} distinct 8-letter words, "
+                                f"but sigma={args.sigma} has only {args.sigma ** 8}")
     rng = random.Random(args.seed)
     text_codes = [rng.randint(1, args.sigma) for _ in range(args.n)]
     patterns = _bench_patterns(random.Random(args.seed + 1), text_codes,
@@ -453,12 +422,17 @@ def main(argv=None) -> int:
     e.set_defaults(fn=cmd_bench)
 
     args = ap.parse_args(argv)
-    for flag, low in (("sigma", 1), ("check_every", 1), ("audit_every", 0)):
-        value = getattr(args, flag, low)
-        if value < low:
-            return _fail(f"--{flag.replace('_', '-')} must be at least {low}, got {value}",
-                         EXIT_MALFORMED)
-    return args.fn(args)
+    args.audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
+    try:
+        for flag, low in (("sigma", 1), ("check_every", 1), ("audit_every", 0)):
+            value = getattr(args, flag, low)
+            if value < low:
+                raise InvalidInputError(
+                    f"--{flag.replace('_', '-')} must be at least {low}, got {value}")
+        return args.fn(args)
+    except tuple(cls for cls, _ in _EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

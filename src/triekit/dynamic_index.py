@@ -44,9 +44,8 @@ entry, its smallest child character, which `insert` keeps in O(1), and
 only where a child lies left of the path asks its own structures: a heavy
 node its predecessor slot; a light one (at level 1 or above, as a level-0
 node has at most 3 children) its wexp tree, which holds every lower-level
-child, and its same-level keys, a StaticPredecessor from 8 keys on and a
-scanned sorted list below that.  So one visit in all makes predecessor
-queries, at most two, and every other visit is O(1).
+child, and its same-level keys, a StaticPredecessor.  So one visit in all
+makes predecessor queries, at most two, and every other visit is O(1).
 
 Beyond the per-node entries `occ`, `rm` and `min_kid`, which keep the
 reads of a query O(1), no state is stored that the rest determines: every
@@ -61,7 +60,6 @@ promoting at 2*f(level+1)) is eager and atomic: the amortized variant.
 
 from __future__ import annotations
 
-import os
 from math import isqrt
 
 from .errors import DuplicateKeyError, InvalidInputError
@@ -73,8 +71,7 @@ from .wexp import WEIGHT_LIMIT, WexpTree, audit_wexp, capacity
 
 
 # Below 2*f(2) keys a dynamic predecessor is one linear scan (a wexp base
-# container), so `_ascend` scans a node with fewer children itself, and a
-# light node keeps fewer same-level keys as a plain sorted list.
+# container), so `_ascend` scans a node with fewer children itself.
 _PRED_MIN_KIDS = WEIGHT_LIMIT[1]
 
 
@@ -126,8 +123,8 @@ class _LightStep:
     """Child step at a light node: the same-level dictionary, then the wexp
     tree, whose hit reads the children.  A node with neither (level 0)
     reads its children map and charges each entry as a cell.  `same_pred`
-    holds the dictionary's keys for `predecessor`: a StaticPredecessor from
-    8 keys on, a sorted list below that, None with no dictionary."""
+    holds the dictionary's keys for `predecessor`: a StaticPredecessor, None
+    with no dictionary."""
 
     __slots__ = ("kids", "same", "tree", "same_pred")
 
@@ -175,7 +172,6 @@ class DynTrieIndex:
         self.occ: list[int] = [0]  # leaves below each node, for match reporting
         self.rm: list[int] = [-1]  # string id of the rightmost leaf below each node
         self.min_kid: list[int] = [sigma + 1]  # smallest child character, sigma + 1 if none
-        self.audit_each = os.environ.get("TRIEKIT_AUDIT") == "1"
         self._make_heavy(self.trie.ROOT)
         self._set_heavy_child_links(self.trie.ROOT)
 
@@ -206,9 +202,7 @@ class DynTrieIndex:
             step.same = step.same_pred = None
             return
         step.same = DetDictionary(pairs)
-        keys = sorted(c for c, _ in pairs)
-        step.same_pred = (keys if len(keys) < _PRED_MIN_KIDS
-                          else StaticPredecessor(keys, self.sigma + 1))
+        step.same_pred = StaticPredecessor(sorted(c for c, _ in pairs), self.sigma + 1)
 
     def _register_child(self, v, child, weight) -> int:
         """Register lower-level child's fragment root in v's wexp tree with
@@ -326,8 +320,6 @@ class DynTrieIndex:
         else:
             self._wire_leaf(attach, leaf)
         self._reweigh_and_trigger(leaf)
-        if self.audit_each:
-            self.audit()
 
     def _wire_leaf(self, u, leaf):
         """New leaf directly under existing node u."""
@@ -611,7 +603,7 @@ class DynTrieIndex:
             v = nodes[v].parent
 
     def _light_child_at_most(self, v, x):
-        """(largest child character <= x, the queries and keys read) of a
+        """(largest child character <= x, the queries made) of a
         light node with 8 or more children, so at level 1 or above: its wexp
         tree holds every lower-level child, and its same-level keys the
         rest."""
@@ -624,16 +616,11 @@ class DynTrieIndex:
             if hit is not None:
                 c = hit[0]
         keys = step.same_pred
-        if type(keys) is StaticPredecessor:
+        if keys is not None:
             work += 1
             i = keys.query(x)
             if i >= 0 and keys.keys[i] > c:
                 c = keys.keys[i]
-        elif keys is not None:
-            work += len(keys)
-            for k in keys:
-                if c < k <= x:
-                    c = k
         return c, work
 
     def string_codes(self, sid: int) -> list[int]:
@@ -753,12 +740,8 @@ class DynTrieIndex:
             if sd is None:
                 if sp is not None:
                     raise AssertionError("same-level keys without a dict")
-            else:
-                kind = StaticPredecessor if len(same) >= _PRED_MIN_KIDS else list
-                if type(sp) is not kind:
-                    raise AssertionError("a StaticPredecessor iff 8 or more same-level keys")
-                if (sp.keys if kind is StaticPredecessor else sp) != sorted(same):
-                    raise AssertionError("same-level predecessor keys differ from the dict's")
+            elif type(sp) is not StaticPredecessor or sp.keys != sorted(same):
+                raise AssertionError("same-level keys not the dict's, in a StaticPredecessor")
             if tree is not None and not tree.handles.keys() <= nd.children.keys():
                 raise AssertionError("wexp key that is not a child character")
             for c, ch in nd.children.items():

@@ -18,12 +18,6 @@ from .instrument import GLOBAL
 _M64 = (1 << 64) - 1
 _EMPTY = -1
 
-# _mix(key) for keys already looked up, filled until it holds _MIX_MEMO_CAP
-# entries.  The mixer is a fixed function, so the memo changes no table and
-# no answer, only the cost of a lookup.
-_MIX_MEMO: dict[int, int] = {}
-_MIX_MEMO_CAP = 1 << 16
-
 
 def _dense(span: int, k: int) -> bool:
     """True when k keys spanning `span` values take a direct table."""
@@ -119,11 +113,7 @@ class DetDictionary:
                 return self.slot_vals[s]
             GLOBAL.dict_cell_probes += 1
             return None
-        mx = _MIX_MEMO.get(key)
-        if mx is None:
-            mx = _mix(key)
-            if len(_MIX_MEMO) < _MIX_MEMO_CAP:
-                _MIX_MEMO[key] = mx
+        mx = _mix(key)
         s = ((mx * (2 * self.disp[mx & self.mask] + 1)) & _M64) >> self.shift
         if self.slot_keys[s] != key:
             GLOBAL.dict_cell_probes += 2  # the displacement cell and one slot key

@@ -1,6 +1,7 @@
 """`scripts/answer_digest.py` keeps what the library answers apart from
 what it counts."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from triekit.dynamic_index import DynTrieIndex
-from triekit.instrument import GLOBAL
+from triekit.instrument import GLOBAL, ProbeCounters
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -20,10 +21,13 @@ answer_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(answer_digest)
 
 
-@pytest.mark.parametrize("spec", [
+_SPECS = pytest.mark.parametrize("spec", [
     workloads.Spec("tiny-suffix", "suffix", 4, 400, 8, 30, (2, 6), 300),
     workloads.Spec("tiny-strings", "strings", 256, 60, 0, 0, (0, 0), 300),
 ], ids=lambda spec: spec.mode)
+
+
+@_SPECS
 def test_an_extra_count_changes_the_counters_digest_only(spec, monkeypatch):
     answers, counters = answer_digest.digest(spec, 1)
     assert answer_digest.digest(spec, 1) == (answers, counters)
@@ -36,3 +40,17 @@ def test_an_extra_count_changes_the_counters_digest_only(spec, monkeypatch):
     monkeypatch.setattr(DynTrieIndex, "search", counted_twice)
     planted_answers, planted_counters = answer_digest.digest(spec, 1)
     assert planted_answers == answers and planted_counters != counters
+
+
+@dataclasses.dataclass
+class _WithUnusedCounter(ProbeCounters):
+    unused: int = 0
+
+
+@_SPECS
+def test_a_counter_no_call_counts_changes_no_digest(spec, monkeypatch):
+    digests = answer_digest.digest(spec, 1)
+    # the one counter object every module increments gains a field
+    monkeypatch.setattr(GLOBAL, "__class__", _WithUnusedCounter)
+    assert answer_digest.GLOBAL is GLOBAL and "unused" in GLOBAL.snapshot()
+    assert answer_digest.digest(spec, 1) == digests

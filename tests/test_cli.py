@@ -9,10 +9,11 @@ import time
 import pytest
 
 from triekit import cli, sa, static_index
-from triekit.errors import CorruptTrieError, InvalidInputError
+from triekit.errors import (AlphabetOverflowError, CorruptTrieError, DuplicateKeyError,
+                            InvalidInputError, TriekitError)
 from triekit.cli import main
 from triekit.dynamic_index import DynTrieIndex
-from triekit.serialize import dump_index, load_index
+from triekit.serialize import VersionMismatchError, dump_index, load_index
 from triekit.static_index import build_index
 from triekit.text import build_sorted_trie
 
@@ -210,6 +211,28 @@ def test_format_1_index_exits_4(tmp_path, capsys):
 
 def test_format_2_index_exits_4(tmp_path, capsys):
     _old_format_exits_4(2, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["build", "query"])
+@pytest.mark.parametrize("error, code", [
+    (OSError, 2), (AlphabetOverflowError, 3), (VersionMismatchError, 4),
+    (cli.VerificationError, 6), (TriekitError, 5), (InvalidInputError, 5),
+    (DuplicateKeyError, 5), (CorruptTrieError, 5),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_main_maps_each_error_a_command_raises_to_its_code(command, error, code, tmp_path,
+                                                           capsys, monkeypatch):
+    def raising(*args):
+        raise error("planted")
+
+    data = tmp_path / "in.txt"
+    data.write_bytes(b"ab\n")
+    if command == "build":
+        monkeypatch.setattr(cli, "_build_index", raising)
+        argv = ["build", "--input", str(data), "--output", str(tmp_path / "o.tkix")]
+    else:
+        monkeypatch.setattr(cli, "load_index", raising)
+        argv = ["query", "--index", str(data), "--patterns", str(data)]
+    assert run_cli(argv, capsys) == (code, "", "error: planted\n")
 
 
 def test_build_missing_input_is_io_error(tmp_path, capsys):

@@ -92,25 +92,23 @@ def test_insert_of_an_out_of_range_iterator_stores_nothing():
     idx.audit()
 
 
-@pytest.mark.parametrize("env, audits", [("1", 3), (None, 0)])
-def test_audit_setting_read_at_construction(monkeypatch, env, audits):
-    if env is None:
-        monkeypatch.delenv("TRIEKIT_AUDIT", raising=False)
-    else:
-        monkeypatch.setenv("TRIEKIT_AUDIT", env)
-    idx = DynTrieIndex(sigma=4)
-    monkeypatch.setenv("TRIEKIT_AUDIT", "0" if env else "1")  # read once, before
+def test_library_makes_no_audit_under_triekit_audit(monkeypatch):
+    # TRIEKIT_AUDIT is a setting of the CLI's commands, not of the library
+    monkeypatch.setenv("TRIEKIT_AUDIT", "1")
     calls = []
-    real_audit = idx.audit
+    real_audit = DynTrieIndex.audit
 
-    def counted_audit():
+    def counted_audit(self):
         calls.append(1)
-        real_audit()
+        real_audit(self)
 
-    monkeypatch.setattr(idx, "audit", counted_audit)
+    monkeypatch.setattr(DynTrieIndex, "audit", counted_audit)
+    idx = DynTrieIndex(sigma=4)
     for w in ([1], [2, 3], [4, 4]):
         idx.insert(w)
-    assert len(calls) == audits
+    idx.search([2])
+    idx.predecessor([3])
+    assert calls == []
 
 
 def _random_index(seed):
@@ -868,10 +866,12 @@ def test_wide_light_nodes_ask_their_wexp_tree_and_same_level_keys():
     nodes = idx.trie.nodes
     five = nodes[idx.trie.ROOT].children[5]
     assert idx.heavy[five]
-    for c, kind in ((1, StaticPredecessor), (2, list)):
+    for c, same_keys in ((1, 9), (2, 2)):
         v = nodes[five].children[c]
         assert not idx.heavy[v] and idx.level[v] == 5 and len(nodes[v].children) >= 8
-        assert type(idx.child_step[v].same_pred) is kind and idx.child_step[v].tree is not None
+        sp = idx.child_step[v].same_pred
+        assert type(sp) is StaticPredecessor and len(sp.keys) == same_keys
+        assert idx.child_step[v].tree is not None
     oracle = sorted(w + (SENTINEL,) for w in stored)
     for b in (1, 2):
         for c in range(1, 45):
@@ -901,8 +901,9 @@ def test_audit_catches_wrong_rightmost_entry(where):
 def test_audit_catches_same_level_keys_that_differ_from_the_dict():
     idx = _sigma_256_stream()
     v = next(v for v in range(len(idx.trie.nodes))
-             if not idx.heavy[v] and type(idx.child_step[v].same_pred) is list)
-    idx.child_step[v].same_pred.append(idx.sigma)
+             if not idx.heavy[v] and idx.child_step[v].same_pred is not None)
+    keys = idx.child_step[v].same_pred.keys
+    idx.child_step[v].same_pred = StaticPredecessor(keys + [idx.sigma], idx.sigma + 1)
     with pytest.raises(AssertionError, match="same-level"):
         idx.audit()
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit.errors import DuplicateKeyError, InvalidInputError
-from triekit import predkit
 from triekit.instrument import GLOBAL
 from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor, StaticPredecessor
 
@@ -51,12 +50,19 @@ def test_dict_random_against_scan():
 
 
 def test_dict_probe_bound():
+    # 40-bit sparse keys: a hashed table, the same on every build, whose
+    # lookups answer as the pairs do
     rng = random.Random(3)
     keys = rng.sample(range(1 << 40), 500)
-    d = DetDictionary([(k, k) for k in keys])
-    for probe in keys + [rng.randrange(1 << 40) for _ in range(500)]:
+    truth = {k: i for i, k in enumerate(keys)}
+    d = DetDictionary(truth.items())
+    assert d.base is None
+    fresh = DetDictionary(truth.items())
+    assert (fresh.disp, fresh.slot_keys) == (d.disp, d.slot_keys)
+    near = [k + 1 for k in keys if k + 1 not in truth]
+    for probe in keys + near + [rng.randrange(1 << 40) for _ in range(500)]:
         before = GLOBAL.dict_cell_probes
-        d.lookup(probe)
+        assert d.lookup(probe) == truth.get(probe)
         assert 2 <= GLOBAL.dict_cell_probes - before <= 4
 
 
@@ -155,33 +161,6 @@ def test_dict_kind_chosen_by_span():
         for i, k in enumerate(keys):
             assert d.lookup(k) == i
         assert d.lookup(1) is None and d.lookup(12) is None
-
-
-def test_dict_mix_memo(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(predkit, "_MIX_MEMO", memo)
-    rng = random.Random(12)
-    keys = rng.sample(range(1 << 40), 500)
-    pairs = [(k, i) for i, k in enumerate(keys)]
-    truth = dict(pairs)
-    probes = keys + [k + 1 for k in keys if k + 1 not in truth]
-    d = DetDictionary(pairs)
-    for k in probes[::2]:
-        d.lookup(k)  # half the probes now in the memo
-    assert set(memo) == set(probes[::2])
-    fresh = DetDictionary(pairs)
-    assert (fresh.disp, fresh.slot_keys) == (d.disp, d.slot_keys)
-    for k in probes:
-        assert d.lookup(k) == fresh.lookup(k) == truth.get(k)
-    assert all(mx == predkit._mix(k) for k, mx in memo.items())
-    # the memo stops growing at its cap; later keys are mixed afresh
-    small = DetDictionary([(3, "a"), (1 << 40, "b")])
-    for k in range(predkit._MIX_MEMO_CAP + 1000):
-        small.lookup(k)
-    assert len(memo) == predkit._MIX_MEMO_CAP
-    late = predkit._MIX_MEMO_CAP + 999
-    assert late not in memo and small.lookup(late) is None
-    assert small.lookup(3) == "a" and small.lookup(1 << 40) == "b"
 
 
 # ---------------------------------------------------------- static predecessor

@@ -111,6 +111,34 @@ def test_library_makes_no_audit_under_triekit_audit(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("env, audits", [("1", 3), (None, 0)])
+def test_audit_setting_read_at_construction(tmp_path, capsys, monkeypatch, env, audits):
+    # the CLI reads TRIEKIT_AUDIT once, before its index takes the first insert,
+    # and then audits right after each insert
+    if env is None:
+        monkeypatch.delenv("TRIEKIT_AUDIT", raising=False)
+    else:
+        monkeypatch.setenv("TRIEKIT_AUDIT", env)
+    calls = []
+    real_audit, real_insert = DynTrieIndex.audit, DynTrieIndex.insert
+
+    def counted_audit(self):
+        calls.append(1)
+        real_audit(self)
+
+    def flipping_insert(self, codes):
+        real_insert(self, codes)
+        monkeypatch.setenv("TRIEKIT_AUDIT", "0" if env else "1")  # read once, before
+
+    monkeypatch.setattr(DynTrieIndex, "audit", counted_audit)
+    monkeypatch.setattr(DynTrieIndex, "insert", flipping_insert)
+    ops = tmp_path / "ops.txt"
+    ops.write_bytes(b"I a\nI bc\nI dd\n")
+    assert main(["dynamic", "--ops", str(ops)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == audits
+
+
 def _random_index(seed):
     rng = random.Random(seed)
     idx = DynTrieIndex(sigma=26)

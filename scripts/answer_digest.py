@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Two SHA-256 digests per benchmark workload and seed: `answers=` over
-everything the library answers and `counters=` over everything it counts,
-to show that a refactor changed neither, or only what it counts.
+"""Three SHA-256 digests per benchmark workload and seed: `answers=` over
+everything the library answers, `counters=` over everything it counts and
+`bytes=` over the index files it writes, to show that a refactor changed
+none of them, or only what it counts or stores.
 
 Per workload and seed, `answers` covers, in this order:
 
 * the answers of the static prefix and predecessor batches, of the same
   batches on the index loaded back from its bytes, of the tray batch and
   of the same batch on the tray loaded back from its bytes;
-* the `dump_index` bytes of the static index and of the tray;
 * the answers of the dynamic stream, then of its final search and
   predecessor batch;
 * the prepended suffix tree's `canonical()` form.
 
 `counters` covers the nonzero entries of each of those calls' probe-counter
 diffs, in the same order, so a new counter changes the digest only where a
-call counts it.
+call counts it.  `bytes` covers the `dump_index` bytes of the static index
+and of the tray, so a new file format changes that digest alone.
 
 Inputs come from `perfbench/workloads.py`, and only public library calls
 are made, so the same script can digest another checkout's library:
@@ -24,9 +25,9 @@ are made, so the same script can digest another checkout's library:
     PYTHONPATH=/other/checkout/src python scripts/answer_digest.py --seeds 1-2
 
 A `triekit` on PYTHONPATH is used first; otherwise this checkout's `src`.
-Equal `answers=` means equal answers, bytes and trees, and equal
-`counters=` equal counts.  The library location goes to stderr, so stdout
-compares directly.
+Equal `answers=` means equal answers and trees, equal `counters=` equal
+counts, and equal `bytes=` equal index files.  The library location goes
+to stderr, so stdout compares directly.
 """
 
 import argparse
@@ -69,8 +70,8 @@ def _feed(answers, counters, label, fn, args):
                                     if v)).encode())
 
 
-def digest(spec, seed) -> tuple[str, str]:
-    """(answers digest, counters digest) of one workload and seed."""
+def digest(spec, seed) -> tuple[str, str, str]:
+    """(answers, counters, bytes) digests of one workload and seed."""
     inp = workloads.generate(spec, seed)
     if spec.mode == "suffix":
         txt = text.Text(inp.text)
@@ -93,10 +94,9 @@ def digest(spec, seed) -> tuple[str, str]:
         _feed(answers, counters, f"{label} pred", index.predecessor_query, pats)
     _feed(answers, counters, "tray", tray.tray_query, pats)
     _feed(answers, counters, "loaded tray", loaded_tray.tray_query, pats)
-    answers.update(b"dump")
-    answers.update(blob)
-    answers.update(b"tray dump")
-    answers.update(tray_blob)
+    dumps = hashlib.sha256(blob)
+    dumps.update(b"tray dump")
+    dumps.update(tray_blob)
 
     dyn = DynTrieIndex(spec.sigma)
     fns = {"insert": dyn.insert, "search": dyn.search, "pred": dyn.predecessor}
@@ -111,7 +111,7 @@ def digest(spec, seed) -> tuple[str, str]:
         tree.prepend(a)
     answers.update(b"prepend")
     answers.update(repr(tree.canonical()).encode())
-    return answers.hexdigest(), counters.hexdigest()
+    return answers.hexdigest(), counters.hexdigest(), dumps.hexdigest()
 
 
 def _seeds(arg: str) -> list[int]:
@@ -132,8 +132,9 @@ def main(argv=None) -> int:
     print(f"triekit from {Path(triekit.__file__).parent}", file=sys.stderr)
     for name in names:
         for seed in _seeds(args.seeds):
-            answers, counters = digest(workloads.SPECS[name], seed)
-            print(f"{name} seed={seed} answers={answers} counters={counters}", flush=True)
+            answers, counters, dumps = digest(workloads.SPECS[name], seed)
+            print(f"{name} seed={seed} answers={answers} counters={counters} bytes={dumps}",
+                  flush=True)
     return 0
 
 

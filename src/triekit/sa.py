@@ -6,9 +6,8 @@ the contract is the sortedness invariant, not the recipe.  The suffix tree
 is the compacted trie of the suffixes in SA order: `text.build_sorted_trie`
 builds it from the SA and LCP arrays with the lcp stack that also builds
 every string-set trie, setting each node's leaf-rank interval as it goes.
-`check_suffix_array` proves in linear time that a given order is the suffix
-array, so an index file can store it and load can rebuild the tree;
-`suffix_array` runs one or the other on a checked text.
+An index file stores only the text, so building and loading both reach the
+suffix array through `suffix_array` on a checked text.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, repeat
 
-from .errors import InvalidInputError
 from .text import CompactedTrie, build_sorted_trie, terminated
 
 S_TYPE = 0
@@ -128,31 +126,20 @@ def build_suffix_array(text) -> SuffixArrayIndex:
     return suffix_array(terminated(text))
 
 
-def suffix_array(codes: list[int], sa: list[int] | None = None) -> SuffixArrayIndex:
-    """SA + LCP of a `text.checked` list; a stored `sa` is proved by
-    `check_suffix_array`, not rebuilt."""
-    if sa is None:
-        # SA-IS keeps arrays as long as its alphabet; renaming codes to ranks keeps their order
-        rank = {c: r for r, c in enumerate(sorted(set(codes)))}
-        codes = list(map(rank.__getitem__, codes))
-        sa = _sais(codes, len(rank))
-        ranks = _ranks(sa)
-    else:
-        ranks = check_suffix_array(codes, sa)
-    return SuffixArrayIndex(sa=sa, lcp=_kasai(codes, sa, ranks))
+def suffix_array(codes: list[int]) -> SuffixArrayIndex:
+    """SA + LCP of a `text.checked` list."""
+    # SA-IS keeps arrays as long as its alphabet; renaming codes to ranks keeps their order
+    rank = {c: r for r, c in enumerate(sorted(set(codes)))}
+    codes = list(map(rank.__getitem__, codes))
+    sa = _sais(codes, len(rank))
+    return SuffixArrayIndex(sa=sa, lcp=_kasai(codes, sa))
 
 
-def _ranks(sa: list[int]) -> list[int]:
-    """The inverse of `sa`, whose entries lie in [0, len(sa)): rank[p] is the
-    index of p in `sa`, or -1 where no entry is p."""
-    rank = [-1] * len(sa)
+def _kasai(codes: list[int], sa: list[int]) -> list[int]:
+    """LCP array of the suffix array `sa` of `codes`."""
+    rank = [0] * len(sa)
     for i, p in enumerate(sa):
         rank[p] = i
-    return rank
-
-
-def _kasai(codes: list[int], sa: list[int], rank: list[int]) -> list[int]:
-    """LCP array of the suffix array `sa` with its inverse `rank`."""
     # codes[-1] is a unique smallest sentinel: two distinct suffixes differ
     # at or before it, so every compare stops inside the text
     n = len(codes)
@@ -170,28 +157,6 @@ def _kasai(codes: list[int], sa: list[int], rank: list[int]) -> list[int]:
         if h:
             h -= 1
     return lcp
-
-
-def check_suffix_array(codes: list[int], sa: list[int]) -> list[int]:
-    """Check that `sa` is the suffix array of `codes`, whose last entry is a
-    unique smallest sentinel, and return its inverse, the rank array
-    `_kasai` takes; raise InvalidInputError if it is not.  It is when `sa` is a
-    permutation of the positions in which every two adjacent ranks p, q have
-    codes[p] < codes[q], or equal codes and rank[p + 1] < rank[q + 1]
-    (Burkhardt and Kärkkäinen, CPM 2003); equal codes are not the sentinel,
-    so p + 1 and q + 1 are positions.  Linear time."""
-    n = len(codes)
-    if len(sa) != n or min(sa) < 0 or max(sa) >= n:
-        raise InvalidInputError("suffix array entry outside [0, n]")
-    rank = _ranks(sa)
-    if -1 in rank:  # n entries in range leave a rank unset iff two are equal
-        raise InvalidInputError("the suffix array is not a permutation")
-    for p, q in zip(sa, islice(sa, 1, None)):
-        a = codes[p]
-        b = codes[q]
-        if a > b or (a == b and rank[p + 1] > rank[q + 1]):
-            raise InvalidInputError(f"the suffix array puts suffix {p} before {q}")
-    return rank
 
 
 def build_suffix_tree(sa_index: SuffixArrayIndex, text) -> CompactedTrie:

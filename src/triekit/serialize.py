@@ -1,16 +1,14 @@
-"""Versioned binary index files, format 3.
+"""Versioned binary index files, format 4.
 
 A static index is a deterministic function of its text: the suffix tree is
-the lcp-interval tree of the suffix array and its LCPs, and a string-set
-trie that of its sorted strings.  So a file stores the text and, in suffix
-mode, its suffix array, and load rebuilds the trie from them.  Layout,
-little-endian throughout:
+the lcp-interval tree of the text's suffix array and its LCPs, and a
+string-set trie that of its sorted strings.  So a file stores only the
+text, and load rebuilds the trie from it.  Layout, little-endian throughout:
 
 * a fixed header: magic, format version, engine tag, mode tag, sigma, n, s
   and the node count;
 * the text lengths, then the concatenated text codes, each stored as c - 1
   so that codes up to sigma = 2^16 fit two bytes;
-* in suffix mode, the suffix array: the leaf order, suffix positions by rank;
 * a CRC32 of every byte before it.
 
 A column is one code byte from `bBhHiIqQ` followed by its values packed
@@ -19,13 +17,12 @@ follow from the header and from earlier columns.
 
 `load_index` checks the magic, then the version (VersionMismatchError),
 then the CRC, the header fields and the columns' framing, and then runs
-the path of `static_index.build_index`: each text passes the one alphabet
-check, and in suffix mode `sa.check_suffix_array` proves the stored order
-is the text's suffix array in place of SA-IS, so no file can describe a
-wrong trie; in strings mode the strings are re-sorted and a repeated one
-refused.  All of these raise InvalidInputError.  The trie, its leaf-rank
-intervals and the per-node search payloads are rebuilt, so a round trip
-gives identical answers and identical bytes.
+what `static_index.build_index` runs: each text passes the one alphabet
+check, and `build_engines` builds the suffix array by SA-IS in suffix mode,
+or sorts the strings and refuses a repeated one in strings mode.  All of
+these raise InvalidInputError.  The trie, its leaf-rank intervals and the
+per-node search payloads are rebuilt, so no file can describe a wrong trie,
+and a round trip gives identical answers and identical bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .static_index import ENGINES, MODES, StaticTrieIndex, build_engines
 from .text import checked
 
 MAGIC = b"TKIX"
-VERSION = 3
+VERSION = 4
 SIGMA_LIMIT = 1 << 32  # an index file holds a sigma in [1, SIGMA_LIMIT)
 
 # magic, version, engine, mode, sigma, n, s, node count
@@ -85,8 +82,6 @@ def dump_index(index) -> bytes:
                         len(index.trie.nodes))]
     parts += _column(lens)
     parts += _column([c - 1 for t in texts for c in t])
-    if suffix:
-        parts += _column(index.leaf_order)
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -137,13 +132,12 @@ def load_index(blob: bytes):
     lens = r.column(1 if suffix else n)
     _check(not suffix or lens == (n,), "n disagrees with the text")
     stored = r.column(sum(lens))
-    order = list(r.column(n + 1)) if suffix else None
     _check(r.off == end, f"trailing bytes after byte {r.off}")
 
     codes = map((1).__add__, stored)  # the file stores each code c as c - 1
     try:
         sources = [checked(islice(codes, ln), sigma) for ln in lens]
-        trie, index = build_engines(sources, sigma, MODES[mode_tag], (ENGINES[engine],), order, s)
+        trie, index = build_engines(sources, sigma, MODES[mode_tag], (ENGINES[engine],), s)
     except AlphabetOverflowError as e:
         raise InvalidInputError(f"corrupt index file: text {e}") from None
     except DuplicateKeyError as e:

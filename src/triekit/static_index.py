@@ -345,13 +345,12 @@ def build_index(source, sigma: int, mode: str, engines=("static",)) -> tuple:
     return build_engines([checked(t, sigma) for t in texts], sigma, mode, engines)[1:]
 
 
-def build_engines(sources, sigma, mode, engines, order=None, s=None) -> tuple:
+def build_engines(sources, sigma, mode, engines, s=None) -> tuple:
     """(trie, one engine per name) of `checked` sources by one `build_sorted_trie`:
-    the suffix tree of the one source from its suffix array (or an index
-    file's `order`, proved), or the trie of the sorted strings; `s` is an
-    index file's static threshold."""
+    the suffix tree of the one source from its SA-IS suffix array, or the trie
+    of the sorted strings; `s` is an index file's static threshold."""
     if mode == "suffix":
-        sa_index = suffix_array(sources[0], order)
+        sa_index = suffix_array(sources[0])
         order = sa_index.sa
         trie = build_sorted_trie(sources, zip(repeat(0), order, order), sa_index.lcp)
     else:

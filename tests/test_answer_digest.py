@@ -1,5 +1,5 @@
 """`scripts/answer_digest.py` keeps what the library answers apart from
-what it counts."""
+what it counts and from the bytes it writes."""
 
 import dataclasses
 import importlib.util
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from triekit import serialize
 from triekit.dynamic_index import DynTrieIndex
 from triekit.instrument import GLOBAL, ProbeCounters
 
@@ -29,8 +30,8 @@ _SPECS = pytest.mark.parametrize("spec", [
 
 @_SPECS
 def test_an_extra_count_changes_the_counters_digest_only(spec, monkeypatch):
-    answers, counters = answer_digest.digest(spec, 1)
-    assert answer_digest.digest(spec, 1) == (answers, counters)
+    answers, counters, dumps = answer_digest.digest(spec, 1)
+    assert answer_digest.digest(spec, 1) == (answers, counters, dumps)
     search = DynTrieIndex.search
 
     def counted_twice(self, pattern):
@@ -38,8 +39,16 @@ def test_an_extra_count_changes_the_counters_digest_only(spec, monkeypatch):
         return search(self, pattern)
 
     monkeypatch.setattr(DynTrieIndex, "search", counted_twice)
-    planted_answers, planted_counters = answer_digest.digest(spec, 1)
-    assert planted_answers == answers and planted_counters != counters
+    planted_answers, planted_counters, planted_dumps = answer_digest.digest(spec, 1)
+    assert (planted_answers, planted_dumps) == (answers, dumps) and planted_counters != counters
+
+
+@_SPECS
+def test_a_new_file_format_changes_the_bytes_digest_only(spec, monkeypatch):
+    answers, counters, dumps = answer_digest.digest(spec, 1)
+    monkeypatch.setattr(serialize, "VERSION", serialize.VERSION + 1)
+    new_answers, new_counters, new_dumps = answer_digest.digest(spec, 1)
+    assert (new_answers, new_counters) == (answers, counters) and new_dumps != dumps
 
 
 @dataclasses.dataclass

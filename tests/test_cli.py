@@ -78,6 +78,22 @@ def test_query_json(banana_index, tmp_path, capsys):
     assert doc["rows"][0]["l"] == 2 and doc["rows"][0]["r"] == 3
 
 
+def test_query_count_column(banana_index, tmp_path, capsys):
+    pats = tmp_path / "pats.txt"
+    pats.write_bytes(b"a\nan\nnab\n")
+    argv = ["query", "--index", str(banana_index), "--patterns", str(pats), "--mode", "count"]
+    code, out, _ = run_cli(argv, capsys)
+    lines = out.strip().split("\n")
+    assert code == 0 and lines[0].split("\t")[-1] == "count"
+    assert [(row.split("\t")[0], row.split("\t")[-1]) for row in lines[1:]] == [
+        ("a", "3"), ("an", "2"), ("nab", "0")]
+    code, out, _ = run_cli(argv + ["--report", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["mode"] == "count"
+    assert [(row["pattern"], row["extra"]) for row in doc["rows"]] == [
+        ("a", 3), ("an", 2), ("nab", 0)]
+
+
 def test_version_mismatch_exit_code(banana_index, tmp_path, capsys):
     blob = bytearray(banana_index.read_bytes())
     blob[4] = 99  # bump the version field
@@ -115,25 +131,28 @@ def _query_fails_cleanly(blob, tmp_path, capsys, patterns=b"a\n"):
     return err
 
 
-@pytest.mark.parametrize("corrupt", ["leaf_interval", "text_code"])
+@pytest.mark.parametrize("corrupt", ["text_code"])
 def test_corrupted_index_exits_5(corrupt, banana_index, tmp_path, capsys):
-    # dump_index seals the file with a valid CRC; the suffix-array check rejects it
+    # dump_index seals each file with a valid CRC.  A file stores only its
+    # text, so "banana" stored as "bananb" loads as the index of "bananb";
+    # a code outside [1, sigma] fails the alphabet check and exits 5
     idx = load_index(banana_index.read_bytes())
-    if corrupt == "leaf_interval":  # two leaves on each other's rank
-        order = idx.leaf_order
-        order[2], order[3] = order[3], order[2]
-    else:  # "banana" stored as "bananb"
-        idx.trie.sources[0][-2] += 1  # the last code before the sentinel
+    idx.trie.sources[0][-2] += 1  # the last code before the sentinel
+    bad = tmp_path / "bananb.tkix"
+    bad.write_bytes(dump_index(idx))
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"a\nan\nnab\nb\n")
+    fresh = tmp_path / "bananb.bin"
+    fresh.write_bytes(b"bananb")
+    fresh_idx = tmp_path / "fresh.tkix"
+    assert run_cli(["build", "--input", str(fresh), "--output", str(fresh_idx)], capsys)[0] == 0
+    reports = [run_cli(["query", "--index", str(f), "--patterns", str(pats), "--mode", "count"],
+                       capsys) for f in (bad, fresh_idx)]
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    assert "\nnab\t" in reports[0][1]
+    idx.trie.sources[0][-2] = 257  # above sigma = 256
     err = _query_fails_cleanly(dump_index(idx), tmp_path, capsys)
-    assert "suffix array puts" in err
-
-
-def test_negative_leaf_id_exits_5(banana_index, tmp_path, capsys):
-    # a suffix-mode file stores its leaf ids in rank order: the suffix array
-    idx = load_index(banana_index.read_bytes())
-    idx.leaf_order[0] = -5
-    err = _query_fails_cleanly(dump_index(idx), tmp_path, capsys, b"a\nan\nnab\n")
-    assert "suffix array entry outside" in err
+    assert "text code" in err
 
 
 def test_string_stored_twice_exits_5(tmp_path, capsys):
@@ -155,47 +174,54 @@ def _suffix_static(codes, sigma):
 
 @pytest.mark.parametrize("sigma", [4, 2**16])
 def test_resealed_suffix_array_and_code_mutations(sigma, tmp_path, capsys):
-    # 200 files per text, each sealed with a valid CRC: 100 with two
-    # suffix-array entries swapped, which never load, and 100 with one text
-    # code changed, which load only as the index of the text they store
+    # 100 files per text, each sealed with a valid CRC and one text code
+    # changed.  A file stores only its text, so each loads only as the index
+    # of the text it stores, or exits 5 where the header's node count is
+    # not that of the text's trie
     rng = random.Random(sigma)
     codes = [rng.randint(1, sigma) for _ in range(300)]
     blob = dump_index(_suffix_static(codes, sigma))
     patterns = b"\x00\x01\n" if sigma <= 256 else b"1 2\n"
     loaded_codes = 0
-    for kind in ["swap", "code"] * 100:
+    for _ in range(100):
         idx = load_index(blob)
-        if kind == "swap":
-            i, j = rng.sample(range(len(idx.leaf_order)), 2)
-            idx.leaf_order[i], idx.leaf_order[j] = idx.leaf_order[j], idx.leaf_order[i]
-        else:
-            stored = idx.trie.sources[0]
-            i = rng.randrange(len(stored) - 1)  # not the sentinel
-            c = rng.randint(1, sigma - 1)  # any code but the stored one
-            stored[i] = c if c < stored[i] else c + 1
+        stored = idx.trie.sources[0]
+        i = rng.randrange(len(stored) - 1)  # not the sentinel
+        c = rng.randint(1, sigma - 1)  # any code but the stored one
+        stored[i] = c if c < stored[i] else c + 1
         bad = dump_index(idx)
         try:
             loaded = load_index(bad)
-        except (InvalidInputError, CorruptTrieError):
+        except InvalidInputError as e:
+            assert "node count" in str(e)
             _query_fails_cleanly(bad, tmp_path, capsys, patterns)
             continue
-        assert kind == "code"
         loaded_codes += 1
-        stored = idx.trie.sources[0][:-1]  # the text the file stores
+        stored = stored[:-1]  # the text the file stores
         fresh = _suffix_static(stored, sigma)
         pats = [stored[k:k + rng.randrange(0, 8)] + [rng.randint(1, sigma)]
                 for k in (rng.randrange(len(stored)) for _ in range(50))]
         for p in pats + [stored[k:k + 6] for k in range(0, len(stored), 20)]:
             assert loaded.prefix_query(p) == fresh.prefix_query(p), p
             assert loaded.predecessor_query(p) == fresh.predecessor_query(p), p
-    assert loaded_codes < 100
+    assert 0 < loaded_codes < 100
+
+
+# a format-3 index of "banana" as format 3 wrote it: the header, the text
+# and its suffix array, which format 4 no longer stores
+_FORMAT_3_BANANA = bytes.fromhex(
+    "544b49580300000000000001000000000000060000000000000009000000000000000b0000000000"
+    "000062066262616e616e61620605030100040220fa3bf3")
 
 
 def _old_format_exits_4(version, tmp_path, capsys):
     # a format-1 header (magic, version, engine, mode, sigma, n, s) and one
-    # empty section, or a format-2 header (the same and a node count)
+    # empty section, a format-2 header (the same and a node count), or a
+    # whole format-3 file
     head = struct.pack("<IBBQQQ", version, 0, 0, 256, 6, 2)
-    old = b"TKIX" + head + (struct.pack("<BQ", 1, 0) if version == 1 else struct.pack("<Q", 1))
+    old = {1: b"TKIX" + head + struct.pack("<BQ", 1, 0),
+           2: b"TKIX" + head + struct.pack("<Q", 1),
+           3: _FORMAT_3_BANANA}[version]
     bad = tmp_path / "old.tkix"
     bad.write_bytes(old)
     pats = tmp_path / "p.txt"
@@ -211,6 +237,10 @@ def test_format_1_index_exits_4(tmp_path, capsys):
 
 def test_format_2_index_exits_4(tmp_path, capsys):
     _old_format_exits_4(2, tmp_path, capsys)
+
+
+def test_format_3_index_exits_4(tmp_path, capsys):
+    _old_format_exits_4(3, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ["build", "query"])
@@ -284,12 +314,12 @@ def test_strings_mode_drops_blank_and_repeated_lines(tmp_path, capsys):
         code, out, _ = run_cli(["build", "--input", str(words), "--mode", "strings",
                                 "--output", str(path)], capsys)
         assert code == 0 and "leaves=4" in out  # the distinct non-empty lines
-        for mode in ("prefix", "predecessor", "enumerate"):
+        for mode in ("prefix", "predecessor", "enumerate", "count"):
             code, out, _ = run_cli(["query", "--index", str(path), "--patterns", str(pats),
                                     "--mode", mode], capsys)
             assert code == 0
             reports.append(out)
-    assert reports[:3] == reports[3:]
+    assert reports[:4] == reports[4:]
 
 
 @pytest.mark.parametrize("mode, source", [

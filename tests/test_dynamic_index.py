@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triekit.cli import main
-from triekit.dynamic_index import DynTrieIndex, _Fragment, canonical_level
+from triekit.dynamic_index import DynTrieIndex, _Fragment, _HeavyPointer, canonical_level
 from triekit.errors import AlphabetOverflowError, DuplicateKeyError, InvalidInputError
 from triekit.instrument import GLOBAL
 from triekit.predkit import BitPredecessor, DetDictionary, DynamicPredecessor, StaticPredecessor
@@ -383,6 +383,30 @@ def test_edge_split_keeps_invariants():
             words.add(w)
             idx.insert(list(w))
             idx.audit()
+
+
+def test_split_below_heavy_pointer_repoints_it():
+    # node [1] is heavy with no array at sigma = 100, so its step is a
+    # _HeavyPointer to its heavy child on character 2; splitting that edge
+    # at [1, 2] must point the step at the new middle node
+    idx = DynTrieIndex(sigma=100)
+    words = ([[1, 2, 3, 4, 5 + i % 90, 5 + i // 90] for i in range(120)]
+             + [[1, c, 1] for c in (7, 8, 9)] + [[10], [11]])
+    for w in words:
+        idx.insert(w)
+    u = idx.search([1]).node
+    step = idx.child_step[u]
+    assert idx.heavy[u] and type(step) is _HeavyPointer and step.heavy_kid[0] == 2
+    words.append([1, 2, 9])
+    idx.insert(words[-1])
+    mid = idx.trie.nodes[u].children[2]
+    assert idx.child_step[u] is step and step.heavy_kid == (2, mid)
+    assert idx.search([1, 2]).node == mid
+    for p in words + [[1, 2], [1, 2, 3, 4]]:
+        r = idx.search(p)
+        assert r.matched and r.matched_len == len(p), p
+        assert r.occ == sum(w[:len(p)] == p for w in words), p
+    idx.audit()
 
 
 def test_deep_promotions():

@@ -13,7 +13,8 @@ from triekit.errors import (AlphabetOverflowError, CorruptTrieError, InvalidInpu
                             TriekitError)
 from triekit.instrument import GLOBAL
 from triekit.predkit import DetDictionary, StaticPredecessor
-from triekit.sa import build_suffix_array, build_suffix_tree
+from triekit import static_index
+from triekit.sa import build_suffix_array, build_suffix_tree, suffix_array
 from triekit.serialize import MAGIC, VersionMismatchError, dump_index, load_index
 from triekit.static_index import (
     StaticTrieIndex,
@@ -244,10 +245,6 @@ def _dump_sealed(idx) -> bytes:
     return _reseal(blob[:at] + head + blob[at + 16:-4])
 
 
-def _swap(order, i, j):
-    order[i], order[j] = order[j], order[i]
-
-
 def _repeat_string(idx):
     """Store string 0 a second time, in place of string 1."""
     idx.trie.sources[1] = list(idx.trie.sources[0])
@@ -263,16 +260,6 @@ FIELD_CORRUPTIONS = {
     "code_zero": ("suffix", lambda idx: idx.trie.sources[0].__setitem__(0, 0), "text code"),
     "code_above_sigma": ("strings", lambda idx: idx.trie.sources[0].__setitem__(
         0, idx.sigma + 1), "text code"),
-    # a suffix-mode file stores the leaf ids in rank order: the suffix array
-    "leaf_id_minus_5": ("suffix", lambda idx: idx.leaf_order.__setitem__(0, -5),
-                        "outside"),
-    "leaf_id_past_n": ("suffix", lambda idx: idx.leaf_order.__setitem__(
-        3, len(idx.trie.sources[0])), "outside"),
-    "leaf_id_twice": ("suffix", lambda idx: idx.leaf_order.__setitem__(
-        4, idx.leaf_order[5]), "not a permutation"),
-    "leaves_swapped": ("suffix", lambda idx: _swap(idx.leaf_order, 4, 5), "puts suffix"),
-    "sentinel_not_first": ("suffix", lambda idx: _swap(idx.leaf_order, 0, 11),
-                           "puts suffix"),
     "string_twice": ("strings", _repeat_string, "stored twice"),
     "node_count": ("suffix", lambda idx: idx.trie.nodes.pop(), "node count"),
 }
@@ -352,19 +339,14 @@ def test_raw_byte_damage_raises_or_answers_identically(kind, data):
         assert _answers(idx) == _abra_answers()
 
 
-@given(st.sampled_from(["order_swap", "order_value", "code", "header"]),
+@given(st.sampled_from(["code", "header"]),
        st.integers(0, 10**6),
        st.sampled_from(["sigma", "s"]),
        st.one_of(st.integers(-3, 30), st.sampled_from([2**15, 2**31 - 1, 2**40])))
 @settings(derandomize=True, max_examples=400, deadline=None)
 def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, value):
     idx = load_index(_abra_blob())
-    order = idx.leaf_order
-    if where == "order_swap":
-        _swap(order, pick % len(order), value % len(order))
-    elif where == "order_value":
-        order[pick % len(order)] = value
-    elif where == "code":
+    if where == "code":
         codes = idx.trie.sources[0]
         codes[pick % (len(codes) - 1)] = value  # a code, not the sentinel
     else:
@@ -382,6 +364,33 @@ def test_resealed_field_mutation_raises_only_triekit_errors(where, pick, field, 
                     query(p)
                 except TriekitError:
                     pass
+
+
+@pytest.mark.parametrize("sigma", [4, 2**16])
+def test_suffix_file_stores_only_its_text(sigma):
+    # the header, the lengths column, the codes column (each c - 1) and the CRC
+    rng = random.Random(sigma)
+    codes = [rng.randint(1, sigma) for _ in range(200)]
+    blob = dump_index(suffix_index(codes, sigma)[0])
+    width = "b" if sigma == 4 else "H"  # the narrowest struct code for 0..sigma - 1
+    columns = b"B" + bytes([len(codes)]) + width.encode() + struct.pack(
+        f"<{len(codes)}{width}", *(c - 1 for c in codes))
+    head = len(MAGIC) + 4 + 2 + 4 * 8
+    assert blob[head:] == columns + struct.pack("<I", zlib.crc32(blob[:head] + columns))
+
+
+def test_suffix_load_runs_sa_is_once(monkeypatch):
+    blob = _abra_blob()
+    calls = []
+
+    def counted(codes):
+        calls.append(list(codes))
+        return suffix_array(codes)
+
+    monkeypatch.setattr(static_index, "suffix_array", counted)
+    loaded = load_index(blob)
+    assert calls == [loaded.trie.sources[0]]
+    assert dump_index(loaded) == blob
 
 
 def test_code_sigma_2_16_keeps_two_byte_columns():

@@ -638,7 +638,7 @@ class DynTrieIndex:
             nd = trie.nodes[v]
             counts[v] = 1 if nd.is_leaf else sum(counts[ch] for ch in nd.children.values())
         if not self.heavy[trie.ROOT]:
-            raise AssertionError
+            raise AssertionError("the root must be heavy")
         for v in order:
             nd = trie.nodes[v]
             if self.occ[v] != counts[v]:
@@ -649,7 +649,8 @@ class DynTrieIndex:
             for c, ch in nd.children.items():
                 kid = trie.nodes[ch]
                 if trie.sources[kid.sid][kid.start] != c or kid.parent != v:
-                    raise AssertionError
+                    raise AssertionError("child's first character or parent link "
+                                         "differs from its edge")
             rightmost = (nd.leaf_id if nd.is_leaf else
                          self.rm[nd.children[max(nd.children)]] if nd.children else -1)
             if self.rm[v] != rightmost:
@@ -689,7 +690,7 @@ class DynTrieIndex:
                     if arr is not None:
                         raise AssertionError("array at a heavy node the rule gives none")
                     if step.heavy_kid != (heavy_kids[0] if heavy_kids else (-1, None)):
-                        raise AssertionError
+                        raise AssertionError("heavy pointer does not lead to the heavy child")
                     if step.kids is not nd.children:
                         raise AssertionError("heavy pointer reads another children map")
                 continue
@@ -713,7 +714,7 @@ class DynTrieIndex:
                         raise AssertionError("stored weight outside [ceil(sqrt(w)), w]")
             else:
                 if not (not self.heavy[p] and self.level[p] == lv and self.frag[p] is f):
-                    raise AssertionError
+                    raise AssertionError("fragment member's parent is outside its fragment")
             low = capacity(lv) if lv >= 1 else 1
             if not (low <= counts[v] < 2 * capacity(lv + 1)):
                 raise AssertionError("level window violated")
@@ -747,12 +748,12 @@ class DynTrieIndex:
             for c, ch in nd.children.items():
                 if c in same:
                     if lv and sd.lookup(c) != ch:
-                        raise AssertionError
+                        raise AssertionError("same-level dict entry differs from the child")
                 else:
                     if not (sd is None or sd.lookup(c) is None):
-                        raise AssertionError
+                        raise AssertionError("same-level dict holds a lower-level child")
                     if self.level[ch] >= lv:
-                        raise AssertionError
+                        raise AssertionError("a child off the same-level dict must be lower")
                     if not (tree is not None and c in tree.handles):
                         raise AssertionError("lower-level child missing from wexp")
             if tree is not None:

@@ -3,9 +3,12 @@
 A level-L tree keeps total weight below 2*f(L+1) for f(L) = floor(2^(1.5^L)).
 Splitter elements sit in a static predecessor structure whose query answers
 a splitter's index; the child slots between consecutive splitters hold
-nothing or a tree of any lower level.  Trees of level <= 1 are plain sorted
-arrays (f(0) = f(1) = 2 makes the recursion degenerate there), and every
-tree of level >= 2 holds at least one splitter, so no level is kept empty.
+nothing or a tree of any lower level.  Level 1 is the lowest level
+(f(0) = f(1) = 2 makes the recursion degenerate below it): a level-1 tree
+keeps its elements as splitters with every slot empty and no static
+predecessor, and is scanned.  It may be empty (a new tree's root or a fresh
+slot); every tree of level >= 2 holds at least one splitter, so no level is
+kept empty.
 A level-l tree weighs below 2*f(l+1) <= 2*f(L), so it fits any slot of a
 level-L node, and a search still visits at most one node per level.
 Splits are eager and atomic: the amortized variant.
@@ -54,8 +57,8 @@ WEIGHT_LIMIT = [2 * capacity(level + 1) for level in range(MAX_LEVEL + 1)]
 
 
 class ElementHandle:
-    """Record for one stored element; `home` tracks the node (or base
-    container) currently holding it and is updated whenever it moves."""
+    """Record for one stored element; `home` tracks the node currently
+    holding it and is updated whenever it moves."""
 
     __slots__ = ("key", "weight", "home")
 
@@ -68,23 +71,12 @@ class ElementHandle:
         return f"ElementHandle(key={self.key}, weight={self.weight})"
 
 
-class _Base:
-    """Level-<=1 tree: sorted array with linear scan, weight < 2*f(2)."""
-
-    __slots__ = ("items", "weight", "parent")
-    level = 1
-
-    def __init__(self, items, parent=None):
-        self.items = items
-        self.weight = sum(e.weight for e in items)
-        self.parent = parent
-        for e in items:
-            e.home = self
-
-
 class _Node:
-    """Level->=2 tree: at least one splitter, and one child slot between and
-    around each; a slot holds None or a tree of any lower level."""
+    """A tree of level >= 1: splitters in key order and one child slot
+    between and around each; a slot holds None or a tree of any lower level.
+    Above level 1 `pred` is the splitters' static predecessor.  A level-1
+    node keeps its elements as splitters, every slot None and `pred` None,
+    and is scanned."""
 
     __slots__ = ("level", "weight", "splitters", "children", "pred", "parent")
 
@@ -101,7 +93,7 @@ class _Node:
         for c in children:
             if c is not None:
                 c.parent = self
-        self.pred = StaticPredecessor([e.key for e in splitters], u)
+        self.pred = StaticPredecessor([e.key for e in splitters], u) if level > 1 else None
 
 
 class WexpTree:
@@ -109,7 +101,7 @@ class WexpTree:
 
     def __init__(self, u: int):
         self.u = u
-        self.root = _Base([])
+        self.root = _Node(1, [], [None], u)
         self.handles: dict[int, ElementHandle] = {}
 
     # ------------------------------------------------------------------ ops
@@ -119,18 +111,19 @@ class WexpTree:
         if key in self.handles:
             raise DuplicateKeyError(f"key {key} already present")
         node = self.root
-        while isinstance(node, _Node):
+        while node.pred is not None:
             i = node.pred.query(key) + 1
             child = node.children[i]
             if child is None:
-                child = node.children[i] = _Base([], node)
+                child = node.children[i] = _Node(1, [], [None], self.u, node)
             node = child
         elem = ElementHandle(key)
         i = 0
-        items = node.items
-        while i < len(items) and items[i].key < key:
+        elems = node.splitters
+        while i < len(elems) and elems[i].key < key:
             i += 1
-        items.insert(i, elem)
+        elems.insert(i, elem)
+        node.children.append(None)
         elem.home = node
         self.handles[key] = elem
         self._bump(node)
@@ -147,28 +140,21 @@ class WexpTree:
         """(key, weight) of the largest key <= x, or None."""
         node = self.root
         best = None
-        while isinstance(node, _Node):
+        while node is not None:
             GLOBAL.wexp_levels_descended += 1
+            if node.pred is None:
+                for e in node.splitters:
+                    if e.key > x:
+                        break
+                    best = e
+                break
             i = node.pred.query(x)
             if i >= 0:
                 e = node.splitters[i]
                 if e.key == x:
                     return (e.key, e.weight)
                 best = e
-            child = node.children[i + 1]
-            if child is None:
-                break
-            node = child
-        if isinstance(node, _Base):
-            GLOBAL.wexp_levels_descended += 1
-            found = None
-            for e in node.items:
-                if e.key <= x:
-                    found = e
-                else:
-                    break
-            if found is not None:
-                return (found.key, found.weight)
+            node = node.children[i + 1]
         return None if best is None else (best.key, best.weight)
 
     # ------------------------------------------------------------ internals
@@ -190,12 +176,8 @@ class WexpTree:
         f_lo = capacity(level)
         need = f_hi - f_lo
         cap = f_hi + f_lo
-        if isinstance(node, _Base):
-            cands = node.items
-            child_w = [0] * (len(cands) + 1)
-        else:
-            cands = node.splitters
-            child_w = [c.weight if c is not None else 0 for c in node.children]
+        cands = node.splitters
+        child_w = [c.weight if c is not None else 0 for c in node.children]
         total = node.weight
         w_pref = child_w[0]  # weight of everything left of candidate i (1-based)
         chosen = -1
@@ -211,14 +193,10 @@ class WexpTree:
             raise AssertionError("no valid splitter found; invariants broken")
 
         e = cands[chosen - 1]
-        if isinstance(node, _Base):
-            left = _Base(node.items[: chosen - 1]) if chosen > 1 else None
-            right = _Base(node.items[chosen:]) if chosen < len(cands) else None
-        else:
-            ls, lc = node.splitters[: chosen - 1], node.children[:chosen]
-            rs, rc = node.splitters[chosen:], node.children[chosen:]
-            left = _Node(level, ls, lc, self.u) if ls else lc[0]
-            right = _Node(level, rs, rc, self.u) if rs else rc[0]
+        ls, lc = cands[: chosen - 1], node.children[:chosen]
+        rs, rc = cands[chosen:], node.children[chosen:]
+        left = _Node(level, ls, lc, self.u) if ls else lc[0]
+        right = _Node(level, rs, rc, self.u) if rs else rc[0]
 
         parent = node.parent
         if parent is not None and parent.level == level + 1:
@@ -249,120 +227,90 @@ def splitter_weight_limit(level: int) -> int:
 
 
 def audit_wexp(tree: WexpTree) -> None:
-    """Full structural audit; raises AssertionError on any violation.
+    """Full structural audit; raises AssertionError naming the broken
+    invariant.
 
-    Checks: weight bound (condition 1) at every level, key ordering
-    (condition 3), group weights (condition 4), the splitter-set size bound
-    with explicit constant 4, at least one splitter in every inner node, the
-    static predecessor holding exactly the splitter keys, levels decreasing
-    along every child step (a slot may hold a tree of any lower level),
-    recorded weights versus recomputed subtree weights, the weight threshold
-    forcing heavy elements up (2*f of the home level), the depth consequence
-    of the weight/level relation, handle links, and the key->element map:
-    each element the walk visits is its key's entry, and the map holds no
-    other key.  The depth check `w < splitter_weight_limit(lv)` is implied
-    by condition 1, since 2*f(lv+1) <= 2^(2^(lv+2)) at every level; it stays
-    as a cross-check.
+    Checks at every node: its parent link; its level, at least 1 and
+    decreasing along every child step (a slot may hold a tree of any lower
+    level); one slot more than splitters; key ordering (condition 3) as both
+    key bounds, lo < key < hi, where lo and hi are the splitters around the
+    node's slot; handle links; the weight threshold forcing heavy elements
+    up (2*f of the home level); the depth consequence of the weight/level
+    relation; recorded weights versus recomputed subtree weights; and the
+    weight bound (condition 1).  Above level 1 also: at least one splitter,
+    the splitter-set size bound with explicit constant 4, the static
+    predecessor holding exactly the splitter keys, and group weights
+    (condition 4); a level-1 node keeps no static predecessor, and the size
+    bound and condition 4 are vacuous there since f(1) - f(0) = 0.  Last, the
+    key->element map: each element the walk visits is its key's entry, and
+    the map holds no other key.  The depth check
+    `w < splitter_weight_limit(lv)` is implied by condition 1, since
+    2*f(lv+1) <= 2^(2^(lv+2)) at every level; it stays as a cross-check.
     """
     handles = tree.handles
     n_elems = 0
-    base_cap = 2 * capacity(2)
-    base_depth_limit = splitter_weight_limit(1)
-    level_bounds = {}
+    # (f(lv) - f(lv-1), 2*f(lv+1), depth weight limit) for each level lv >= 1
+    bounds = [None] + [(capacity(lv) - capacity(lv - 1), 2 * capacity(lv + 1),
+                        splitter_weight_limit(lv)) for lv in range(1, MAX_LEVEL + 1)]
 
-    def bounds(lv):
-        """(f(lv) - f(lv-1), 2*f(lv+1), depth weight limit) for level lv."""
-        b = level_bounds.get(lv)
-        if b is None:
-            b = level_bounds[lv] = (capacity(lv) - capacity(lv - 1),
-                                    2 * capacity(lv + 1), splitter_weight_limit(lv))
-        return b
-
-    def walk(node, parent, lo, hi):
-        """Returns the subtree weight; lo < keys < hi (None = unbounded)."""
+    def walk(node, parent, top, lo, hi):
+        """Returns the subtree weight; level < top, lo < keys < hi (None =
+        unbounded)."""
         nonlocal n_elems
         if node.parent is not parent:
-            raise AssertionError
-        if isinstance(node, _Base):
-            if node.level != 1:
-                raise AssertionError
-            n_elems += len(node.items)
-            w = 0
-            last = lo
-            for e in node.items:
-                if not (last is None or e.key > last):
-                    raise AssertionError
-                if not (hi is None or e.key < hi):
-                    raise AssertionError
-                if not (e.home is node and e.weight >= 1 and handles.get(e.key) is e):
-                    raise AssertionError
-                if e.weight >= base_cap:
-                    raise AssertionError("overweight element in base container")
-                if e.weight >= base_depth_limit:
-                    raise AssertionError
-                last = e.key
-                w += e.weight
-            if w != node.weight:
-                raise AssertionError
-            if w >= base_cap:
-                raise AssertionError
-            return w
-        if not isinstance(node, _Node):
-            raise AssertionError
+            raise AssertionError("parent link differs from the node holding the tree")
         lv = node.level
-        if lv < 2:
-            raise AssertionError
-        if len(node.children) != len(node.splitters) + 1:
-            raise AssertionError
-        if not node.splitters:
-            raise AssertionError("inner node without a splitter")
-        n_elems += len(node.splitters)
-        group_min, weight_cap, depth_limit = bounds(lv)
-        if len(node.splitters) > 2 * weight_cap // group_min:
-            raise AssertionError
+        if not 1 <= lv < top:
+            raise AssertionError("levels must decrease, and stay at least 1")
+        splitters, children = node.splitters, node.children
+        if len(children) != len(splitters) + 1:
+            raise AssertionError("slot count differs from splitter count + 1")
+        group_min, weight_cap, depth_limit = bounds[lv]
+        if lv > 1:
+            if not splitters:
+                raise AssertionError("inner node without a splitter")
+            if len(splitters) > 2 * weight_cap // group_min:
+                raise AssertionError("splitter count above 4*f(l+1)/(f(l)-f(l-1))")
+            if node.pred is None or node.pred.keys != [e.key for e in splitters]:
+                raise AssertionError("static predecessor keys differ from the splitters")
+            # condition 4: each group {e_i} u X_i u {e_i+1} is heavy enough
+            for i in range(len(splitters) - 1):
+                x = children[i + 1]
+                w = (splitters[i].weight + splitters[i + 1].weight
+                     + (x.weight if x is not None else 0))
+                if w <= group_min:
+                    raise AssertionError("condition 4 violated")
+        elif node.pred is not None:
+            raise AssertionError("a level-1 node keeps no static predecessor")
+        n_elems += len(splitters)
         total = 0
         prev_key = lo
-        children = node.children
-        for i, e in enumerate(node.splitters):
+        for e, child in zip(splitters, children):
             if not (prev_key is None or e.key > prev_key):
-                raise AssertionError
+                raise AssertionError("key not above its left neighbour")
             if not (e.home is node and e.weight >= 1 and handles.get(e.key) is e):
-                raise AssertionError
+                raise AssertionError("element's home, weight or map entry broken")
             if e.weight >= weight_cap:
-                raise AssertionError
+                raise AssertionError("overweight element: weight >= 2*f(l+1) at level l")
             if e.weight >= depth_limit:
-                raise AssertionError
-            child = children[i]
-            cw = 0
+                raise AssertionError("element deeper than its weight allows")
             if child is not None:
-                if child.level >= lv:
-                    raise AssertionError("levels must decrease")
-                cw = walk(child, node, prev_key, e.key)
-            total += cw + e.weight
+                total += walk(child, node, lv, prev_key, e.key)
+            total += e.weight
             prev_key = e.key
-        child = children[-1]
-        if child is not None:
-            if child.level >= lv:
-                raise AssertionError("levels must decrease")
-            total += walk(child, node, prev_key, hi)
+        # keys increase, so the last one alone can reach the upper bound
+        if not (hi is None or prev_key is None or prev_key < hi):
+            raise AssertionError("key above its slot's upper splitter")
+        if children[-1] is not None:
+            total += walk(children[-1], node, lv, prev_key, hi)
         if total != node.weight:
-            raise AssertionError
-        if node.weight >= weight_cap:
+            raise AssertionError("recorded weight differs from the subtree's")
+        if total >= weight_cap:
             raise AssertionError("condition 1 violated")
-        if node.pred.keys != [e.key for e in node.splitters]:
-            raise AssertionError
-        # condition 4: each group {e_i} u X_i u {e_i+1} is heavy enough
-        for i in range(len(node.splitters) - 1):
-            x = children[i + 1]
-            w = (node.splitters[i].weight + node.splitters[i + 1].weight
-                 + (x.weight if x is not None else 0))
-            if w <= group_min:
-                raise AssertionError("condition 4 violated")
         return total
 
     if tree.root.parent is not None:
-        raise AssertionError
-    walk(tree.root, None, None, None)
+        raise AssertionError("root with a parent")
+    walk(tree.root, None, MAX_LEVEL + 1, None, None)
     if n_elems != len(handles):
         raise AssertionError("key->element map holds a key the tree does not")
-

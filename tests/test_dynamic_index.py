@@ -385,13 +385,18 @@ def test_edge_split_keeps_invariants():
             idx.audit()
 
 
-def test_split_below_heavy_pointer_repoints_it():
+def _pointer_words():
     # node [1] is heavy with no array at sigma = 100, so its step is a
-    # _HeavyPointer to its heavy child on character 2; splitting that edge
-    # at [1, 2] must point the step at the new middle node
+    # _HeavyPointer to its heavy child on character 2
+    return ([[1, 2, 3, 4, 5 + i % 90, 5 + i // 90] for i in range(120)]
+            + [[1, c, 1] for c in (7, 8, 9)] + [[10], [11]])
+
+
+def test_split_below_heavy_pointer_repoints_it():
+    # splitting the heavy edge below [1] at [1, 2] must point the step at
+    # the new middle node
     idx = DynTrieIndex(sigma=100)
-    words = ([[1, 2, 3, 4, 5 + i % 90, 5 + i // 90] for i in range(120)]
-             + [[1, c, 1] for c in (7, 8, 9)] + [[10], [11]])
+    words = _pointer_words()
     for w in words:
         idx.insert(w)
     u = idx.search([1]).node
@@ -407,6 +412,79 @@ def test_split_below_heavy_pointer_repoints_it():
         assert r.matched and r.matched_len == len(p), p
         assert r.occ == sum(w[:len(p)] == p for w in words), p
     idx.audit()
+
+
+def _undo_heavy_pointer_repoint():
+    # inserting [1, 2, 9] splits the heavy edge below [1], and the step's
+    # pointer is put back on the old child
+    idx = DynTrieIndex(sigma=100)
+    for w in _pointer_words():
+        idx.insert(w)
+    step = idx.child_step[idx.search([1]).node]
+    old = step.heavy_kid
+    idx.insert([1, 2, 9])
+    step.heavy_kid = old
+    return idx
+
+
+def _light_child(idx, same_level):
+    """(v, c, ch): a light node above level 0 and its child on c, at v's
+    level or below it."""
+    nodes = idx.trie.nodes
+    return next((v, c, ch) for v in range(1, len(nodes))
+                if not idx.heavy[v] and idx.level[v]
+                for c, ch in nodes[v].children.items()
+                if (idx.level[ch] == idx.level[v]) == same_level)
+
+
+def _light_root():
+    idx = _random_index(4)
+    idx.heavy[idx.trie.ROOT] = False
+    return idx
+
+
+def _stray_parent_link():
+    idx = _random_index(4)
+    nodes = idx.trie.nodes
+    v = next(v for v in range(1, len(nodes)) if nodes[v].children)
+    nodes[next(iter(nodes[v].children.values()))].parent = idx.trie.ROOT
+    return idx
+
+
+def _foreign_fragment():
+    idx = _random_index(4)
+    v = next(v for v in range(1, len(idx.trie.nodes))
+             if not idx.heavy[v] and idx.frag[v].root != v)
+    idx.frag[v] = _Fragment(idx.frag[v].root)
+    return idx
+
+
+def _repointed_same_level_entry():
+    idx = _random_index(4)
+    v, c, ch = _light_child(idx, True)
+    idx.child_step[v].same.repoint(c, v)
+    return idx
+
+
+def _lower_child_raised():
+    idx = _random_index(4)
+    v, c, ch = _light_child(idx, False)
+    idx.level[ch] = idx.level[v] + 1
+    return idx
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_undo_heavy_pointer_repoint, "heavy pointer does not lead to the heavy child"),
+    (_light_root, "the root must be heavy"),
+    (_stray_parent_link, "parent link differs from its edge"),
+    (_foreign_fragment, "parent is outside its fragment"),
+    (_repointed_same_level_entry, "same-level dict entry differs from the child"),
+    (_lower_child_raised, "a child off the same-level dict must be lower"),
+])
+def test_audit_names_the_broken_invariant(plant, message):
+    idx = plant()
+    with pytest.raises(AssertionError, match=message):
+        idx.audit()
 
 
 def test_deep_promotions():

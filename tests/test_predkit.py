@@ -292,7 +292,7 @@ def test_static_pred_kind_chosen_by_span():
 
 
 def test_wexp_dense_splitters_against_sorted_oracle():
-    from triekit.wexp import WexpTree, _Node, audit_wexp
+    from triekit.wexp import WexpTree, audit_wexp
 
     rng = random.Random(8)
     u = 64
@@ -308,7 +308,7 @@ def test_wexp_dense_splitters_against_sorted_oracle():
     stack, direct = [t.root], 0
     while stack:
         node = stack.pop()
-        if isinstance(node, _Node):
+        if node.level > 1:
             direct += node.pred.below is not None
             stack.extend(c for c in node.children if c is not None)
     assert direct > 0
